@@ -1,17 +1,18 @@
 """Verification of constructed instances against their designed dynamics.
 
-Each verify_* simulates the instance and compares every step with the
-pattern the construction is built to realize. Mismatches come back as
-InvariantViolation records; an empty list means the run matched the design
-exactly. Violations are data, not errors: tampered instances or uncertified
-parameters produce records, never exceptions.
+Each verifier takes the states X(0) .. X(P) of one replay (or trajectory)
+and compares every step with the pattern the construction is built to
+realize. Mismatches come back as InvariantViolation records; an empty list
+means the run matched the design exactly. Violations are data, not errors:
+tampered instances or uncertified parameters produce records, never
+exceptions.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 from .constructions import ConstructedInstance
 from .dynamics import TrajectoryReport, step, utility_profile
@@ -21,6 +22,7 @@ __all__ = [
     "InvariantViolation",
     "MAX_VIOLATION_RECORDS",
     "f_of_t",
+    "replay",
     "verify_fcsh_dynamics",
     "verify_hdpd_dynamics",
     "verify_tree_invariants",
@@ -53,19 +55,10 @@ class _ViolationLog:
     def __init__(self) -> None:
         self.records: list[InvariantViolation] = []
 
-    def add(
-        self,
-        time: int,
-        label: str,
-        vertex: Optional[int] = None,
-        expected: Optional[int] = None,
-        observed: Optional[int] = None,
-        detail: str = "",
-    ) -> None:
+    def add(self, *fields: Any, **named: Any) -> None:
+        """Record InvariantViolation(*fields, **named) while under the cap."""
         if len(self.records) < MAX_VIOLATION_RECORDS:
-            self.records.append(
-                InvariantViolation(time, label, vertex, expected, observed, detail)
-            )
+            self.records.append(InvariantViolation(*fields, **named))
 
 
 def f_of_t(q: int, t: int) -> int:
@@ -80,13 +73,19 @@ def f_of_t(q: int, t: int) -> int:
     return abs(t - q + 3) + 1
 
 
-def _simulate(
-    instance: ConstructedInstance, params: GameParams, steps: int
-) -> list[StrategyVector]:
+def replay(instance: ConstructedInstance, params: GameParams) -> list[StrategyVector]:
+    """X(0) .. X(P) of the instance, where P is its predicted period."""
     states = [instance.x0]
-    for _ in range(steps):
+    for _ in range(instance.predicted_period):
         states.append(step(instance.graph, params, states[-1]))
     return states
+
+
+def _require_replay(
+    instance: ConstructedInstance, states: Sequence[StrategyVector], period: int
+) -> None:
+    if len(states) != period + 1 or states[0] != instance.x0:
+        raise ValueError(f"need X(0) .. X({period}) from x0, got {len(states)} states")
 
 
 def _expect(
@@ -103,7 +102,7 @@ def _expect(
 
 
 def verify_fcsh_dynamics(
-    instance: ConstructedInstance, params: GameParams
+    instance: ConstructedInstance, params: GameParams, states: Sequence[StrategyVector]
 ) -> list[InvariantViolation]:
     """Check a build_fcsh instance against its designed trajectory.
 
@@ -115,8 +114,8 @@ def verify_fcsh_dynamics(
     if instance.kind != "fcsh":
         raise ValueError(f"expected an fcsh instance, got kind={instance.kind!r}")
     p = instance.structural_params["p"]
+    _require_replay(instance, states, p)
     roles = instance.roles
-    states = _simulate(instance, params, p)
     x0 = instance.x0
     log = _ViolationLog()
 
@@ -146,7 +145,7 @@ def verify_fcsh_dynamics(
 
 
 def verify_hdpd_dynamics(
-    instance: ConstructedInstance, params: GameParams
+    instance: ConstructedInstance, params: GameParams, states: Sequence[StrategyVector]
 ) -> list[InvariantViolation]:
     """Check a build_hdpd instance against its designed trajectory.
 
@@ -157,8 +156,8 @@ def verify_hdpd_dynamics(
     if instance.kind != "hdpd":
         raise ValueError(f"expected an hdpd instance, got kind={instance.kind!r}")
     p = instance.structural_params["p"]
+    _require_replay(instance, states, p)
     roles = instance.roles
-    states = _simulate(instance, params, p)
     x0 = instance.x0
     log = _ViolationLog()
 
@@ -255,11 +254,11 @@ def _tree_shape(
 
 
 def verify_tree_invariants(
-    instance: ConstructedInstance, params: GameParams
+    instance: ConstructedInstance, params: GameParams, states: Sequence[StrategyVector]
 ) -> list[InvariantViolation]:
     """Check a build_tree instance against the breathing-ball pattern.
 
-    Simulates 2(q-3) steps and checks, per step t with f = f_of_t(q, t):
+    Takes X(0) .. X(2(q-3)) and checks, per step t with f = f_of_t(q, t):
 
     * tree:x0        X(0) cooperates exactly on levels 0..q-2.
     * tree:a         designated vertex at level l cooperates iff l <= f.
@@ -285,13 +284,13 @@ def verify_tree_invariants(
         raise ValueError(f"expected a tree instance, got kind={instance.kind!r}")
     q = instance.structural_params["q"]
     period = 2 * (q - 3)
+    _require_replay(instance, states, period)
     log = _ViolationLog()
     root, level, designated, attach = _tree_shape(instance, log)
     if root == -1:
         return log.records
     graph = instance.graph
     n = graph.n
-    states = _simulate(instance, params, period)
     x0 = instance.x0
 
     for v in range(n):
@@ -351,11 +350,11 @@ def verify_tree_invariants(
 
 
 def check_local_lemmas(
-    instance: ConstructedInstance, params: GameParams, steps: Optional[int] = None
+    instance: ConstructedInstance, params: GameParams, states: Sequence[StrategyVector]
 ) -> list[InvariantViolation]:
     """Scan a tree trajectory for the four local update laws.
 
-    Over `steps` transitions (one period by default), whenever a premise
+    Over the T >= 1 transitions of states X(0) .. X(T), whenever a premise
     holds at time t the matching conclusion must hold at t + 1:
 
     * lemma:advance  a cooperator with one cooperating neighbor and r
@@ -374,9 +373,9 @@ def check_local_lemmas(
     if instance.kind != "tree":
         raise ValueError(f"expected a tree instance, got kind={instance.kind!r}")
     r = instance.structural_params["r"]
-    horizon = instance.predicted_period if steps is None else steps
+    horizon = len(states) - 1
     if horizon < 1:
-        raise ValueError("steps must be >= 1")
+        raise ValueError("need at least the two states X(0) and X(1)")
     log = _ViolationLog()
     root, level, _designated, _attach = _tree_shape(instance, log)
     if root == -1:
@@ -394,7 +393,6 @@ def check_local_lemmas(
             if level[w] == level[v] + 1:
                 children[v].append(w)
 
-    states = _simulate(instance, params, horizon)
     for t in range(horizon):
         state, nxt = states[t], states[t + 1]
         bits = state.bits

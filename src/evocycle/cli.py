@@ -18,13 +18,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .analysis import (
+    InvariantViolation,
     check_local_lemmas,
+    replay,
     verify_fcsh_dynamics,
     verify_hdpd_dynamics,
     verify_tree_invariants,
@@ -51,6 +55,7 @@ from .serialize import (
 )
 from .solver import (
     DEFAULT_MAX_CANDIDATES,
+    Certificate,
     CertificateFailure,
     ScenarioError,
     SearchBudgetError,
@@ -67,12 +72,50 @@ EXIT_VIOLATIONS = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
-# Invariant families each verifier covers, keyed by instance kind.  The
-# verify report lists them so a clean exit 0 still states what was checked.
-_FAMILIES = {
-    "fcsh": ("fcsh:frozen", "fcsh:chain", "fcsh:reset"),
-    "hdpd": ("hdpd:chain", "hdpd:frozen", "hdpd:outer", "hdpd:reset"),
-    "tree": (
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything that differs between the witness families.  Each callable
+    looks its function up in this module's globals when called, so that a
+    wrapper patched over the name (as perfbench does) sees every call."""
+
+    kind: str
+    solve: Callable[[GameParams, int, int], Certificate]  # params, period, budget
+    build: Callable[[int, Any], ConstructedInstance]  # period, certificate
+    check: Callable[[GameParams, Mapping[str, int]], Certificate]
+    verify: Callable[..., list[InvariantViolation]]  # instance, params, X(0)..X(P)
+    invariants: tuple[str, ...]  # listed by verify, so exit 0 states what was checked
+    period: Callable[[Mapping[str, int]], int]  # from the structural integers
+
+
+_FCSH = _Family(
+    kind="fcsh",
+    solve=lambda params, p, budget: solve_fcsh(params, p, max_candidates=budget),
+    build=lambda p, cert: build_fcsh(p, cert.q, cert.r, cert.s),
+    check=lambda params, sp: check_fcsh(params, sp["p"], sp["q"], sp["r"], sp["s"]),
+    verify=lambda inst, params, states: verify_fcsh_dynamics(inst, params, states),
+    invariants=("fcsh:frozen", "fcsh:chain", "fcsh:reset"),
+    period=lambda sp: sp["p"],
+)
+_HDPD = _Family(
+    kind="hdpd",
+    solve=lambda params, p, budget: solve_hdpd(params, p, max_candidates=budget),
+    build=lambda p, cert: build_hdpd(p, cert.o, cert.q, cert.r, cert.s),
+    check=lambda params, sp: check_hdpd(params, sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
+    verify=lambda inst, params, states: verify_hdpd_dynamics(inst, params, states),
+    invariants=("hdpd:chain", "hdpd:frozen", "hdpd:outer", "hdpd:reset"),
+    period=lambda sp: sp["p"],
+)
+_TREE = _Family(
+    kind="tree",
+    solve=lambda params, bound, budget: solve_tree(params, bound, max_candidates=budget),
+    build=lambda _bound, cert: build_tree(cert.r, cert.q),
+    check=lambda params, sp: check_tree(params, sp["r"], sp["q"]),
+    verify=lambda inst, params, states: (
+        verify_tree_invariants(inst, params, states)
+        + check_local_lemmas(inst, params, states)
+    ),
+    invariants=(
         "tree:x0",
         "tree:a",
         "tree:b",
@@ -88,7 +131,40 @@ _FAMILIES = {
         "lemma:siblings",
         "lemma:descend",
     ),
-}
+    period=lambda sp: 2 * (sp["q"] - 3),
+)
+_FAMILIES = {family.kind: family for family in (_FCSH, _HDPD, _TREE)}
+
+
+def _family_of(instance: ConstructedInstance) -> _Family:
+    """The family of a loaded instance, whose predicted period must fit it."""
+    family = _FAMILIES.get(instance.kind)
+    if family is None:
+        raise ValueError(f"unknown instance kind {instance.kind!r}")
+    period = family.period(instance.structural_params)
+    if instance.predicted_period != period:
+        raise ValueError(f"predicted_period {instance.predicted_period} does not match "
+                         f"the {family.kind} period {period} of its structural params")
+    return family
+
+
+def _solve_and_build(
+    params: GameParams, period: int, tree: bool, max_candidates: int
+) -> tuple[_Family, Certificate, ConstructedInstance]:
+    """Shared by witness and sweep; with tree, period is a lower bound."""
+    if tree:
+        family = _TREE
+    elif period == 1:
+        raise ValueError(
+            "period 1 needs no construction: both uniform states are fixed "
+            "points of the dynamics on every graph"
+        )
+    elif classify_scenario(params) in (Scenario.FC, Scenario.SH):
+        family = _FCSH
+    else:  # HD / PD; non-admissible quadruples fail the solver's scenario gate
+        family = _HDPD
+    cert = family.solve(params, period, max_candidates)
+    return family, cert, family.build(period, cert)
 
 
 def parse_params(text: str) -> GameParams:
@@ -140,26 +216,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK if params.admissible else EXIT_BAD_INPUT
 
 
-def _solve_and_build(params: GameParams, args: argparse.Namespace):
-    """Shared by witness and sweep: returns (certificate, instance)."""
-    if args.tree:
-        cert = solve_tree(params, args.min_period, max_candidates=args.max_candidates)
-        return cert, build_tree(cert.r, cert.q)
-    period = args.period
-    if period == 1:
-        raise ValueError(
-            "period 1 needs no construction: both uniform states are fixed "
-            "points of the dynamics on every graph"
-        )
-    scenario = classify_scenario(params)
-    if scenario in (Scenario.FC, Scenario.SH):
-        cert = solve_fcsh(params, period, max_candidates=args.max_candidates)
-        return cert, build_fcsh(period, cert.q, cert.r, cert.s)
-    # HD / PD; non-admissible quadruples fail the solver's scenario gate.
-    cert = solve_hdpd(params, period, max_candidates=args.max_candidates)
-    return cert, build_hdpd(period, cert.o, cert.q, cert.r, cert.s)
-
-
 def cmd_witness(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     if args.tree and args.period is not None:
@@ -168,7 +224,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         raise ValueError("--tree requires --min-period")
     if not args.tree and args.period is None:
         raise ValueError("--period is required (or use --tree --min-period)")
-    cert, instance = _solve_and_build(params, args)
+    period = args.min_period if args.tree else args.period
+    _, cert, instance = _solve_and_build(params, period, args.tree, args.max_candidates)
 
     if args.out is not None:
         out_dir = Path(args.out)
@@ -230,33 +287,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _verify_instance(
-    instance: ConstructedInstance, params: GameParams
+    family: _Family,
+    instance: ConstructedInstance,
+    params: GameParams,
+    states: Sequence[StrategyVector],
 ) -> tuple[list[str], list[str]]:
-    """Returns (violation lines, certificate problem lines)."""
-    sp = instance.structural_params
+    """Returns (violation lines, certificate problem lines) given X(0) .. X(P)."""
     cert_problems: list[str] = []
     try:
-        if instance.kind == "fcsh":
-            check_fcsh(params, sp["p"], sp["q"], sp["r"], sp["s"])
-        elif instance.kind == "hdpd":
-            check_hdpd(params, sp["p"], sp["o"], sp["q"], sp["r"], sp["s"])
-        else:
-            check_tree(params, sp["r"], sp["q"])
+        family.check(params, instance.structural_params)
     except CertificateFailure as exc:
         cert_problems = [f"certificate:{name}" for name in exc.violated]
-
-    if instance.kind == "fcsh":
-        violations = verify_fcsh_dynamics(instance, params)
-    elif instance.kind == "hdpd":
-        violations = verify_hdpd_dynamics(instance, params)
-    else:
-        violations = verify_tree_invariants(instance, params)
-        violations += check_local_lemmas(instance, params)
     lines = [
         f"violation t={v.time} {v.label} vertex={v.vertex} "
         f"expected={v.expected} observed={v.observed}"
         + (f" ({v.detail})" if v.detail else "")
-        for v in violations
+        for v in family.verify(instance, params, states)
     ]
     return lines, cert_problems
 
@@ -264,11 +310,10 @@ def _verify_instance(
 def cmd_verify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     instance = _load_instance(args.instance)
-    if instance.kind not in _FAMILIES:
-        raise ValueError(f"unknown instance kind {instance.kind!r}")
-    lines, cert_problems = _verify_instance(instance, params)
+    family = _family_of(instance)
+    lines, cert_problems = _verify_instance(family, instance, params, replay(instance, params))
     ok = not lines and not cert_problems
-    families = _FAMILIES[instance.kind] + ("certificate",)
+    families = family.invariants + ("certificate",)
     if args.format == "json":
         sys.stdout.write(dumps({
             "kind": instance.kind,
@@ -292,20 +337,13 @@ def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
     """One sweep entry: solve, build, simulate, verify.  Module level so a
     process pool can pickle it."""
     params, period, tree, max_candidates = task
-    if tree:
-        cert = solve_tree(params, period, max_candidates=max_candidates)
-        instance = build_tree(cert.r, cert.q)
-    else:
-        scenario = classify_scenario(params)
-        if scenario in (Scenario.FC, Scenario.SH):
-            cert = solve_fcsh(params, period, max_candidates=max_candidates)
-            instance = build_fcsh(period, cert.q, cert.r, cert.s)
-        else:
-            cert = solve_hdpd(params, period, max_candidates=max_candidates)
-            instance = build_hdpd(period, cert.o, cert.q, cert.r, cert.s)
+    family, _, instance = _solve_and_build(params, period, tree, max_candidates)
     budget = max(64, 4 * instance.predicted_period + 16)
     report = trajectory(instance.graph, params, instance.x0, max_steps=budget)
-    lines, cert_problems = _verify_instance(instance, params)
+    # state_at folds times past the report into its cycle, so these are
+    # exactly X(0) .. X(P) without simulating again.
+    states = [report.state_at(t) for t in range(instance.predicted_period + 1)]
+    lines, cert_problems = _verify_instance(family, instance, params, states)
     row: dict[str, Any] = {"requested": period, "kind": instance.kind}
     row.update(instance.structural_params)
     row["n"] = instance.graph.n
@@ -335,8 +373,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     periods = parse_periods(args.periods)
     tasks = [(params, p, args.tree, args.max_candidates) for p in periods]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # With fork a pool starts all its workers at once, so never ask for
+    # more than there are tasks or cores.
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(task) for task in tasks]

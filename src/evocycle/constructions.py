@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .game import Graph, StrategyVector
+from .solver import _require_at_least
 
 __all__ = [
     "Role",
@@ -94,10 +95,17 @@ class ConstructedInstance:
     predicted_period: int
 
 
-def _require_positive(**values: int) -> None:
-    for name, value in values.items():
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _instance(kind: str, roles: list[Role], edges: list[tuple[int, int]],
+              cooperators: Iterable[int], structural_params: dict[str, int],
+              predicted_period: int) -> ConstructedInstance:
+    """Bundle a finished build; x0 cooperates exactly on `cooperators`."""
+    bits = bytearray(len(roles))
+    for v in cooperators:
+        bits[v] = 1
+    graph = Graph(len(roles), edges)
+    assert graph.is_connected
+    return ConstructedInstance(kind, graph, StrategyVector(bits), RoleMap(roles),
+                               structural_params, predicted_period)
 
 
 def build_fcsh(p: int, q: int, r: int, s: int) -> ConstructedInstance:
@@ -122,7 +130,7 @@ def build_fcsh(p: int, q: int, r: int, s: int) -> ConstructedInstance:
     everything else defects. Designed minimal period: p (requires p >= 2;
     for period 1 any uniform state on any graph is already a fixed point).
     """
-    _require_positive(p=p, q=q, r=r, s=s)
+    _require_at_least(1, p=p, q=q, r=r, s=s)
     if p < 2:
         raise ValueError("p must be at least 2; uniform fixed points cover period 1")
 
@@ -163,20 +171,7 @@ def build_fcsh(p: int, q: int, r: int, s: int) -> ConstructedInstance:
             cooperators.append(h)
             cooperators.extend(s1)
 
-    n_vertices = len(roles)
-    bits = bytearray(n_vertices)
-    for v in cooperators:
-        bits[v] = 1
-    graph = Graph(n_vertices, edges)
-    assert graph.is_connected
-    return ConstructedInstance(
-        kind="fcsh",
-        graph=graph,
-        x0=StrategyVector(bits),
-        roles=RoleMap(roles),
-        structural_params={"p": p, "q": q, "r": r, "s": s},
-        predicted_period=p,
-    )
+    return _instance("fcsh", roles, edges, cooperators, {"p": p, "q": q, "r": r, "s": s}, p)
 
 
 def build_hdpd(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
@@ -200,7 +195,7 @@ def build_hdpd(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
     cooperators); everything else defects. Designed minimal period: p
     (requires p >= 2; uniform fixed points cover period 1).
     """
-    _require_positive(p=p, o=o, q=q, r=r, s=s)
+    _require_at_least(1, p=p, o=o, q=q, r=r, s=s)
     if p < 2:
         raise ValueError("p must be at least 2; uniform fixed points cover period 1")
 
@@ -237,23 +232,9 @@ def build_hdpd(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
     edges.extend((g_d, v) for v in bridge_j)
     edges.extend((g_c, v) for v in bridge_j)
 
-    n_vertices = len(roles)
-    bits = bytearray(n_vertices)
-    for m in range(1, o + 1):
-        bits[chain[(1, m)]] = 1
-    for v in bridge_j:
-        bits[v] = 1
-    bits[g_c] = 1
-    graph = Graph(n_vertices, edges)
-    assert graph.is_connected
-    return ConstructedInstance(
-        kind="hdpd",
-        graph=graph,
-        x0=StrategyVector(bits),
-        roles=RoleMap(roles),
-        structural_params={"p": p, "o": o, "q": q, "r": r, "s": s},
-        predicted_period=p,
-    )
+    cooperators = [chain[(1, m)] for m in range(1, o + 1)] + bridge_j + [g_c]
+    structural = {"p": p, "o": o, "q": q, "r": r, "s": s}
+    return _instance("hdpd", roles, edges, cooperators, structural, p)
 
 
 def build_tree(r: int, q: int) -> ConstructedInstance:
@@ -280,10 +261,8 @@ def build_tree(r: int, q: int) -> ConstructedInstance:
     Initial state: levels 0..q-2 cooperate, deeper levels defect.
     Designed minimal period: 2(q - 3). Requires r >= 2 and q >= 5.
     """
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
-    if not isinstance(q, int) or q < 5:
-        raise ValueError(f"q must be an integer >= 5, got {q!r}")
+    _require_at_least(2, r=r)
+    _require_at_least(5, q=q)
 
     levels: list[int] = [0]
     parent: list[int] = [-1]
@@ -333,14 +312,7 @@ def build_tree(r: int, q: int) -> ConstructedInstance:
         else:
             roles.append(Role("ordinary", (levels[v], branch[v])))
 
-    bits = bytearray(1 if levels[v] <= q - 2 else 0 for v in range(n_vertices))
-    graph = Graph(n_vertices, edges)
-    assert graph.is_connected and graph.edge_count == n_vertices - 1
-    return ConstructedInstance(
-        kind="tree",
-        graph=graph,
-        x0=StrategyVector(bits),
-        roles=RoleMap(roles),
-        structural_params={"r": r, "q": q},
-        predicted_period=2 * (q - 3),
-    )
+    cooperators = (v for v in range(n_vertices) if levels[v] <= q - 2)
+    instance = _instance("tree", roles, edges, cooperators, {"r": r, "q": q}, 2 * (q - 3))
+    assert instance.graph.edge_count == n_vertices - 1
+    return instance

@@ -15,6 +15,7 @@ from .game import (
     Graph,
     StrategyVector,
     UpdateSchedule,
+    _check_state,
     mean_utility,
 )
 
@@ -46,43 +47,13 @@ class TrajectoryBudgetError(RuntimeError):
         self.states = states
 
 
-def _check_state(graph: Graph, state: StrategyVector) -> None:
-    if len(state) != graph.n:
-        raise ValueError(f"state has {len(state)} entries, graph has {graph.n} vertices")
-
-
-def utility_profile(
-    graph: Graph, params: GameParams, state: StrategyVector
-) -> tuple[Fraction, ...]:
-    """Mean utility of every vertex at once.
-
-    Utilities depend only on (own strategy, cooperating neighbors, degree),
-    so each distinct combination is computed a single time.
-    """
-    _check_state(graph, state)
-    bits = state.bits
-    a, b, c, d = params.as_tuple()
-    cache: dict[tuple[int, int, int], Fraction] = {}
-    out: list[Fraction] = []
-    for v in range(graph.n):
-        nbrs = graph.neighbors(v)
-        deg = len(nbrs)
-        coop = sum(map(bits.__getitem__, nbrs))
-        key = (bits[v], coop, deg)
-        u = cache.get(key)
-        if u is None:
-            if bits[v]:
-                u = (a * coop + b * (deg - coop)) / deg
-            else:
-                u = (c * coop + d * (deg - coop)) / deg
-            cache[key] = u
-        out.append(u)
-    return tuple(out)
-
-
-def _utility_ranks(graph: Graph, params: GameParams, bits: bytes) -> list[int]:
-    # Order-preserving integer ranks of the per-vertex utilities, so the
-    # argmax scans below compare small ints instead of Fractions.
+def _utility_slots(
+    graph: Graph, params: GameParams, bits: bytes
+) -> tuple[list[int], list[Fraction]]:
+    # Utilities depend only on (own strategy, cooperating neighbors,
+    # degree), so each distinct key gets one slot and one Fraction:
+    # values[slot[v]] is the mean utility of v.  The keys stay integer
+    # triples because hashing a Fraction per vertex would slow step().
     a, b, c, d = params.as_tuple()
     slot_by_key: dict[tuple[int, int, int], int] = {}
     values: list[Fraction] = []
@@ -101,6 +72,22 @@ def _utility_ranks(graph: Graph, params: GameParams, bits: bytes) -> list[int]:
             else:
                 values.append((c * coop + d * (deg - coop)) / deg)
         slot[v] = s
+    return slot, values
+
+
+def utility_profile(
+    graph: Graph, params: GameParams, state: StrategyVector
+) -> tuple[Fraction, ...]:
+    """Mean utility of every vertex at once, each distinct value computed once."""
+    _check_state(graph, state)
+    slot, values = _utility_slots(graph, params, state.bits)
+    return tuple(map(values.__getitem__, slot))
+
+
+def _utility_ranks(graph: Graph, params: GameParams, bits: bytes) -> list[int]:
+    # Order-preserving integer ranks of the per-vertex utilities, so the
+    # argmax scans below compare small ints instead of Fractions.
+    slot, values = _utility_slots(graph, params, bits)
     # Dense ranking: equal utilities must share a rank, or ties between
     # distinct (strategy, cooperators, degree) profiles would disappear.
     order = sorted(range(len(values)), key=values.__getitem__)

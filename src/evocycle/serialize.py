@@ -8,6 +8,7 @@ so writing, reading, and writing again is byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -15,7 +16,7 @@ from typing import Any, Iterable, Mapping
 from .constructions import ConstructedInstance, Role, RoleMap
 from .dynamics import TrajectoryReport
 from .game import GameParams, Graph, StrategyVector, as_rational
-from .solver import FcshCertificate, HdpdCertificate, TreeCertificate
+from .solver import Certificate
 
 __all__ = [
     "rational_to_str",
@@ -50,6 +51,12 @@ def graph_from_dict(data: Mapping[str, Any]) -> Graph:
         edges = [(int(i), int(j)) for i, j in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a graph object: {exc}") from None
+    if not isinstance(n, int):
+        raise ValueError(f"graph vertex count must be an integer, got {n!r}")
+    # Every vertex needs a neighbor; refusing n > 2 * edges up front keeps
+    # Graph from allocating adjacency lists for a count the edges cannot back.
+    if n > 2 * len(edges):
+        raise ValueError(f"{len(edges)} edges cannot give all n={n} vertices a neighbor")
     return Graph(n, edges)
 
 
@@ -108,21 +115,14 @@ def report_to_dict(report: TrajectoryReport) -> dict[str, Any]:
     }
 
 
-def certificate_to_dict(
-    certificate: FcshCertificate | HdpdCertificate | TreeCertificate,
-) -> dict[str, Any]:
+def certificate_to_dict(certificate: Certificate) -> dict[str, Any]:
     """Kind-tagged JSON form with every residual as an exact rational string."""
-    residuals = {k: rational_to_str(v) for k, v in certificate.residuals.items()}
-    if isinstance(certificate, FcshCertificate):
-        return {"kind": "fcsh", "q": certificate.q, "r": certificate.r,
-                "s": certificate.s, "residuals": residuals}
-    if isinstance(certificate, HdpdCertificate):
-        return {"kind": "hdpd", "o": certificate.o, "q": certificate.q,
-                "r": certificate.r, "s": certificate.s, "residuals": residuals}
-    if isinstance(certificate, TreeCertificate):
-        return {"kind": "tree", "r": certificate.r, "q": certificate.q,
-                "residuals": residuals, "leafward_spread": certificate.leafward_spread}
-    raise TypeError(f"not a certificate: {certificate!r}")
+    if not isinstance(certificate, Certificate):
+        raise TypeError(f"not a certificate: {certificate!r}")
+    data = {f.name: getattr(certificate, f.name) for f in fields(certificate)}
+    data["kind"] = certificate.kind
+    data["residuals"] = {k: rational_to_str(v) for k, v in certificate.residuals.items()}
+    return data
 
 
 def counts_to_csv(series: Iterable[tuple[int, int]]) -> str:

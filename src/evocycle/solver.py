@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import floor
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .game import GameParams, Scenario, classify_scenario, normalize_params
 
@@ -25,6 +25,7 @@ __all__ = [
     "ScenarioError",
     "CertificateFailure",
     "SearchBudgetError",
+    "Certificate",
     "FcshCertificate",
     "HdpdCertificate",
     "TreeCertificate",
@@ -78,15 +79,27 @@ def _require_scenario(params: GameParams, allowed: tuple[Scenario, ...], what: s
         )
 
 
-def _require_positive(**values: int) -> None:
+def _require_at_least(minimum: int, **values: int) -> None:
     for name, value in values.items():
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(value, int) or value < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _next_int_above(x: Fraction) -> int:
     """Smallest integer strictly greater than x."""
     return floor(x) + 1
+
+
+class Certificate:
+    """Base of the certificates: `kind` names the family, `residuals` maps
+    each inequality to its exact residual."""
+
+    kind: ClassVar[str]
+    residuals: Mapping[str, Fraction]
+
+    @property
+    def min_residual(self) -> Fraction:
+        return min(self.residuals.values())
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +108,7 @@ def _next_int_above(x: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class FcshCertificate:
+class FcshCertificate(Certificate):
     """Certified structural parameters for build_fcsh.
 
     Residual names, each left minus right of a strict inequality:
@@ -113,14 +126,11 @@ class FcshCertificate:
       center vertex, ((2p-1)*c + d)/(2p) > ((q+2)*a + r*b)/(q+r+2).
     """
 
+    kind = "fcsh"
     q: int
     r: int
     s: int
     residuals: Mapping[str, Fraction]
-
-    @property
-    def min_residual(self) -> Fraction:
-        return min(self.residuals.values())
 
 
 def _fcsh_residuals(
@@ -151,9 +161,8 @@ def check_fcsh(params: GameParams, p: int, q: int, r: int, s: int) -> FcshCertif
     CertificateFailure listing every violated inequality otherwise.
     """
     _require_scenario(params, (Scenario.FC, Scenario.SH), "check_fcsh")
-    _require_positive(p=p, q=q, r=r, s=s)
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    _require_at_least(2, p=p)
+    _require_at_least(1, q=q, r=r, s=s)
     residuals = _fcsh_residuals(params, p, q, r, s)
     if any(v <= 0 for v in residuals.values()):
         raise CertificateFailure(f"(q={q}, r={r}, s={s}) not certified for p={p}", residuals)
@@ -180,8 +189,7 @@ def solve_fcsh(
     Raises SearchBudgetError after max_candidates candidate evaluations.
     """
     _require_scenario(params, (Scenario.FC, Scenario.SH), "solve_fcsh")
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")
+    _require_at_least(2, p=p)
     a, b, c, d = params.as_tuple()
 
     m_start = max(
@@ -226,7 +234,7 @@ def solve_fcsh(
 
 
 @dataclass(frozen=True)
-class HdpdCertificate:
+class HdpdCertificate(Certificate):
     """Certified structural parameters for build_hdpd.
 
     Residual names, each left minus right of a strict inequality:
@@ -245,15 +253,12 @@ class HdpdCertificate:
       other neighbors.
     """
 
+    kind = "hdpd"
     o: int
     q: int
     r: int
     s: int
     residuals: Mapping[str, Fraction]
-
-    @property
-    def min_residual(self) -> Fraction:
-        return min(self.residuals.values())
 
 
 def _hdpd_residuals(
@@ -287,9 +292,8 @@ def check_hdpd(
     CertificateFailure listing every violated inequality otherwise.
     """
     _require_scenario(params, (Scenario.HD, Scenario.PD), "check_hdpd")
-    _require_positive(p=p, o=o, q=q, r=r, s=s)
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    _require_at_least(2, p=p)
+    _require_at_least(1, o=o, q=q, r=r, s=s)
     residuals = _hdpd_residuals(params, p, o, q, r, s)
     if any(v <= 0 for v in residuals.values()):
         raise CertificateFailure(
@@ -353,8 +357,7 @@ def solve_hdpd(
     Raises SearchBudgetError after max_candidates candidate evaluations.
     """
     _require_scenario(params, (Scenario.HD, Scenario.PD), "solve_hdpd")
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")
+    _require_at_least(2, p=p)
 
     spent = 0
 
@@ -399,7 +402,7 @@ def solve_hdpd(
 
 
 @dataclass(frozen=True)
-class TreeCertificate:
+class TreeCertificate(Certificate):
     """Certified structural parameters for build_tree.
 
     Residuals:
@@ -414,14 +417,11 @@ class TreeCertificate:
     period.
     """
 
+    kind = "tree"
     r: int
     q: int
     residuals: Mapping[str, Fraction]
     leafward_spread: bool
-
-    @property
-    def min_residual(self) -> Fraction:
-        return min(self.residuals.values())
 
 
 def check_tree(params: GameParams, r: int, q: int) -> TreeCertificate:
@@ -431,10 +431,8 @@ def check_tree(params: GameParams, r: int, q: int) -> TreeCertificate:
     or q < 5, and CertificateFailure otherwise.
     """
     _require_scenario(params, (Scenario.HD,), "check_tree")
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"r must be an integer >= 2, got {r!r}")
-    if not isinstance(q, int) or q < 5:
-        raise ValueError(f"q must be an integer >= 5, got {q!r}")
+    _require_at_least(2, r=r)
+    _require_at_least(5, q=q)
     a, b, c, d = params.as_tuple()
     residuals = {
         "spread": Fraction((a + r * b) - (c + r * d), 1) / (r + 1),
@@ -458,8 +456,7 @@ def solve_tree(
     SearchBudgetError if no r certifies within max_candidates attempts.
     """
     _require_scenario(params, (Scenario.HD,), "solve_tree")
-    if not isinstance(min_period, int) or min_period < 1:
-        raise ValueError(f"min_period must be a positive integer, got {min_period!r}")
+    _require_at_least(1, min_period=min_period)
     a, b, c, d = params.as_tuple()
     q = max(5, (min_period + 1) // 2 + 3)
     for r in range(2, 2 + max_candidates):

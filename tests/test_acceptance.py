@@ -106,7 +106,7 @@ def test_criterion_2_worked_tree():
     for _ in range(27):
         states.append(step(instance.graph, params, states[-1]))
     shifted_ok = all(states[t] == states[t + 6] for t in range(21))
-    violations = verify_tree_invariants(instance, params)
+    violations = verify_tree_invariants(instance, params, states[:7])
     elapsed = time.perf_counter() - started
     ok = (
         report.minimal_period == 6
@@ -158,14 +158,16 @@ def test_criterion_4_any_period_all_scenarios():
             if scenario in ("FC", "SH"):
                 cert = solve_fcsh(params, p)
                 instance = build_fcsh(p, cert.q, cert.r, cert.s)
-                violations = verify_fcsh_dynamics(instance, params)
+                verify = verify_fcsh_dynamics
             else:
                 cert = solve_hdpd(params, p)
                 instance = build_hdpd(p, cert.o, cert.q, cert.r, cert.s)
-                violations = verify_hdpd_dynamics(instance, params)
+                verify = verify_hdpd_dynamics
             report = trajectory(
                 instance.graph, params, instance.x0, max_steps=4 * p + 16
             )
+            states = [report.state_at(t) for t in range(p + 1)]
+            violations = verify(instance, params, states)
             if (
                 report.transient != 0
                 or report.minimal_period != p
@@ -191,8 +193,9 @@ def test_criterion_5_tree_periods():
         report = trajectory(
             instance.graph, params, instance.x0, max_steps=3 * period + 8
         )
-        violations = verify_tree_invariants(instance, params)
-        violations += check_local_lemmas(instance, params)
+        states = [report.state_at(t) for t in range(period + 1)]
+        violations = verify_tree_invariants(instance, params, states)
+        violations += check_local_lemmas(instance, params, states)
         if (
             report.transient != 0
             or report.minimal_period != period

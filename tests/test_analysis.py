@@ -12,6 +12,7 @@ from evocycle import (
     check_local_lemmas,
     cooperator_series,
     f_of_t,
+    replay,
     solve_fcsh,
     solve_hdpd,
     trajectory,
@@ -52,24 +53,26 @@ class TestFOfT:
 class TestCleanInstancesVerify:
     def test_hdpd_worked_example(self):
         instance = build_hdpd(5, 4, 2, 1, 6)
-        assert verify_hdpd_dynamics(instance, WORKED_HD) == []
+        assert verify_hdpd_dynamics(instance, WORKED_HD, replay(instance, WORKED_HD)) == []
 
     def test_fcsh_example(self):
         cert = solve_fcsh(GameParams(1, "1/2", "4/5", 0), 3)
         instance = build_fcsh(3, cert.q, cert.r, cert.s)
-        assert verify_fcsh_dynamics(instance, GameParams(1, "1/2", "4/5", 0)) == []
+        params = GameParams(1, "1/2", "4/5", 0)
+        assert verify_fcsh_dynamics(instance, params, replay(instance, params)) == []
 
     def test_tree_example(self):
         instance = build_tree(3, 6)
-        assert verify_tree_invariants(instance, TREE_HD) == []
-        assert check_local_lemmas(instance, TREE_HD) == []
+        states = replay(instance, TREE_HD)
+        assert verify_tree_invariants(instance, TREE_HD, states) == []
+        assert check_local_lemmas(instance, TREE_HD, states) == []
 
     def test_tree_without_leafward_spread_still_verifies(self):
         # b = 2/5 with r = 3 leaves the optional leafward-spread margin
         # unmet, yet the designed trajectory is unchanged.
         params = GameParams(1, "2/5", 2, 0)
         instance = build_tree(3, 6)
-        assert verify_tree_invariants(instance, params) == []
+        assert verify_tree_invariants(instance, params, replay(instance, params)) == []
         report = trajectory(instance.graph, params, instance.x0, max_steps=40)
         assert (report.transient, report.minimal_period) == (0, 6)
 
@@ -81,7 +84,8 @@ class TestTamperedInstances:
             v for v in instance.roles.vertices("K")
             if instance.roles[v].index[0] == 1
         )
-        violations = verify_fcsh_dynamics(flip_x0(instance, far), GameParams(1, "1/2", "4/5", 0))
+        tampered, params = flip_x0(instance, far), GameParams(1, "1/2", "4/5", 0)
+        violations = verify_fcsh_dynamics(tampered, params, replay(tampered, params))
         assert violations
         assert any(v.label == "fcsh:chain" and v.time == 0 for v in violations)
 
@@ -91,21 +95,24 @@ class TestTamperedInstances:
             v for v in instance.roles.vertices("K")
             if instance.roles[v].index[0] == 6
         )
-        violations = verify_hdpd_dynamics(flip_x0(instance, outer), WORKED_HD)
+        tampered = flip_x0(instance, outer)
+        violations = verify_hdpd_dynamics(tampered, WORKED_HD, replay(tampered, WORKED_HD))
         assert violations
         assert any(v.label == "hdpd:outer" and v.time == 0 for v in violations)
 
     def test_flipped_leaf_breaks_initial_state_check(self):
         instance = build_tree(2, 6)
         leaf = instance.graph.n - 1
-        violations = verify_tree_invariants(flip_x0(instance, leaf), TREE_HD)
+        tampered = flip_x0(instance, leaf)
+        violations = verify_tree_invariants(tampered, TREE_HD, replay(tampered, TREE_HD))
         assert any(v.label == "tree:x0" and v.vertex == leaf for v in violations)
 
     def test_wrong_params_break_dynamics(self):
         # These payoffs are HD as well, but the hub inequalities fail for
         # the worked example's sizes, so the wave does not run on schedule.
         instance = build_hdpd(5, 4, 2, 1, 6)
-        violations = verify_hdpd_dynamics(instance, GameParams(1, "3/5", 2, 0))
+        params = GameParams(1, "3/5", 2, 0)
+        violations = verify_hdpd_dynamics(instance, params, replay(instance, params))
         assert violations
 
     def test_severed_subtree_is_reported_as_structure_damage(self):
@@ -119,7 +126,7 @@ class TestTamperedInstances:
         cut = (min(level1, level2[0]), max(level1, level2[0]))
         edges = [e for e in instance.graph.edges() if e != cut]
         tampered = replace(instance, graph=Graph(instance.graph.n, edges))
-        violations = verify_tree_invariants(tampered, TREE_HD)
+        violations = verify_tree_invariants(tampered, TREE_HD, replay(tampered, TREE_HD))
         assert any(
             v.label == "tree:structure" and "unreachable" in v.detail
             for v in violations
@@ -132,7 +139,8 @@ class TestTamperedInstances:
         inverted = StrategyVector(
             1 - instance.x0[v] for v in range(instance.graph.n)
         )
-        violations = verify_tree_invariants(replace(instance, x0=inverted), TREE_HD)
+        tampered = replace(instance, x0=inverted)
+        violations = verify_tree_invariants(tampered, TREE_HD, replay(tampered, TREE_HD))
         assert len(violations) == MAX_VIOLATION_RECORDS
 
 
@@ -140,14 +148,27 @@ class TestKindDispatch:
     def test_verifiers_reject_wrong_kind(self):
         tree = build_tree(2, 5)
         hdpd = build_hdpd(2, 3, 1, 1, 4)
+        states = replay(hdpd, WORKED_HD)
         with pytest.raises(ValueError):
-            verify_fcsh_dynamics(hdpd, WORKED_HD)
+            verify_fcsh_dynamics(hdpd, WORKED_HD, states)
         with pytest.raises(ValueError):
-            verify_hdpd_dynamics(tree, TREE_HD)
+            verify_hdpd_dynamics(tree, TREE_HD, replay(tree, TREE_HD))
         with pytest.raises(ValueError):
-            verify_tree_invariants(hdpd, WORKED_HD)
+            verify_tree_invariants(hdpd, WORKED_HD, states)
         with pytest.raises(ValueError):
-            check_local_lemmas(hdpd, WORKED_HD)
+            check_local_lemmas(hdpd, WORKED_HD, states)
+
+    def test_verifiers_need_one_replayed_period(self):
+        hdpd = build_hdpd(2, 3, 1, 1, 4)
+        tree = build_tree(2, 5)
+        hdpd_states, tree_states = replay(hdpd, WORKED_HD), replay(tree, TREE_HD)
+        assert len(hdpd_states) == 3 and len(tree_states) == 5
+        with pytest.raises(ValueError):
+            verify_hdpd_dynamics(hdpd, WORKED_HD, hdpd_states[:-1])
+        with pytest.raises(ValueError):
+            verify_hdpd_dynamics(hdpd, WORKED_HD, hdpd_states[1:] + hdpd_states[:1])
+        with pytest.raises(ValueError):
+            verify_tree_invariants(tree, TREE_HD, tree_states + tree_states[1:2])
 
 
 class TestLemmaScan:
@@ -158,13 +179,15 @@ class TestLemmaScan:
             (3, 6, GameParams(1, "2/5", 2, 0)),
         ):
             instance = build_tree(r, q)
-            assert check_local_lemmas(instance, params) == []
+            assert check_local_lemmas(instance, params, replay(instance, params)) == []
 
     def test_scan_horizon_argument(self):
         instance = build_tree(2, 5)
-        assert check_local_lemmas(instance, TREE_HD, steps=3 * 4) == []
+        report = trajectory(instance.graph, TREE_HD, instance.x0)
+        states = [report.state_at(t) for t in range(3 * 4 + 1)]
+        assert check_local_lemmas(instance, TREE_HD, states) == []
         with pytest.raises(ValueError):
-            check_local_lemmas(instance, TREE_HD, steps=0)
+            check_local_lemmas(instance, TREE_HD, states[:1])
 
 
 class TestCooperatorSeries:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import evocycle.cli
 from evocycle.cli import main
 
 HD = "1,0.45,1.24,0"
@@ -124,6 +125,25 @@ class TestWitnessPipeline:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("params,select,wrong", [
+        (TREE_HD, ["--tree", "--min-period", "6"], 4),
+        (TREE_HD, ["--tree", "--min-period", "6"], 0),
+        (HD, ["--period", "4"], 5),
+    ])
+    def test_wrong_predicted_period_is_refused(self, tmp_path, capsys, params,
+                                               select, wrong):
+        run_cli(capsys, "witness", "--params", params, *select,
+                "--out", str(tmp_path))
+        path = tmp_path / "instance.json"
+        data = json.loads(path.read_text())
+        data["predicted_period"] = wrong
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--params", params,
+                                 "--instance", str(path))
+        assert code == 2
+        assert "OK" not in out
+        assert f"predicted_period {wrong} does not match" in err
+
     def test_period_one_is_refused_with_explanation(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--params", HD, "--period", "1")
         assert code == 2
@@ -156,6 +176,16 @@ class TestSimulate:
         )
         assert code == 0
         assert out.splitlines()[0] == "transient=1 period=1"
+
+    def test_vertex_count_beyond_the_edges_is_refused(self, tmp_path, capsys):
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text('{"n": 1000000000, "edges": [[0, 1]]}')
+        code, _, err = run_cli(
+            capsys, "simulate", "--params", PD,
+            "--graph", str(graph_file), "--x0", "CD",
+        )
+        assert code == 2
+        assert "n=1000000000" in err
 
     def test_budget_exhaustion_exits_3(self, tmp_path, capsys):
         out_dir = tmp_path / "w"
@@ -222,6 +252,35 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out_file.read_text())
         assert rows[0]["requested"] == 2 and rows[0]["ok"] is True
+
+    def test_period_one_is_refused_with_explanation(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--params", HD, "--periods", "1..3")
+        assert code == 2
+        assert "fixed points" in err
+
+    def test_workers_never_exceed_tasks(self, monkeypatch, capsys):
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evocycle.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evocycle.cli.os, "cpu_count", lambda: 64)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--params", HD, "--periods", "2..4", "--jobs", "1000",
+        )
+        assert code == 0
+        assert requested == [3]
 
     def test_bad_period_spec(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--params", HD, "--periods", "6..2")

@@ -36,6 +36,11 @@ class TestRoundTrips:
         assert data == {"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}
         assert graph_from_dict(data) == graph
 
+    @pytest.mark.parametrize("n", ["2", 2.0])
+    def test_graph_rejects_non_integer_vertex_counts(self, n):
+        with pytest.raises(ValueError):
+            graph_from_dict({"n": n, "edges": [[0, 1]]})
+
     def test_params_stay_exact(self):
         params = GameParams(1, "-0.45", "27/20", 0)
         data = params_to_dict(params)
