@@ -86,6 +86,13 @@ class _Family:
     verify: Callable[..., list[InvariantViolation]]  # instance, params, X(0)..X(P)
     invariants: tuple[str, ...]  # listed by verify, so exit 0 states what was checked
     period: Callable[[Mapping[str, int]], int]  # from the structural integers
+    vertices: Callable[[Mapping[str, int]], int]  # n, from the structural integers
+
+
+def _tree_vertices(r: int, q: int) -> int:
+    """1 + (1 + r + ... + r^(q-2)) + r(r^(q-2) - r^2), with the sum in closed form."""
+    levels = q - 1 if r == 1 else (r ** (q - 1) - 1) // (r - 1)
+    return 1 + levels + r ** (q - 1) - r ** 3
 
 
 _FCSH = _Family(
@@ -96,6 +103,7 @@ _FCSH = _Family(
     verify=lambda inst, params, states: verify_fcsh_dynamics(inst, params, states),
     invariants=("fcsh:frozen", "fcsh:chain", "fcsh:reset"),
     period=lambda sp: sp["p"],
+    vertices=lambda sp: (2 * sp["p"] - 1) * sp["q"] + 1 + sp["q"] * sp["r"] * (2 * sp["s"] + 2),
 )
 _HDPD = _Family(
     kind="hdpd",
@@ -105,6 +113,7 @@ _HDPD = _Family(
     verify=lambda inst, params, states: verify_hdpd_dynamics(inst, params, states),
     invariants=("hdpd:chain", "hdpd:frozen", "hdpd:outer", "hdpd:reset"),
     period=lambda sp: sp["p"],
+    vertices=lambda sp: (sp["p"] + 1) * sp["o"] + sp["q"] + sp["r"] + sp["s"] + 3,
 )
 _TREE = _Family(
     kind="tree",
@@ -132,12 +141,15 @@ _TREE = _Family(
         "lemma:descend",
     ),
     period=lambda sp: 2 * (sp["q"] - 3),
+    vertices=lambda sp: _tree_vertices(sp["r"], sp["q"]),
 )
 _FAMILIES = {family.kind: family for family in (_FCSH, _HDPD, _TREE)}
 
 
 def _family_of(instance: ConstructedInstance) -> _Family:
-    """The family of a loaded instance, whose predicted period must fit it."""
+    """The family of a loaded instance, whose predicted period and vertex
+    count must fit its structural params, so that a small file cannot ask
+    for a long replay."""
     family = _FAMILIES.get(instance.kind)
     if family is None:
         raise ValueError(f"unknown instance kind {instance.kind!r}")
@@ -145,6 +157,13 @@ def _family_of(instance: ConstructedInstance) -> _Family:
     if instance.predicted_period != period:
         raise ValueError(f"predicted_period {instance.predicted_period} does not match "
                          f"the {family.kind} period {period} of its structural params")
+    n = instance.graph.n
+    sp = instance.structural_params
+    # Every structural integer of a witness lies in 1..n; checking that
+    # first also keeps the tree's power r^(q-1) small enough to compute.
+    if not all(0 < value <= n for value in sp.values()) or family.vertices(sp) != n:
+        raise ValueError(f"the {family.kind} structural params {dict(sp)} do not "
+                         f"describe the {n}-vertex graph of the instance")
     return family
 
 

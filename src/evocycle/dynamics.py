@@ -5,6 +5,7 @@ trajectories, and transient/period detection by hashing visited states.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -47,32 +48,11 @@ class TrajectoryBudgetError(RuntimeError):
         self.states = states
 
 
-def _utility_slots(
-    graph: Graph, params: GameParams, bits: bytes
-) -> tuple[list[int], list[Fraction]]:
-    # Utilities depend only on (own strategy, cooperating neighbors,
-    # degree), so each distinct key gets one slot and one Fraction:
-    # values[slot[v]] is the mean utility of v.  The keys stay integer
-    # triples because hashing a Fraction per vertex would slow step().
-    a, b, c, d = params.as_tuple()
-    slot_by_key: dict[tuple[int, int, int], int] = {}
-    values: list[Fraction] = []
-    slot = [0] * graph.n
-    for v in range(graph.n):
-        nbrs = graph.neighbors(v)
-        deg = len(nbrs)
-        coop = sum(map(bits.__getitem__, nbrs))
-        key = (bits[v], coop, deg)
-        s = slot_by_key.get(key)
-        if s is None:
-            s = len(values)
-            slot_by_key[key] = s
-            if bits[v]:
-                values.append((a * coop + b * (deg - coop)) / deg)
-            else:
-                values.append((c * coop + d * (deg - coop)) / deg)
-        slot[v] = s
-    return slot, values
+def _utility(params: GameParams, own: int, coop: int, deg: int) -> Fraction:
+    """Mean utility of a vertex playing `own` with `coop` of `deg` neighbors cooperating."""
+    if own:
+        return (params.a * coop + params.b * (deg - coop)) / deg
+    return (params.c * coop + params.d * (deg - coop)) / deg
 
 
 def utility_profile(
@@ -80,26 +60,75 @@ def utility_profile(
 ) -> tuple[Fraction, ...]:
     """Mean utility of every vertex at once, each distinct value computed once."""
     _check_state(graph, state)
-    slot, values = _utility_slots(graph, params, state.bits)
-    return tuple(map(values.__getitem__, slot))
+    bits = state.bits
+    # Utilities depend only on (own strategy, cooperating neighbors,
+    # degree); keying on these integers avoids hashing a Fraction per vertex.
+    by_key: dict[tuple[int, int, int], Fraction] = {}
+    profile = []
+    for v in range(graph.n):
+        nbrs = graph.neighbors(v)
+        key = (bits[v], sum(map(bits.__getitem__, nbrs)), len(nbrs))
+        u = by_key.get(key)
+        if u is None:
+            u = by_key[key] = _utility(params, *key)
+        profile.append(u)
+    return tuple(profile)
 
 
-def _utility_ranks(graph: Graph, params: GameParams, bits: bytes) -> list[int]:
-    # Order-preserving integer ranks of the per-vertex utilities, so the
-    # argmax scans below compare small ints instead of Fractions.
-    slot, values = _utility_slots(graph, params, bits)
-    # Dense ranking: equal utilities must share a rank, or ties between
-    # distinct (strategy, cooperators, degree) profiles would disappear.
-    order = sorted(range(len(values)), key=values.__getitem__)
-    rank = [0] * len(values)
-    current = -1
-    prev: Optional[Fraction] = None
-    for s in order:
-        if prev is None or values[s] != prev:
-            current += 1
-            prev = values[s]
-        rank[s] = current
-    return [rank[s] for s in slot]
+class _Counts:
+    """What `step` knows about the last state it returned on one graph.
+
+    coop[v] counts the cooperating neighbors of v, and rank[v] is the dense
+    rank of v's exact utility among `levels`, the sorted distinct utilities
+    of every (strategy, cooperators, degree) key in `rank_of_key`, so equal
+    utilities share a rank.  Each vertex outside `dirty` kept its strategy
+    when last decided, and nothing within distance 2 of it has flipped
+    since; its decision reads only those strategies, so it keeps again.
+    """
+
+    __slots__ = ("params", "bits", "coop", "rank", "dirty", "levels", "rank_of_key")
+
+    def __init__(self, graph: Graph, params: GameParams, bits: bytes) -> None:
+        n = graph.n
+        self.params = params
+        self.bits = bits
+        self.coop = [sum(map(bits.__getitem__, graph.neighbors(v))) for v in range(n)]
+        self.rank = [0] * n
+        self.dirty: Iterable[int] = range(n)
+        self.levels: list[Fraction] = []
+        self.rank_of_key: dict[tuple[int, int, int], int] = {}
+        self.rerank(graph, bits, range(n))
+
+    def rerank(self, graph: Graph, bits: bytes, vertices: Iterable[int]) -> None:
+        """Refresh rank[v] for `vertices` under `bits` and the current coop.
+
+        A utility not seen before shifts the ranks above it, which costs
+        one O(n) pass over every rank.
+        """
+        coop, rank, rank_of_key = self.coop, self.rank, self.rank_of_key
+        neighbors = graph.neighbors
+        fresh: dict[tuple[int, int, int], Fraction] = {}
+        for v in vertices:
+            key = (bits[v], coop[v], len(neighbors(v)))
+            r = rank_of_key.get(key)
+            if r is not None:
+                rank[v] = r
+            elif key not in fresh:
+                fresh[key] = _utility(self.params, *key)
+        if not fresh:
+            return
+        old = self.levels
+        levels = sorted(set(old).union(fresh.values()))
+        if old and len(levels) > len(old):
+            remap = [bisect_left(levels, u) for u in old]
+            rank[:] = map(remap.__getitem__, rank)
+            for key, r in rank_of_key.items():
+                rank_of_key[key] = remap[r]
+        self.levels = levels
+        for key, u in fresh.items():
+            rank_of_key[key] = bisect_left(levels, u)
+        for v in vertices:
+            rank[v] = rank_of_key[(bits[v], coop[v], len(neighbors(v)))]
 
 
 def argmax_strategies(
@@ -135,32 +164,75 @@ def step(
     state and adopts the strategy of the unique best performer; if both
     strategies attain the maximum, it keeps its own. Inactive vertices are
     copied unchanged.
+
+    The graph keeps the neighbor counts and utility ranks of the state this
+    function last returned on it.  Called again with that very state (and
+    equal params), it re-decides only the vertices within distance 2 of the
+    last flips, since a decision reads only the strategies that close;
+    called with any other state, it first counts from scratch.
     """
     _check_state(graph, state)
+    n = graph.n
+    if active is not None:
+        active = set(active)
+        outside = [v for v in active if not 0 <= v < n]
+        if outside:
+            raise ValueError(f"active vertex {min(outside)} outside graph with n={n}")
     bits = state.bits
-    targets: Iterable[int]
+    held = graph._step_counts
+    # pop() hands the counts to this call alone, so no other call, whether
+    # concurrent or after an interrupted one, sees half-updated lists.
+    try:
+        counts = held.pop()
+    except IndexError:
+        counts = None
+    if counts is None or counts.bits is not bits or counts.params != params:
+        counts = _Counts(graph, params, bits)
     if active is None:
-        targets = range(graph.n)
+        targets: Iterable[int] = counts.dirty
+        waiting: set[int] = set()
     else:
-        targets = sorted(set(active))
-        for v in targets:
-            if not 0 <= v < graph.n:
-                raise ValueError(f"active vertex {v} outside graph with n={graph.n}")
-    ranks = _utility_ranks(graph, params, bits)
-    new = bytearray(bits)
+        targets = active.intersection(counts.dirty)
+        waiting = set(counts.dirty).difference(targets)
+    neighbors = graph.neighbors
+    coop, rank = counts.coop, counts.rank
+    flipped = []
     for v in targets:
-        best = ranks[v]
-        mask = 1 << bits[v]
-        for w in graph.neighbors(v):
-            rw = ranks[w]
+        nbrs = neighbors(v)
+        own = bits[v]
+        if coop[v] == (len(nbrs) if own else 0):
+            continue  # the closed neighborhood plays one strategy: keep
+        best = rank[v]
+        mask = 1 << own
+        for w in nbrs:
+            rw = rank[w]
             if rw > best:
                 best = rw
                 mask = 1 << bits[w]
             elif rw == best:
                 mask |= 1 << bits[w]
-        if mask != 3:  # 3 means both strategies reach the maximum: keep
-            new[v] = mask >> 1
-    return StrategyVector(new)
+        if mask == 2 >> own:  # only the other strategy reaches the maximum
+            flipped.append(v)
+    new = bytearray(bits)
+    touched = set(flipped)
+    for v in flipped:
+        new[v] ^= 1
+        delta = -1 if bits[v] else 1
+        nbrs = neighbors(v)
+        for w in nbrs:
+            coop[w] += delta
+        touched.update(nbrs)
+    result = StrategyVector(new)
+    counts.bits = result.bits
+    counts.rerank(graph, result.bits, touched)
+    # Utilities changed exactly on `touched`; their closed neighborhoods
+    # (which contain `touched`, as no vertex is isolated) may now decide
+    # differently.
+    for w in touched:
+        waiting.update(neighbors(w))
+    counts.dirty = waiting
+    held[:] = (counts,)
+    return result
 
 
 def is_fixed_point(graph: Graph, params: GameParams, state: StrategyVector) -> bool:

@@ -141,7 +141,7 @@ class Graph:
     required.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_connected")
+    __slots__ = ("_adj", "_edge_count", "_connected", "_step_counts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 1:
@@ -169,6 +169,9 @@ class Graph:
         )
         self._edge_count = count
         self._connected: bool | None = None
+        # Owned by dynamics.step: the counts behind the last state it
+        # returned, in a list so that a call takes them with one atomic pop.
+        self._step_counts: list[object] = []
 
     @property
     def n(self) -> int:
@@ -241,7 +244,7 @@ class StrategyVector:
         data = bytes(bits)
         if not data:
             raise ValueError("empty strategy vector")
-        if any(x > 1 for x in data):
+        if data.translate(None, b"\x00\x01"):
             raise ValueError("strategies must be 0 or 1")
         self._bits = data
 

@@ -144,6 +144,39 @@ class TestWitnessPipeline:
         assert "OK" not in out
         assert f"predicted_period {wrong} does not match" in err
 
+    @pytest.mark.parametrize("family,instance", [
+        (evocycle.cli._FCSH, evocycle.build_fcsh(3, 2, 2, 1)),
+        (evocycle.cli._HDPD, evocycle.build_hdpd(3, 2, 1, 2, 1)),
+        (evocycle.cli._TREE, evocycle.build_tree(3, 6)),
+    ])
+    def test_family_vertex_count_matches_builder(self, family, instance):
+        assert family.vertices(instance.structural_params) == instance.graph.n
+
+    @pytest.mark.parametrize("params,select,raised", [
+        (HD, ["--period", "4"], {"p": 2000, "predicted_period": 2000}),
+        (TREE_HD, ["--tree", "--min-period", "6"],
+         {"q": 10**6, "predicted_period": 2 * (10**6 - 3)}),
+    ])
+    def test_structural_params_must_fit_the_graph(self, tmp_path, capsys, params,
+                                                  select, raised):
+        # A period raised together with predicted_period used to make verify
+        # replay and keep that many states of the small graph.
+        run_cli(capsys, "witness", "--params", params, *select,
+                "--out", str(tmp_path))
+        path = tmp_path / "instance.json"
+        data = json.loads(path.read_text())
+        for key, value in raised.items():
+            if key in data["structural_params"]:
+                data["structural_params"][key] = value
+            else:
+                data[key] = value
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--params", params,
+                                 "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert "-vertex graph of the instance" in err
+
     def test_period_one_is_refused_with_explanation(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--params", HD, "--period", "1")
         assert code == 2

@@ -1,8 +1,16 @@
+import random
+import sys
+import threading
 import warnings
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evocycle import (
+    SYNCHRONOUS,
     GameParams,
     Graph,
     NonGenericParamsWarning,
@@ -10,13 +18,21 @@ from evocycle import (
     TrajectoryBudgetError,
     UpdateSchedule,
     argmax_strategies,
+    build_fcsh,
+    build_hdpd,
+    build_tree,
     is_fixed_point,
     mean_utility,
     step,
     trajectory,
     utility_profile,
 )
-from genutil import random_admissible_params, random_connected_graph, random_state
+from evocycle.analysis import replay
+from genutil import (
+    random_admissible_params,
+    random_connected_graph,
+    random_state,
+)
 from reference import params_to_pairs, ref_step
 
 PD = GameParams(1, 0, "3/2", "1/5")
@@ -191,3 +207,137 @@ class TestTrajectory:
         schedule = UpdateSchedule.periodic([[0, 5]])
         with pytest.raises(ValueError):
             trajectory(graph, PD, StrategyVector.from_string("10"), schedule=schedule)
+
+
+# Payoffs from a small grid, so tied payoffs and tied utilities are common.
+PAYOFFS = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def small_games(draw, max_n=16):
+    """(graph, params, x0) on a connected graph of at most max_n vertices."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [pair for pair in combinations(range(n), 2) if pair not in edges]
+    if others:
+        edges.update(draw(st.lists(st.sampled_from(others), unique=True)))
+    params = GameParams(*(draw(PAYOFFS) for _ in range(4)))
+    return Graph(n, sorted(edges)), params, draw(states(n))
+
+
+def states(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n).map(StrategyVector)
+
+
+def subsets(n):
+    return st.none() | st.frozensets(st.integers(0, n - 1))
+
+
+def assert_is_one_step(graph, params, before, after, active=None):
+    """after is one update of before, both from scratch and by the oracle."""
+    # A separate equal graph and a new bytes object: nothing is carried over.
+    twin = Graph(graph.n, graph.edges())
+    copy = StrategyVector(bytearray(before.bits))
+    assert step(twin, params, copy, active) == after
+    expected = ref_step(graph.n, list(graph.edges()), list(before.bits),
+                        params_to_pairs(params), active=active)
+    assert list(after.bits) == expected
+
+
+class TestCarriedCounts:
+    """step reuses the counts of the state it last returned on a graph; every
+    state it so produces must equal a from-scratch update and the oracle."""
+
+    @given(st.data())
+    def test_chains_of_steps(self, data):
+        graph, params, state = data.draw(small_games())
+        for active in data.draw(st.lists(subsets(graph.n), max_size=8)):
+            after = step(graph, params, state, active)
+            assert_is_one_step(graph, params, state, after, active)
+            state = after
+
+    @given(small_games(), st.data())
+    def test_trajectories_synchronous_and_periodic(self, game, data):
+        graph, params, x0 = game
+        phases = data.draw(st.lists(st.frozensets(st.integers(0, graph.n - 1)),
+                                    max_size=3))
+        schedule = UpdateSchedule.periodic(phases) if phases else SYNCHRONOUS
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonGenericParamsWarning)
+            report = trajectory(graph, params, x0, schedule=schedule, max_steps=200)
+        for t in range(1, len(report.states)):
+            assert_is_one_step(graph, params, report.states[t - 1],
+                               report.states[t], schedule.active_at(t - 1))
+
+    @given(small_games(), st.data())
+    def test_two_trajectories_stepped_alternately(self, game, data):
+        graph, first_params, x0 = game
+        params = [first_params, GameParams(*(data.draw(PAYOFFS) for _ in range(4)))]
+        current = [x0, data.draw(states(graph.n))]
+        # Each move advances one of the two states under either quadruple.
+        moves = st.tuples(st.integers(0, 1), st.integers(0, 1))
+        for k, j in data.draw(st.lists(moves, max_size=12)):
+            after = step(graph, params[j], current[k])
+            assert_is_one_step(graph, params[j], current[k], after)
+            current[k] = after
+
+    @given(small_games(), st.data())
+    def test_repeated_step_on_the_same_state(self, game, data):
+        graph, params, x0 = game
+        active = data.draw(subsets(graph.n))
+        x1 = step(graph, params, x0, active)
+        assert step(graph, params, x0, active) == x1
+        x2 = step(graph, params, x1, active)
+        assert step(graph, params, x1, active) == x2
+        assert_is_one_step(graph, params, x0, x1, active)
+        assert_is_one_step(graph, params, x1, x2, active)
+
+    def test_threads_stepping_one_graph(self, rng):
+        # Thread 0 advances a chain on a shared graph; the others step its
+        # latest state too, so several calls often pass the state that the
+        # graph's counts describe at once.  Each call takes the counts with
+        # one atomic pop, so every result stays exact.
+        graph = Graph(200, [(v, (v + 1) % 200) for v in range(200)])
+        params = GameParams(1, "0.45", "1.24", 0)
+        latest = [random_state(rng, graph.n)]
+        failures = []
+
+        def walk(seed):
+            local = random.Random(seed)
+            twin = Graph(graph.n, graph.edges())
+            try:
+                for _ in range(300):
+                    state = latest[0]
+                    after = step(graph, params, state)
+                    if step(twin, params, StrategyVector(bytearray(state.bits))) != after:
+                        failures.append(f"thread {seed}: wrong state")
+                    if seed == 0:
+                        latest[0] = random_state(local, graph.n) if after == state else after
+            except Exception as exc:  # a broken hand-off can also raise
+                failures.append(f"thread {seed}: {exc!r}")
+
+        threads = [threading.Thread(target=walk, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    @pytest.mark.parametrize("params,instance", [
+        (GameParams(1, "1/2", "4/5", 0), lambda: build_fcsh(4, 4, 10, 8)),
+        (GameParams(1, "-9/20", "27/20", 0), lambda: build_hdpd(6, 14, 22, 1, 5)),
+        (GameParams(1, "3/5", 2, 0), lambda: build_tree(2, 7)),
+    ])
+    def test_witness_replay_matches_scratch(self, params, instance):
+        instance = instance()
+        states = replay(instance, params)
+        assert states[-1] == instance.x0
+        twin = Graph(instance.graph.n, instance.graph.edges())
+        for before, after in zip(states, states[1:]):
+            assert step(twin, params, StrategyVector(bytearray(before.bits))) == after

@@ -179,8 +179,9 @@ class TestStrategyVector:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             StrategyVector.from_string("10X")
-        with pytest.raises(ValueError):
-            StrategyVector([0, 2])
+        for bad in ([0, 2], bytes([0, 1] * 50 + [255])):
+            with pytest.raises(ValueError, match="strategies must be 0 or 1"):
+                StrategyVector(bad)
         with pytest.raises(ValueError):
             StrategyVector([])
         with pytest.raises(TypeError):
