@@ -20,7 +20,8 @@ from evocycle import (
     verify_hdpd_dynamics,
     verify_tree_invariants,
 )
-from evocycle.analysis import MAX_VIOLATION_RECORDS
+from evocycle.analysis import MAX_VIOLATION_RECORDS, InvariantViolation
+from reference import params_to_pairs, ref_lt, ref_neighbors, ref_utility
 
 WORKED_HD = GameParams(1, "0.45", "1.24", 0)
 TREE_HD = GameParams(1, "0.6", 2, 0)
@@ -188,6 +189,84 @@ class TestLemmaScan:
         assert check_local_lemmas(instance, TREE_HD, states) == []
         with pytest.raises(ValueError):
             check_local_lemmas(instance, TREE_HD, states[:1])
+
+
+def _pair_sum(*terms):
+    """Sum of (count, (num, den)) terms as one (num, den) pair."""
+    num, den = 0, 1
+    for k, (pn, pd) in terms:
+        num, den = num * pd + k * pn * den, den * pd
+    return num, den
+
+
+def naive_lemma_scan(instance, params, states):
+    """check_local_lemmas transcribed from its docstring, on tests/reference.py."""
+    r = instance.structural_params["r"]
+    n, edges, roles = instance.graph.n, list(instance.graph.edges()), instance.roles
+    a, b, c, d = params_to_pairs(params)
+    nbrs = [ref_neighbors(edges, v) for v in range(n)]
+    level = [role.index[0] if role.index else 0 for role in roles]
+    children = [[w for w in nbrs[v] if level[w] == level[v] + 1] for v in range(n)]
+    advance = ref_lt(_pair_sum((1, c), (r, d)), _pair_sum((1, a), (r, b)))
+    retreat = ref_lt(_pair_sum((r + 1, a)), _pair_sum((r, c), (1, d)))
+    # x < (a + r*b)/(r+1)  <=>  (r+1)*x < a + r*b
+    threshold = _pair_sum((1, a), (r, b))
+    records = []
+
+    def expect(nxt, t, label, v, strategy):
+        if nxt[v] != strategy:
+            records.append(InvariantViolation(t, label, v, strategy, nxt[v]))
+
+    for t in range(len(states) - 1):
+        bits, nxt = states[t].bits, states[t + 1].bits
+        for i in range(n):
+            coop = [w for w in nbrs[i] if bits[w]]
+            lean = [w for w in nbrs[i] if not bits[w]]
+            if (advance and bits[i] and len(coop) == 1 and len(lean) == r
+                    and all(len(nbrs[w]) == r + 1
+                            and sum(bits[x] for x in nbrs[w]) == 1
+                            and all(ref_lt(_pair_sum((r + 1, ref_utility(edges, bits, (a, b, c, d), x))),
+                                           threshold)
+                                    for x in nbrs[w] if not bits[x])
+                            for w in lean)):
+                for v in [i] + lean:
+                    expect(nxt, t + 1, "lemma:advance", v, 1)
+            if retreat and not bits[i] and len(lean) == 1 and len(coop) == r:
+                for v in [i] + nbrs[i]:
+                    expect(nxt, t + 1, "lemma:retreat", v, 0)
+        for i in range(n):
+            if roles[i].kind != "ordinary" or not children[i]:
+                continue
+            first = bits[children[i][0]]
+            records.extend(
+                InvariantViolation(t, "lemma:siblings", w, first, bits[w])
+                for w in children[i][1:] if bits[w] != first
+            )
+            if retreat and not bits[i]:
+                for w in children[i]:
+                    expect(nxt, t + 1, "lemma:descend", w, 0)
+    return records[:MAX_VIOLATION_RECORDS]
+
+
+class TestLemmaScanAgainstReference:
+    @pytest.mark.parametrize("params", [
+        TREE_HD,  # advance and retreat both apply for r = 2
+        GameParams(1, "0.05", "1.3", 0),  # neither applies for r = 2 or 3
+    ])
+    @pytest.mark.parametrize("r,q", [(2, 6), (2, 7), (2, 8), (3, 6)])
+    def test_flipped_replays_match_the_naive_scan(self, rng, params, r, q):
+        instance = build_tree(r, q)
+        clean = replay(instance, params)
+        for _ in range(3):
+            states = list(clean)
+            for t in rng.sample(range(1, len(states)), 2):
+                bits = bytearray(states[t].bits)
+                for v in rng.sample(range(instance.graph.n), rng.randint(1, 6)):
+                    bits[v] ^= 1
+                states[t] = StrategyVector(bits)
+            assert check_local_lemmas(instance, params, states) == naive_lemma_scan(
+                instance, params, states
+            )
 
 
 class TestCooperatorSeries:
