@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from functools import cache
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .constructions import ConstructedInstance
-from .dynamics import TrajectoryReport, step, utility_profile
-from .game import GameParams, StrategyVector
+from .dynamics import TrajectoryReport, step
+from .game import GameParams, StrategyVector, _utility
 
 __all__ = [
     "InvariantViolation",
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 MAX_VIOLATION_RECORDS = 1000
+_TREE_ROLES = ("root", "special", "ordinary")
 
 
 @dataclass(frozen=True)
@@ -81,24 +83,57 @@ def replay(instance: ConstructedInstance, params: GameParams) -> list[StrategyVe
     return states
 
 
-def _require_replay(
-    instance: ConstructedInstance, states: Sequence[StrategyVector], period: int
-) -> None:
-    if len(states) != period + 1 or states[0] != instance.x0:
-        raise ValueError(f"need X(0) .. X({period}) from x0, got {len(states)} states")
+def _open_log(
+    instance: ConstructedInstance,
+    kind: str,
+    states: Sequence[StrategyVector],
+    period: Optional[Callable[[Mapping[str, int]], int]] = None,
+) -> _ViolationLog:
+    """An empty log, once instance has `kind` and states fit the verifier.
+
+    With a period (a function of the structural params), states must be
+    X(0) .. X(period) starting at x0; without one (the lemma scan), any
+    X(0) .. X(T) with T >= 1 will do.
+    """
+    if instance.kind != kind:
+        raise ValueError(f"expected kind {kind!r}, got kind={instance.kind!r}")
+    if period is None:
+        if len(states) < 2:
+            raise ValueError("need at least the two states X(0) and X(1)")
+    else:
+        length = period(instance.structural_params) + 1
+        if len(states) != length or states[0] != instance.x0:
+            raise ValueError(f"need X(0) .. X({length - 1}) from x0, got {len(states)} states")
+    return _ViolationLog()
 
 
 def _expect(
-    log: _ViolationLog,
-    state: StrategyVector,
-    t: int,
-    label: str,
-    vertex: int,
-    expected: int,
+    log: _ViolationLog, state: StrategyVector, t: int, label: str, vertex: int, expected: int
 ) -> None:
     observed = state[vertex]
     if observed != expected:
         log.add(t, label, vertex, expected, observed)
+
+
+def _closes(log: _ViolationLog, label: str, states: Sequence[StrategyVector]) -> bool:
+    """Log each vertex where X(P) differs from X(0); True when none does."""
+    period = len(states) - 1
+    start, final = states[0], states[period]
+    for v in range(len(start)):
+        if final[v] != start[v]:
+            log.add(period, label, v, start[v], final[v])
+    return final == start
+
+
+def _clique_groups(
+    instance: ConstructedInstance, key: Callable[[int], int]
+) -> dict[int, list[int]]:
+    """Vertices of the "K" cliques, grouped by key(first role index)."""
+    groups: dict[int, list[int]] = {}
+    for v, role in enumerate(instance.roles):
+        if role.kind == "K":
+            groups.setdefault(key(role.index[0]), []).append(v)
+    return groups
 
 
 def verify_fcsh_dynamics(
@@ -111,23 +146,15 @@ def verify_fcsh_dynamics(
     outward, cliques at distance <= t cooperating and the rest defecting;
     and X(p) returns to X(0).
     """
-    if instance.kind != "fcsh":
-        raise ValueError(f"expected an fcsh instance, got kind={instance.kind!r}")
-    p = instance.structural_params["p"]
-    _require_replay(instance, states, p)
-    roles = instance.roles
+    log = _open_log(instance, "fcsh", states, lambda sp: sp["p"])
+    p = len(states) - 1
     x0 = instance.x0
-    log = _ViolationLog()
-
     frozen = [
         v
-        for v, role in enumerate(roles)
+        for v, role in enumerate(instance.roles)
         if role.kind in ("H", "I", "J", "F", "g") or (role.kind == "K" and role.index[0] == 0)
     ]
-    by_distance: dict[int, list[int]] = {}
-    for v, role in enumerate(roles):
-        if role.kind == "K":
-            by_distance.setdefault(abs(role.index[0]), []).append(v)
+    by_distance = _clique_groups(instance, abs)
 
     for t in range(p):
         state = states[t]
@@ -137,10 +164,7 @@ def verify_fcsh_dynamics(
             expected = 1 if n <= t else 0
             for v in by_distance.get(n, ()):
                 _expect(log, state, t, "fcsh:chain", v, expected)
-    final = states[p]
-    for v in range(instance.graph.n):
-        if final[v] != x0[v]:
-            log.add(p, "fcsh:reset", v, x0[v], final[v])
+    _closes(log, "fcsh:reset", states)
     return log.records
 
 
@@ -153,18 +177,9 @@ def verify_hdpd_dynamics(
     other vertex keeps its previous strategy; the edgeless outer layer
     K_(p+1) defects throughout; and X(p) returns to X(0).
     """
-    if instance.kind != "hdpd":
-        raise ValueError(f"expected an hdpd instance, got kind={instance.kind!r}")
-    p = instance.structural_params["p"]
-    _require_replay(instance, states, p)
-    roles = instance.roles
-    x0 = instance.x0
-    log = _ViolationLog()
-
-    by_layer: dict[int, list[int]] = {}
-    for v, role in enumerate(roles):
-        if role.kind == "K":
-            by_layer.setdefault(role.index[0], []).append(v)
+    log = _open_log(instance, "hdpd", states, lambda sp: sp["p"])
+    p = len(states) - 1
+    by_layer = _clique_groups(instance, lambda layer: layer)
 
     for t in range(1, p):
         state, previous = states[t], states[t - 1]
@@ -179,41 +194,37 @@ def verify_hdpd_dynamics(
     for t in range(p):
         for v in by_layer.get(p + 1, ()):
             _expect(log, states[t], t, "hdpd:outer", v, 0)
-    final = states[p]
-    for v in range(instance.graph.n):
-        if final[v] != x0[v]:
-            log.add(p, "hdpd:reset", v, x0[v], final[v])
+    _closes(log, "hdpd:reset", states)
     return log.records
+
+
+def _role_levels(instance: ConstructedInstance) -> list[int]:
+    """Level of every tree vertex, as its role states it."""
+    foreign = [role.kind for role in instance.roles if role.kind not in _TREE_ROLES]
+    if foreign:
+        raise ValueError(f"role kind {foreign[0]!r} does not belong to a tree instance")
+    return [role.index[0] if role.kind != "root" else 0 for role in instance.roles]
 
 
 def _tree_shape(
     instance: ConstructedInstance, log: _ViolationLog
-) -> tuple[int, list[int], list[bool], list[int]]:
-    """Derive (root, level per vertex, designated flags, attach levels).
+) -> Optional[tuple[list[int], list[int]]]:
+    """Derive (level per vertex, attach levels), or None without one root.
 
-    Levels and designation come from the roles; parent links come from a
-    breadth-first walk of the graph, cross-checked against the role levels.
-    Inconsistencies (a tampered graph, say) are logged as tree:structure
-    violations, and vertices whose ancestry cannot be resolved get attach
-    level -1, which exempts them from the ancestry-based checks.
+    Levels come from the roles; parent links come from a breadth-first walk
+    of the graph, cross-checked against the role levels. Inconsistencies
+    (a tampered graph, say) are logged as tree:structure violations, and
+    vertices whose ancestry cannot be resolved get attach level -1, which
+    exempts them from the ancestry-based checks.
     """
     graph, roles = instance.graph, instance.roles
     n = graph.n
     root_vertices = roles.vertices("root")
     if len(root_vertices) != 1:
         log.add(0, "tree:structure", detail=f"{len(root_vertices)} root roles, expected 1")
-        return -1, [], [], []
+        return None
     root = root_vertices[0]
-    level = [0] * n
-    designated = [False] * n
-    for v, role in enumerate(roles):
-        if role.kind == "root":
-            level[v] = 0
-        elif role.kind in ("special", "ordinary"):
-            level[v] = role.index[0]
-            designated[v] = role.kind == "special"
-        else:
-            raise ValueError(f"role kind {role.kind!r} does not belong to a tree instance")
+    level = _role_levels(instance)
 
     parent = [-1] * n
     depth = [-1] * n
@@ -239,18 +250,14 @@ def _tree_shape(
                 detail=f"role level {level[v]} but distance {depth[v]} from root",
             )
 
+    # Breadth-first order visits each parent before its children; ordinary
+    # children of the root take the root's attach level, -1.
     attach = [-1] * n
     for v in order:
-        if roles[v].kind != "ordinary":
-            continue
-        par = parent[v]
-        if par == -1:
-            continue
-        if roles[par].kind == "special":
-            attach[v] = level[par]
-        elif roles[par].kind == "ordinary":
-            attach[v] = attach[par]
-    return root, level, designated, attach
+        if roles[v].kind == "ordinary":
+            par = parent[v]
+            attach[v] = level[par] if roles[par].kind == "special" else attach[par]
+    return level, attach
 
 
 def verify_tree_invariants(
@@ -277,27 +284,26 @@ def verify_tree_invariants(
     * tree:minimal-period  no proper divisor of 2(q-3) is already a period
                      of the observed cycle.
 
+    Only this verifier reports tree:structure violations.
     Nothing stronger is asserted; outside the listed sets the dynamics is
     free to do what it likes (and does, near the leaves).
     """
-    if instance.kind != "tree":
-        raise ValueError(f"expected a tree instance, got kind={instance.kind!r}")
+    log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3))
     q = instance.structural_params["q"]
-    period = 2 * (q - 3)
-    _require_replay(instance, states, period)
-    log = _ViolationLog()
-    root, level, designated, attach = _tree_shape(instance, log)
-    if root == -1:
+    period = len(states) - 1
+    shape = _tree_shape(instance, log)
+    if shape is None:
         return log.records
-    graph = instance.graph
+    level, attach = shape
+    graph, roles = instance.graph, instance.roles
     n = graph.n
     x0 = instance.x0
 
     for v in range(n):
         _expect(log, x0, 0, "tree:x0", v, 1 if level[v] <= q - 2 else 0)
 
-    specials = [v for v in range(n) if designated[v]]
-    ordinaries = [v for v in range(n) if not designated[v] and v != root]
+    specials = roles.vertices("special")
+    ordinaries = roles.vertices("ordinary")
 
     for t in range(period + 1):
         state = states[t]
@@ -328,18 +334,12 @@ def verify_tree_invariants(
                 elif level[v] <= f + 3:
                     _expect(log, state, t, "tree:g", v, 0)
 
-    final = states[period]
-    periodic = True
-    for v in range(n):
-        if final[v] != x0[v]:
-            periodic = False
-            log.add(period, "tree:periodic", v, x0[v], final[v])
-    if periodic:
+    if _closes(log, "tree:periodic", states):
         cycle = states[:period]
         for cand in range(1, period):
-            if period % cand != 0:
-                continue
-            if all(cycle[i] == cycle[(i + cand) % period] for i in range(period)):
+            if period % cand == 0 and all(
+                cycle[i] == cycle[(i + cand) % period] for i in range(period)
+            ):
                 log.add(
                     cand,
                     "tree:minimal-period",
@@ -369,67 +369,59 @@ def check_local_lemmas(
       always share a strategy.
     * lemma:descend  children of a defecting ordinary vertex defect next
       step.  Relies on the same inequality as lemma:retreat.
+
+    Levels come from the roles and premises from each state's cooperating-
+    neighbor counts; verify_tree_invariants checks the tree's structure.
     """
-    if instance.kind != "tree":
-        raise ValueError(f"expected a tree instance, got kind={instance.kind!r}")
+    log = _open_log(instance, "tree", states)
     r = instance.structural_params["r"]
-    horizon = len(states) - 1
-    if horizon < 1:
-        raise ValueError("need at least the two states X(0) and X(1)")
-    log = _ViolationLog()
-    root, level, _designated, _attach = _tree_shape(instance, log)
-    if root == -1:
-        return log.records
-    graph, roles = instance.graph, instance.roles
-    n = graph.n
+    roles = instance.roles
+    if len(roles.vertices("root")) != 1:
+        return log.records  # verify_tree_invariants reports the damage
+    level = _role_levels(instance)
+    graph = instance.graph
+    adj = [graph.neighbors(v) for v in range(graph.n)]
     a, b, c, d = params.as_tuple()
     threshold = (a + r * b) / (r + 1)
     advance_applies = a + r * b > c + r * d
     retreat_applies = a * (r + 1) < r * c + d
 
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in graph.neighbors(v):
-            if level[w] == level[v] + 1:
-                children[v].append(w)
+    # Both laws concern vertices of degree r + 1 only.
+    hinges = [v for v, nbrs in enumerate(adj) if len(nbrs) == r + 1]
+    children = [[w for w in nbrs if level[w] == level[v] + 1] for v, nbrs in enumerate(adj)]
+    parents = [v for v, role in enumerate(roles) if role.kind == "ordinary" and children[v]]
 
-    for t in range(horizon):
-        state, nxt = states[t], states[t + 1]
-        bits = state.bits
-        utils = utility_profile(graph, params, state)
-        for i in range(n):
-            nbrs = graph.neighbors(i)
-            if advance_applies and bits[i] == 1 and len(nbrs) == r + 1:
-                coop = [w for w in nbrs if bits[w]]
-                lean = [w for w in nbrs if not bits[w]]
-                if len(coop) == 1 and all(
-                    graph.degree(w) == r + 1
-                    and sum(bits[x] for x in graph.neighbors(w)) == 1
-                    and all(
-                        utils[x] < threshold
-                        for x in graph.neighbors(w)
-                        if not bits[x]
-                    )
+    @cache  # a defector's utility depends only on (cooperating neighbors, degree)
+    def scores_below(coop_x: int, degree: int) -> bool:
+        return _utility(params, 0, coop_x, degree) < threshold
+
+    for t in range(len(states) - 1):
+        bits, nxt = states[t].bits, states[t + 1]
+        coop = [sum(map(bits.__getitem__, nbrs)) for nbrs in adj]
+        for i in hinges:
+            if bits[i]:
+                if not advance_applies or coop[i] != 1:
+                    continue
+                lean = [w for w in adj[i] if not bits[w]]
+                if all(
+                    len(adj[w]) == r + 1
+                    and coop[w] == 1
+                    and all(scores_below(coop[x], len(adj[x])) for x in adj[w] if not bits[x])
                     for w in lean
                 ):
-                    _expect(log, nxt, t + 1, "lemma:advance", i, 1)
-                    for w in lean:
-                        _expect(log, nxt, t + 1, "lemma:advance", w, 1)
-            if retreat_applies and bits[i] == 0 and len(nbrs) == r + 1:
-                lean = [w for w in nbrs if not bits[w]]
-                if len(lean) == 1:
-                    _expect(log, nxt, t + 1, "lemma:retreat", i, 0)
-                    for w in nbrs:
-                        _expect(log, nxt, t + 1, "lemma:retreat", w, 0)
-        for i in range(n):
-            if roles[i].kind != "ordinary" or not children[i]:
-                continue
-            first = bits[children[i][0]]
-            for w in children[i][1:]:
+                    for v in (i, *lean):
+                        _expect(log, nxt, t + 1, "lemma:advance", v, 1)
+            elif retreat_applies and coop[i] == r:
+                for v in (i, *adj[i]):
+                    _expect(log, nxt, t + 1, "lemma:retreat", v, 0)
+        for i in parents:
+            kids = children[i]
+            first = bits[kids[0]]
+            for w in kids[1:]:
                 if bits[w] != first:
                     log.add(t, "lemma:siblings", w, first, bits[w])
-            if retreat_applies and bits[i] == 0:
-                for w in children[i]:
+            if retreat_applies and not bits[i]:
+                for w in kids:
                     _expect(log, nxt, t + 1, "lemma:descend", w, 0)
     return log.records
 

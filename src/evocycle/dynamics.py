@@ -8,7 +8,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .game import (
     SYNCHRONOUS,
@@ -17,6 +17,7 @@ from .game import (
     StrategyVector,
     UpdateSchedule,
     _check_state,
+    _utility,
     mean_utility,
 )
 
@@ -46,13 +47,6 @@ class TrajectoryBudgetError(RuntimeError):
     def __init__(self, message: str, states: tuple[StrategyVector, ...]) -> None:
         super().__init__(message)
         self.states = states
-
-
-def _utility(params: GameParams, own: int, coop: int, deg: int) -> Fraction:
-    """Mean utility of a vertex playing `own` with `coop` of `deg` neighbors cooperating."""
-    if own:
-        return (params.a * coop + params.b * (deg - coop)) / deg
-    return (params.c * coop + params.d * (deg - coop)) / deg
 
 
 def utility_profile(
@@ -277,7 +271,6 @@ def trajectory(
     x0: StrategyVector,
     schedule: UpdateSchedule = SYNCHRONOUS,
     max_steps: int = 10_000,
-    on_state: Optional[Callable[[int, StrategyVector], None]] = None,
 ) -> TrajectoryReport:
     """Iterate the dynamics until a state repeats at the same schedule phase.
 
@@ -287,10 +280,6 @@ def trajectory(
     (state, phase) pairs and the cycle length is then reduced to the
     minimal period of the state sequence itself, which may be a proper
     divisor of the pair-cycle length.
-
-    on_state, when given, is called as on_state(t, X(t)) for every state in
-    the order visited, including X(0); this streams the full history even
-    though the report only stores transient + period states.
 
     Raises TrajectoryBudgetError when max_steps updates happen without a
     revisit. Warns NonGenericParamsWarning for tied payoffs.
@@ -309,8 +298,6 @@ def trajectory(
     seen: dict[object, int] = {}
     states: list[StrategyVector] = []
     state = x0
-    if on_state is not None:
-        on_state(0, x0)
     transient = -1
     cycle_len = -1
     for t in range(max_steps + 1):
@@ -327,8 +314,6 @@ def trajectory(
                 f"no revisited state within {max_steps} steps", tuple(states)
             )
         state = step(graph, params, state, schedule.active_at(t))
-        if on_state is not None:
-            on_state(t + 1, state)
     period = cycle_len
     if phases > 1:
         # The same state sequence can repeat faster than the (state, phase)

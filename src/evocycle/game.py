@@ -8,6 +8,7 @@ point is deliberately kept out because the update rule branches on ties.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +34,10 @@ __all__ = [
 RationalLike = Union[Fraction, int, str]
 
 
+_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational.
 
@@ -40,6 +45,8 @@ def as_rational(value: RationalLike) -> Fraction:
     becomes 9/20 exactly). Floats are rejected outright: a binary float
     already misrepresents decimal input, and the dynamics branches on
     strict comparisons, so there is no harmless way to accept one.
+    Decimal exponents above 1000 in magnitude are refused, because
+    Fraction expands the power of ten in full.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -48,6 +55,11 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent is not None and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+            raise ValueError(
+                f"decimal exponent {exponent.group(1)} exceeds {_MAX_EXPONENT} in magnitude"
+            )
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
@@ -360,6 +372,13 @@ def _check_state(graph: Graph, state: StrategyVector) -> None:
         raise ValueError(f"state has {len(state)} entries, graph has {graph.n} vertices")
 
 
+def _utility(params: GameParams, own: int, coop: int, deg: int) -> Fraction:
+    """Mean utility of a vertex playing `own` with `coop` of `deg` neighbors cooperating."""
+    if own:
+        return (params.a * coop + params.b * (deg - coop)) / deg
+    return (params.c * coop + params.d * (deg - coop)) / deg
+
+
 def mean_utility(
     graph: Graph, params: GameParams, state: StrategyVector, vertex: int
 ) -> Fraction:
@@ -371,15 +390,10 @@ def mean_utility(
     """
     _check_state(graph, state)
     nbrs = graph.neighbors(vertex)
-    deg = len(nbrs)
-    if deg == 0:
+    if not nbrs:
         raise ValueError(f"vertex {vertex} has no neighbors; mean utility undefined")
-    coop = 0
-    for w in nbrs:
-        coop += state[w]
-    if state[vertex]:
-        return (params.a * coop + params.b * (deg - coop)) / deg
-    return (params.c * coop + params.d * (deg - coop)) / deg
+    coop = sum(state[w] for w in nbrs)
+    return _utility(params, state[vertex], coop, len(nbrs))
 
 
 def vertex_class(graph: Graph, state: StrategyVector, vertex: int) -> VertexClass:

@@ -131,11 +131,9 @@ def counts_to_csv(series: Iterable[tuple[int, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dot(
-    graph: Graph, state: StrategyVector | None = None, name: str = "G"
-) -> str:
-    """DOT snapshot; cooperators are filled black, defectors white."""
-    lines = [f"graph {name} {{", "  node [shape=circle, style=filled];"]
+def graph_to_dot(graph: Graph, state: StrategyVector | None = None) -> str:
+    """DOT snapshot of graph G; cooperators are filled black, defectors white."""
+    lines = ["graph G {", "  node [shape=circle, style=filled];"]
     for v in range(graph.n):
         if state is None or state[v] == 0:
             lines.append(f'  {v} [fillcolor="white"];')

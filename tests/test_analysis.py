@@ -21,6 +21,7 @@ from evocycle import (
     verify_tree_invariants,
 )
 from evocycle.analysis import MAX_VIOLATION_RECORDS, InvariantViolation
+from evocycle.constructions import Role, RoleMap
 from reference import params_to_pairs, ref_lt, ref_neighbors, ref_utility
 
 WORKED_HD = GameParams(1, "0.45", "1.24", 0)
@@ -133,6 +134,22 @@ class TestTamperedInstances:
             for v in violations
         )
 
+    def test_second_root_role_is_reported_once(self):
+        # Without one root the levels mean nothing, so only the structure
+        # check speaks, even where the lemma scan would otherwise fire.
+        instance = build_tree(2, 6)
+        roles = list(instance.roles)
+        roles[5] = Role("root")
+        bits = bytearray(instance.x0.bits)
+        for v in (3, 9, 20, 40):
+            bits[v] ^= 1
+        tampered = replace(instance, roles=RoleMap(roles), x0=StrategyVector(bits))
+        states = replay(tampered, TREE_HD)
+        assert check_local_lemmas(tampered, TREE_HD, states) == []
+        assert [v.detail for v in verify_tree_invariants(tampered, TREE_HD, states)] == [
+            "2 root roles, expected 1"
+        ]
+
     def test_violation_log_is_capped(self):
         # Inverting every strategy on a deep tree trips the initial-state
         # check on more than a thousand vertices alone.
@@ -203,15 +220,19 @@ def naive_lemma_scan(instance, params, states):
     """check_local_lemmas transcribed from its docstring, on tests/reference.py."""
     r = instance.structural_params["r"]
     n, edges, roles = instance.graph.n, list(instance.graph.edges()), instance.roles
-    a, b, c, d = params_to_pairs(params)
+    pairs = params_to_pairs(params)
+    a, b, c, d = pairs
     nbrs = [ref_neighbors(edges, v) for v in range(n)]
     level = [role.index[0] if role.index else 0 for role in roles]
     children = [[w for w in nbrs[v] if level[w] == level[v] + 1] for v in range(n)]
     advance = ref_lt(_pair_sum((1, c), (r, d)), _pair_sum((1, a), (r, b)))
     retreat = ref_lt(_pair_sum((r + 1, a)), _pair_sum((r, c), (1, d)))
-    # x < (a + r*b)/(r+1)  <=>  (r+1)*x < a + r*b
-    threshold = _pair_sum((1, a), (r, b))
     records = []
+
+    def scores_below(bits, x):
+        # u(x) < (a + r*b)/(r+1)  <=>  (r+1)*u(x) < a + r*b
+        u = ref_utility(edges, bits, pairs, x)
+        return ref_lt(_pair_sum((r + 1, u)), _pair_sum((1, a), (r, b)))
 
     def expect(nxt, t, label, v, strategy):
         if nxt[v] != strategy:
@@ -225,9 +246,7 @@ def naive_lemma_scan(instance, params, states):
             if (advance and bits[i] and len(coop) == 1 and len(lean) == r
                     and all(len(nbrs[w]) == r + 1
                             and sum(bits[x] for x in nbrs[w]) == 1
-                            and all(ref_lt(_pair_sum((r + 1, ref_utility(edges, bits, (a, b, c, d), x))),
-                                           threshold)
-                                    for x in nbrs[w] if not bits[x])
+                            and all(scores_below(bits, x) for x in nbrs[w] if not bits[x])
                             for w in lean)):
                 for v in [i] + lean:
                     expect(nxt, t + 1, "lemma:advance", v, 1)
@@ -248,21 +267,49 @@ def naive_lemma_scan(instance, params, states):
     return records[:MAX_VIOLATION_RECORDS]
 
 
+def plant_advance(rng, graph, bits, i):
+    """Make cooperator i meet every lemma:advance premise but the utility one.
+
+    Its defecting neighbors' other neighbors x defect, and the neighbors of
+    each x beyond it are drawn at random, so x's utility decides.  On a
+    tree these vertices are all distinct.
+    """
+    partner = rng.choice(graph.neighbors(i))
+    bits[i] = 1
+    for w in graph.neighbors(i):
+        bits[w] = int(w == partner)
+        if w == partner:
+            continue
+        for x in graph.neighbors(w):
+            if x != i:
+                bits[x] = 0
+                for y in graph.neighbors(x):
+                    if y != w:
+                        bits[y] = rng.randint(0, 1)
+
+
 class TestLemmaScanAgainstReference:
     @pytest.mark.parametrize("params", [
         TREE_HD,  # advance and retreat both apply for r = 2
         GameParams(1, "0.05", "1.3", 0),  # neither applies for r = 2 or 3
+        # For r = 2 only advance applies, and a defector with two of its
+        # three neighbors cooperating scores exactly (a + r*b)/(r+1).
+        GameParams(1, "0.9", "1.4", 0),
     ])
     @pytest.mark.parametrize("r,q", [(2, 6), (2, 7), (2, 8), (3, 6)])
     def test_flipped_replays_match_the_naive_scan(self, rng, params, r, q):
         instance = build_tree(r, q)
+        graph = instance.graph
+        hinges = [v for v in range(graph.n) if graph.degree(v) == r + 1]
         clean = replay(instance, params)
         for _ in range(3):
             states = list(clean)
             for t in rng.sample(range(1, len(states)), 2):
                 bits = bytearray(states[t].bits)
-                for v in rng.sample(range(instance.graph.n), rng.randint(1, 6)):
+                for v in rng.sample(range(graph.n), rng.randint(1, 6)):
                     bits[v] ^= 1
+                for i in rng.sample(hinges, 3):
+                    plant_advance(rng, graph, bits, i)
                 states[t] = StrategyVector(bits)
             assert check_local_lemmas(instance, params, states) == naive_lemma_scan(
                 instance, params, states

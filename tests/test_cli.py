@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 import evocycle.cli
 from evocycle.cli import main
+from evocycle.serialize import instance_to_dict
 
 HD = "1,0.45,1.24,0"
 TREE_HD = "1,0.6,2,0"
@@ -40,6 +42,13 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "--params", "1,2,3")
         assert code == 2
         assert "four comma-separated payoffs" in err
+
+    def test_huge_exponent_is_refused_quickly(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", "--params", "1e10000000,0,2,1")
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert "exceeds 1000 in magnitude" in err
 
     def test_float_like_input_is_parsed_exactly(self, capsys):
         code, out, _ = run_cli(
@@ -124,6 +133,23 @@ class TestWitnessPipeline:
                                "--instance", str(path))
         assert code == 1
         assert "FAIL" in out
+
+    def test_damaged_tree_reports_each_structure_fault_once(self, tmp_path, capsys):
+        # The last leaf re-attached to the root: the verifier and the lemma
+        # scan used to print the same tree:structure line each.
+        data = instance_to_dict(evocycle.build_tree(2, 6))
+        j = data["graph"]["edges"][-1][1]
+        data["graph"]["edges"][-1] = [0, j]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "verify", "--params", TREE_HD,
+                               "--instance", str(path))
+        assert code == 1
+        structure = [line for line in out.splitlines() if "tree:structure" in line]
+        assert structure == [
+            f"violation t=0 tree:structure vertex={j} expected=None observed=None "
+            f"(role level 6 but distance 1 from root)"
+        ]
 
     @pytest.mark.parametrize("params,select,wrong", [
         (TREE_HD, ["--tree", "--min-period", "6"], 4),

@@ -42,6 +42,19 @@ class TestAsRational:
         with pytest.raises(ValueError):
             as_rational("one half")
 
+    def test_exponents_up_to_1000_parse_exactly(self):
+        assert as_rational("1e3") == Fraction(1000)
+        assert as_rational("2.5E-3") == Fraction(1, 400)
+        assert as_rational("1e1000") == Fraction(10**1000)
+        assert as_rational("1e-1000") == Fraction(1, 10**1000)
+
+    @pytest.mark.parametrize("text", ["1e1001", "1e10000000", "-2.5E-1001", "1e+1_001"])
+    def test_larger_exponents_are_refused(self, text):
+        # Fraction would expand the power of ten in full: 1e10000000 took
+        # about ten seconds.
+        with pytest.raises(ValueError, match="exceeds 1000 in magnitude"):
+            as_rational(text)
+
 
 class TestGameParams:
     def test_fields_coerced_to_fractions(self):
