@@ -139,13 +139,13 @@ class TestNormalize:
 
 class TestGraph:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for n=3$"):
             Graph(3, [(0, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
             Graph(3, [(1, 1), (0, 2)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
             Graph(3, [(0, 1), (1, 0), (1, 2)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 2 has degree 0$"):
             Graph(3, [(0, 1)])  # vertex 2 would be isolated
 
     def test_edges_are_canonical(self):
