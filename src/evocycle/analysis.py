@@ -18,6 +18,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from .constructions import ConstructedInstance
 from .dynamics import TrajectoryReport, step
 from .game import GameParams, StrategyVector, _utility
+from .solver import _tree_sides
 
 __all__ = [
     "InvariantViolation",
@@ -381,10 +382,9 @@ def check_local_lemmas(
     level = _role_levels(instance)
     graph = instance.graph
     adj = [graph.neighbors(v) for v in range(graph.n)]
-    a, b, c, d = params.as_tuple()
-    threshold = (a + r * b) / (r + 1)
-    advance_applies = a + r * b > c + r * d
-    retreat_applies = a * (r + 1) < r * c + d
+    (threshold, lean_defector), (rich_defector, surrounded) = _tree_sides(params, r).values()
+    advance_applies = threshold > lean_defector
+    retreat_applies = rich_defector > surrounded
 
     # Both laws concern vertices of degree r + 1 only.
     hinges = [v for v, nbrs in enumerate(adj) if len(nbrs) == r + 1]

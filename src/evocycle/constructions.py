@@ -95,6 +95,12 @@ class ConstructedInstance:
     predicted_period: int
 
 
+def _add(roles: list[Role], role: Role) -> int:
+    """Append a vertex carrying `role`; returns its index."""
+    roles.append(role)
+    return len(roles) - 1
+
+
 def _instance(kind: str, roles: list[Role], edges: list[tuple[int, int]],
               cooperators: Iterable[int], structural_params: dict[str, int],
               predicted_period: int) -> ConstructedInstance:
@@ -134,17 +140,9 @@ def build_fcsh(p: int, q: int, r: int, s: int) -> ConstructedInstance:
     if p < 2:
         raise ValueError("p must be at least 2; uniform fixed points cover period 1")
 
-    roles: list[Role] = []
-
-    def add(role: Role) -> int:
-        roles.append(role)
-        return len(roles) - 1
-
-    chain: dict[tuple[int, int], int] = {}
-    for n in range(-(p - 1), p):
-        for l in range(1, q + 1):
-            chain[(n, l)] = add(Role("K", (n, l)))
-    hub = add(Role("g"))
+    roles = [Role("K", (n, l)) for n in range(-(p - 1), p) for l in range(1, q + 1)]
+    chain = {role.index: v for v, role in enumerate(roles)}
+    hub = _add(roles, Role("g"))
 
     edges: list[tuple[int, int]] = []
     for n in range(-(p - 1), p):
@@ -160,10 +158,10 @@ def build_fcsh(p: int, q: int, r: int, s: int) -> ConstructedInstance:
     cooperators.extend(chain[(0, l)] for l in range(1, q + 1))
     for l in range(1, q + 1):
         for m in range(1, r + 1):
-            h = add(Role("H", (l, m)))
-            s1 = [add(Role("I", (l, m, i))) for i in range(1, s + 1)]
-            s2 = [add(Role("J", (l, m, i))) for i in range(1, s + 1)]
-            f = add(Role("F", (l, m)))
+            h = _add(roles, Role("H", (l, m)))
+            s1 = [_add(roles, Role("I", (l, m, i))) for i in range(1, s + 1)]
+            s2 = [_add(roles, Role("J", (l, m, i))) for i in range(1, s + 1)]
+            f = _add(roles, Role("F", (l, m)))
             edges.extend((h, v) for v in s1)
             edges.extend((v, w) for v in s1 for w in s2)
             edges.append((f, s2[0]))
@@ -199,22 +197,14 @@ def build_hdpd(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
     if p < 2:
         raise ValueError("p must be at least 2; uniform fixed points cover period 1")
 
-    roles: list[Role] = []
-
-    def add(role: Role) -> int:
-        roles.append(role)
-        return len(roles) - 1
-
-    chain: dict[tuple[int, int], int] = {}
-    for n in range(1, p + 2):
-        for m in range(1, o + 1):
-            chain[(n, m)] = add(Role("K", (n, m)))
-    g_r = add(Role("g_R"))
-    g_d = add(Role("g_D"))
-    g_c = add(Role("g_C"))
-    pendants_h = [add(Role("H", (i,))) for i in range(1, q + 1)]
-    pendants_i = [add(Role("I", (i,))) for i in range(1, r + 1)]
-    bridge_j = [add(Role("J", (i,))) for i in range(1, s + 1)]
+    roles = [Role("K", (n, m)) for n in range(1, p + 2) for m in range(1, o + 1)]
+    chain = {role.index: v for v, role in enumerate(roles)}
+    g_r = _add(roles, Role("g_R"))
+    g_d = _add(roles, Role("g_D"))
+    g_c = _add(roles, Role("g_C"))
+    pendants_h = [_add(roles, Role("H", (i,))) for i in range(1, q + 1)]
+    pendants_i = [_add(roles, Role("I", (i,))) for i in range(1, r + 1)]
+    bridge_j = [_add(roles, Role("J", (i,))) for i in range(1, s + 1)]
 
     edges: list[tuple[int, int]] = []
     for n in range(1, p + 1):  # K_(p+1) stays edgeless inside
@@ -264,30 +254,24 @@ def build_tree(r: int, q: int) -> ConstructedInstance:
     _require_at_least(2, r=r)
     _require_at_least(5, q=q)
 
+    roles: list[Role] = [Role("root")]
     levels: list[int] = [0]
-    parent: list[int] = [-1]
     special: list[bool] = [False]
     branch: list[int] = [-1]
     edges: list[tuple[int, int]] = []
-    branch_count = 0
 
     def add_child(par: int, level: int, is_special: bool) -> int:
-        nonlocal branch_count
         v = len(levels)
         levels.append(level)
-        parent.append(par)
         special.append(is_special)
-        if level == 3:
-            branch.append(branch_count)
-            branch_count += 1
-        else:
-            branch.append(branch[par])
+        # the r*r level-3 vertices are created consecutively from v = r + 2
+        branch.append(v - (r + 2) if level == 3 else branch[par])
+        roles.append(Role("special", (level,)) if is_special
+                     else Role("ordinary", (level, branch[v])))
         edges.append((par, v))
         return v
 
-    root = 0
-    h1 = add_child(root, 1, True)
-    frontier = [h1]
+    frontier = [add_child(0, 1, True)]  # the root's only child
     for level in range(2, q):
         next_frontier: list[int] = []
         for par in frontier:
@@ -303,15 +287,6 @@ def build_tree(r: int, q: int) -> ConstructedInstance:
                 add_child(par, q, False)
 
     n_vertices = len(levels)
-    roles: list[Role] = []
-    for v in range(n_vertices):
-        if v == root:
-            roles.append(Role("root"))
-        elif special[v]:
-            roles.append(Role("special", (levels[v],)))
-        else:
-            roles.append(Role("ordinary", (levels[v], branch[v])))
-
     cooperators = (v for v in range(n_vertices) if levels[v] <= q - 2)
     instance = _instance("tree", roles, edges, cooperators, {"r": r, "q": q}, 2 * (q - 3))
     assert instance.graph.edge_count == n_vertices - 1

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress, islice
+from operator import eq
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -159,27 +161,23 @@ class Graph:
         if n < 1:
             raise ValueError(f"need at least one vertex, got n={n}")
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        count = 0
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
             adj[i].append(j)
             adj[j].append(i)
-            count += 1
         for v, nbrs in enumerate(adj):
             if not nbrs:
                 raise ValueError(f"vertex {v} has degree 0")
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adj
-        )
-        self._edge_count = count
+            nbrs.sort()
+            # a duplicate edge repeats a neighbor; v is its smaller endpoint
+            w = next(compress(nbrs, map(eq, nbrs, islice(nbrs, 1, None))), None)
+            if w is not None:
+                raise ValueError(f"duplicate edge {(v, w)}")
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._edge_count = sum(map(len, adj)) // 2
         self._connected: bool | None = None
         # Owned by dynamics.step: the counts behind the last state it
         # returned, in a list so that a call takes them with one atomic pop.

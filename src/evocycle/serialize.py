@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -45,14 +46,23 @@ def graph_to_dict(graph: Graph) -> dict[str, Any]:
     return {"n": graph.n, "edges": [[i, j] for i, j in graph.edges()]}
 
 
+def _require_int(value: Any, what: str) -> int:
+    """JSON integers only: no float, string, null or bool passes as one."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_dict(data: Mapping[str, Any]) -> Graph:
     try:
-        n = data["n"]
-        edges = [(int(i), int(j)) for i, j in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, edges = data["n"], data["edges"]
+        lengths = set(map(len, edges))
+        endpoint_types = set(map(type, chain.from_iterable(edges)))
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"not a graph object: {exc}") from None
-    if not isinstance(n, int):
-        raise ValueError(f"graph vertex count must be an integer, got {n!r}")
+    if lengths - {2} or endpoint_types - {int}:
+        raise ValueError("not a graph object: edges must be pairs of integers")
+    _require_int(n, "graph vertex count")
     # Every vertex needs a neighbor; refusing n > 2 * edges up front keeps
     # Graph from allocating adjacency lists for a count the edges cannot back.
     if n > 2 * len(edges):
@@ -87,18 +97,19 @@ def instance_from_dict(data: Mapping[str, Any]) -> ConstructedInstance:
         graph = graph_from_dict(data["graph"])
         x0 = StrategyVector.from_string(data["x0"])
         roles = RoleMap(
-            Role(entry[0], tuple(int(x) for x in entry[1:])) for entry in data["roles"]
+            Role(entry[0], tuple(_require_int(x, "role coordinate") for x in entry[1:]))
+            for entry in data["roles"]
         )
-        structural = {str(k): int(v) for k, v in data["structural_params"].items()}
+        structural = {k: _require_int(v, k) for k, v in data["structural_params"].items()}
         instance = ConstructedInstance(
             kind=str(data["kind"]),
             graph=graph,
             x0=x0,
             roles=roles,
             structural_params=structural,
-            predicted_period=int(data["predicted_period"]),
+            predicted_period=_require_int(data["predicted_period"], "predicted_period"),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ValueError(f"not an instance object: {exc}") from None
     if len(instance.roles) != graph.n or len(x0) != graph.n:
         raise ValueError("instance roles/state do not match the graph size")
@@ -144,13 +155,19 @@ def graph_to_dot(graph: Graph, state: StrategyVector | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    """Write dumps(obj) chunk by chunk, never holding the whole text."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_ENCODER.iterencode(obj))
+        handle.write("\n")
 
 
 def read_json(path: str | Path) -> Any:

@@ -18,7 +18,7 @@ from itertools import count
 from math import floor
 from typing import ClassVar, Mapping
 
-from .game import GameParams, Scenario, classify_scenario, normalize_params
+from .game import GameParams, Scenario, _utility, classify_scenario, normalize_params
 
 __all__ = [
     "SolverError",
@@ -136,14 +136,13 @@ class FcshCertificate(Certificate):
 def _fcsh_residuals(
     params: GameParams, p: int, q: int, r: int, s: int
 ) -> dict[str, Fraction]:
-    a, b, c, d = params.as_tuple()
-    u_far = Fraction(s * c + d, 1) / (s + 1)
-    u_near = Fraction(a + s * b, 1) / (s + 1)
-    u_center_full = Fraction((q + 2) * a + r * b, 1) / (q + r + 2)
-    u_center_lean = Fraction(q * a + (r + 2) * b, 1) / (q + r + 2)
-    u_feeler_full = Fraction((2 * p - 1) * c + d, 1) / (2 * p)
-    u_feeler_short = Fraction((2 * p - 3) * c + 3 * d, 1) / (2 * p)
-    u_outer = Fraction(c + (q + r - 1) * d, 1) / (q + r)
+    u_far = _utility(params, 0, s, s + 1)
+    u_near = _utility(params, 1, 1, s + 1)
+    u_center_full = _utility(params, 1, q + 2, q + r + 2)
+    u_center_lean = _utility(params, 1, q, q + r + 2)
+    u_feeler_full = _utility(params, 0, 2 * p - 1, 2 * p)
+    u_feeler_short = _utility(params, 0, 2 * p - 3, 2 * p)
+    u_outer = _utility(params, 0, 1, q + r)
     return {
         "gadget_inner": u_far - u_near,
         "gadget_center": u_far - u_center_full,
@@ -198,7 +197,7 @@ def solve_fcsh(
         _next_int_above(Fraction(2 * p, 2 * p - 3)),
     )
     assert 6 * (a - b) / (m_start + 2) < (c - d) / p
-    assert (c + (m_start - 1) * d) / m_start < ((2 * p - 3) * c + 3 * d) / (2 * p)
+    assert _utility(params, 0, 1, m_start) < _utility(params, 0, 2 * p - 3, 2 * p)
 
     spent = 0
     chosen: tuple[int, int] | None = None
@@ -219,7 +218,7 @@ def solve_fcsh(
         logger.info("no feasible r for m=%d with %s, p=%d; escalating m", m, params, p)
 
     q, r = chosen
-    beta = Fraction((2 * p - 1) * c + d, 1) / (2 * p)
+    beta = _utility(params, 0, 2 * p - 1, 2 * p)
     s = max(
         1,
         _next_int_above((a - d) / (c - b)),
@@ -264,21 +263,20 @@ class HdpdCertificate(Certificate):
 def _hdpd_residuals(
     params: GameParams, p: int, o: int, q: int, r: int, s: int
 ) -> dict[str, Fraction]:
-    a, b, c, d = params.as_tuple()
-    u_first = Fraction((o - 1) * a + b, 1) / o
-    u_boundary = Fraction(o * a + 2 * b, 1) / (o + 2)
-    u_next = Fraction(c + (o + 1) * d, 1) / (o + 2)
+    u_first = _utility(params, 1, o - 1, o)
+    u_boundary = _utility(params, 1, o, o + 2)
+    u_next = _utility(params, 0, 1, o + 2)
     hub_deg = (p - 1) * o + q + 1
-    u_hub_early = Fraction((p - 2) * o * c + (o + q + 1) * d, 1) / hub_deg
-    u_hub_full = Fraction((p - 1) * o * c + (q + 1) * d, 1) / hub_deg
-    u_anchor = Fraction(s * c + (r + 1) * d, 1) / (s + r + 1)
-    u_top = Fraction((o + 1) * a + b, 1) / (o + 2)
+    u_hub_early = _utility(params, 0, (p - 2) * o, hub_deg)
+    u_hub_full = _utility(params, 0, (p - 1) * o, hub_deg)
+    u_anchor = _utility(params, 0, s, s + r + 1)
+    u_top = _utility(params, 1, o + 1, o + 2)
     return {
         "clique_spread": min(u_first, u_boundary) - u_next,
         "spread_over_hub": u_boundary - u_hub_early,
-        "hub_reset": u_hub_full - a,
+        "hub_reset": u_hub_full - params.a,
         "anchor_lower": u_anchor - u_top,
-        "anchor_upper": a - u_anchor,
+        "anchor_upper": params.a - u_anchor,
     }
 
 
@@ -424,6 +422,16 @@ class TreeCertificate(Certificate):
     leafward_spread: bool
 
 
+def _tree_sides(params: GameParams, r: int) -> dict[str, tuple[Fraction, Fraction]]:
+    """(left, right) utilities of each tree inequality, all at degree r + 1:
+    spread pits a cooperator against a defector, each with one cooperating
+    neighbor; retreat pits a defector with r against a cooperator with r + 1."""
+    return {
+        "spread": (_utility(params, 1, 1, r + 1), _utility(params, 0, 1, r + 1)),
+        "retreat": (_utility(params, 0, r, r + 1), _utility(params, 1, r + 1, r + 1)),
+    }
+
+
 def check_tree(params: GameParams, r: int, q: int) -> TreeCertificate:
     """Verify the two tree inequalities for branching r and depth q.
 
@@ -433,14 +441,11 @@ def check_tree(params: GameParams, r: int, q: int) -> TreeCertificate:
     _require_scenario(params, (Scenario.HD,), "check_tree")
     _require_at_least(2, r=r)
     _require_at_least(5, q=q)
-    a, b, c, d = params.as_tuple()
-    residuals = {
-        "spread": Fraction((a + r * b) - (c + r * d), 1) / (r + 1),
-        "retreat": Fraction(r * c + d, 1) / (r + 1) - a,
-    }
+    sides = _tree_sides(params, r)
+    residuals = {name: left - right for name, (left, right) in sides.items()}
     if any(v <= 0 for v in residuals.values()):
         raise CertificateFailure(f"(r={r}, q={q}) not certified", residuals)
-    leafward = b > Fraction(c + r * d, 1) / (r + 1)
+    leafward = _utility(params, 1, 0, r + 1) > sides["spread"][1]
     return TreeCertificate(r=r, q=q, residuals=residuals, leafward_spread=leafward)
 
 
@@ -457,10 +462,9 @@ def solve_tree(
     """
     _require_scenario(params, (Scenario.HD,), "solve_tree")
     _require_at_least(1, min_period=min_period)
-    a, b, c, d = params.as_tuple()
     q = max(5, (min_period + 1) // 2 + 3)
     for r in range(2, 2 + max_candidates):
-        if a + r * b > c + r * d and a * (r + 1) < r * c + d:
+        if all(left > right for left, right in _tree_sides(params, r).values()):
             return check_tree(params, r, q)
     raise SearchBudgetError(
         f"no branching factor within {max_candidates} candidates for {params}"

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evocycle.cli
 from evocycle.cli import main
@@ -203,6 +207,32 @@ class TestWitnessPipeline:
         assert out == ""
         assert "-vertex graph of the instance" in err
 
+    # Each fault used to load through int() as 1, 4, 4 and 1, and the
+    # damaged file verified OK.
+    MALFORMED = {  # name -> (path into the instance JSON, new value)
+        "edge": (("graph", "edges", 0), [0, 1.7]),
+        "predicted_period": (("predicted_period",), 4.9),
+        "structural": (("structural_params", "p"), "4"),
+        "role": (("roles", 0, 1), 1.5),
+    }
+
+    @pytest.mark.parametrize("faults", [[name] for name in MALFORMED] + [list(MALFORMED)])
+    def test_non_integer_instance_fields_are_refused(self, tmp_path, capsys, faults):
+        run_cli(capsys, "witness", "--params", HD, "--period", "4",
+                "--out", str(tmp_path))
+        path = tmp_path / "instance.json"
+        data = json.loads(path.read_text())
+        assert data["graph"]["edges"][0] == [0, 1] and data["roles"][0] == ["K", 1, 1]
+        for name in faults:
+            keys, value = self.MALFORMED[name]
+            _container(data, keys)[keys[-1]] = value
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--params", HD,
+                                 "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_period_one_is_refused_with_explanation(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--params", HD, "--period", "1")
         assert code == 2
@@ -372,3 +402,94 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "HD"
+
+
+def _sites(node, path=()):
+    """("int", path) for every integer and ("key", path) for every object
+    key of a JSON tree."""
+    if type(node) is int:
+        yield "int", path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield "key", path + (key,)
+            yield from _sites(value, path + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _sites(value, path + (k,))
+
+
+# Ways to replace an integer x: a float equal to it, a float beside it,
+# a string, a bool, null, and an infinity.
+REPLACEMENTS = {
+    "float": float,
+    "half": lambda x: x + 0.5,
+    "string": str,
+    "true": lambda x: True,
+    "false": lambda x: False,
+    "null": lambda x: None,
+    "inf": lambda x: float("inf"),
+}
+
+
+def _container(data, path):
+    """The list or object holding the entry at path of a JSON tree."""
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+def _damaged(base, site, replacement):
+    data = json.loads(json.dumps(base))
+    kind, path = site
+    container = _container(data, path)
+    if kind == "key":
+        del container[path[-1]]
+    else:
+        container[path[-1]] = REPLACEMENTS[replacement](container[path[-1]])
+    return data
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+FUZZ_HDPD = instance_to_dict(evocycle.build_hdpd(3, 5, 1, 1, 6))  # HD p=3 witness
+FUZZ_TREE = instance_to_dict(evocycle.build_tree(2, 5))  # TREE_HD witness
+
+
+class TestLoaderFuzz:
+    """One integer of a small witness file replaced by a non-integer, or
+    one key dropped: the loaders refuse it with exit 2, never a traceback."""
+
+    INSTANCE_SITES = [(HD, FUZZ_HDPD, site) for site in _sites(FUZZ_HDPD)] + [
+        (TREE_HD, FUZZ_TREE, site) for site in _sites(FUZZ_TREE)]
+    GRAPH_SITES = list(_sites(FUZZ_HDPD["graph"]))
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(INSTANCE_SITES), st.sampled_from(sorted(REPLACEMENTS)))
+    def test_instance_loader(self, tmp_path_factory, case, replacement):
+        params, base, site = case
+        path = tmp_path_factory.mktemp("fuzz") / "instance.json"
+        path.write_text(json.dumps(_damaged(base, site, replacement)))
+        code, out, err = _main_quietly(["verify", "--params", params, "--instance", str(path)])
+        assert (code, out) == (2, ""), (site, replacement, out)
+        assert err.startswith("error: ")
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(GRAPH_SITES), st.sampled_from(sorted(REPLACEMENTS)))
+    def test_graph_loader(self, tmp_path_factory, site, replacement):
+        path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        path.write_text(json.dumps(_damaged(FUZZ_HDPD["graph"], site, replacement)))
+        code, out, err = _main_quietly(
+            ["simulate", "--params", HD, "--graph", str(path), "--x0", FUZZ_HDPD["x0"]])
+        assert (code, out) == (2, ""), (site, replacement, out)
+        assert err.startswith("error: ")
+
+    def test_the_bases_load(self, tmp_path):
+        for params, base in ((HD, FUZZ_HDPD), (TREE_HD, FUZZ_TREE)):
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps(base))
+            assert _main_quietly(["verify", "--params", params, "--instance", str(path)])[0] == 0

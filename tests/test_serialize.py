@@ -64,6 +64,32 @@ class TestRoundTrips:
         data = read_json(path)
         assert instance_from_dict(data).graph == instance.graph
 
+    @pytest.mark.parametrize("endpoint", [1.9, 1.0, "1", None, True])
+    def test_graph_rejects_non_integer_endpoints(self, endpoint):
+        with pytest.raises(ValueError, match="^not a graph object: "):
+            graph_from_dict({"n": 3, "edges": [[0, endpoint], [1, 2]]})
+
+    def test_write_json_writes_the_dumps_bytes(self, tmp_path):
+        instance = build_hdpd(2, 3, 1, 1, 4)
+        report = trajectory(instance.graph, GameParams(1, "0.45", "1.24", 0), instance.x0)
+        payloads = [
+            instance_to_dict(instance),
+            certificate_to_dict(check_tree(GameParams(1, "0.6", 2, 0), 2, 6)),
+            report_to_dict(report),
+        ]
+        for k, payload in enumerate(payloads):
+            path = tmp_path / f"{k}.json"
+            write_json(path, payload)
+            assert path.read_bytes() == dumps(payload).encode("utf-8")
+
+    @pytest.mark.parametrize("key,value", [("x0", 5), ("structural_params", [1])])
+    def test_instance_rejects_fields_of_the_wrong_json_type(self, key, value):
+        # Both used to escape as AttributeError, a traceback from the CLI.
+        data = instance_to_dict(build_hdpd(2, 3, 1, 1, 4))
+        data[key] = value
+        with pytest.raises(ValueError, match="^not an instance object: "):
+            instance_from_dict(data)
+
     def test_instance_rejects_inconsistent_sizes(self):
         instance = build_hdpd(2, 3, 1, 1, 4)
         data = instance_to_dict(instance)
