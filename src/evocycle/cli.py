@@ -48,7 +48,7 @@ from .serialize import (
     graph_from_dict,
     graph_to_dot,
     instance_from_dict,
-    instance_to_dict,
+    instance_to_dict,  # not called here; perfbench/tracing.py wraps this name
     read_json,
     report_to_dict,
     write_json,
@@ -80,6 +80,7 @@ class _Family:
     wrapper patched over the name (as perfbench does) sees every call."""
 
     kind: str
+    params: tuple[str, ...]  # the structural integers its formulas read
     solve: Callable[[GameParams, int, int], Certificate]  # params, period, budget
     build: Callable[[int, Any], ConstructedInstance]  # period, certificate
     check: Callable[[GameParams, Mapping[str, int]], Certificate]
@@ -97,6 +98,7 @@ def _tree_vertices(r: int, q: int) -> int:
 
 _FCSH = _Family(
     kind="fcsh",
+    params=("p", "q", "r", "s"),
     solve=lambda params, p, budget: solve_fcsh(params, p, max_candidates=budget),
     build=lambda p, cert: build_fcsh(p, cert.q, cert.r, cert.s),
     check=lambda params, sp: check_fcsh(params, sp["p"], sp["q"], sp["r"], sp["s"]),
@@ -107,6 +109,7 @@ _FCSH = _Family(
 )
 _HDPD = _Family(
     kind="hdpd",
+    params=("p", "o", "q", "r", "s"),
     solve=lambda params, p, budget: solve_hdpd(params, p, max_candidates=budget),
     build=lambda p, cert: build_hdpd(p, cert.o, cert.q, cert.r, cert.s),
     check=lambda params, sp: check_hdpd(params, sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
@@ -117,6 +120,7 @@ _HDPD = _Family(
 )
 _TREE = _Family(
     kind="tree",
+    params=("r", "q"),
     solve=lambda params, bound, budget: solve_tree(params, bound, max_candidates=budget),
     build=lambda _bound, cert: build_tree(cert.r, cert.q),
     check=lambda params, sp: check_tree(params, sp["r"], sp["q"]),
@@ -153,12 +157,15 @@ def _family_of(instance: ConstructedInstance) -> _Family:
     family = _FAMILIES.get(instance.kind)
     if family is None:
         raise ValueError(f"unknown instance kind {instance.kind!r}")
-    period = family.period(instance.structural_params)
+    sp = instance.structural_params
+    missing = [key for key in family.params if key not in sp]
+    if missing:
+        raise ValueError(f"missing structural param {missing[0]!r}")
+    period = family.period(sp)
     if instance.predicted_period != period:
         raise ValueError(f"predicted_period {instance.predicted_period} does not match "
                          f"the {family.kind} period {period} of its structural params")
     n = instance.graph.n
-    sp = instance.structural_params
     # Every structural integer of a witness lies in 1..n; checking that
     # first also keeps the tree's power r^(q-1) small enough to compute.
     if not all(0 < value <= n for value in sp.values()) or family.vertices(sp) != n:
@@ -208,8 +215,11 @@ def parse_periods(text: str) -> list[int]:
     return values
 
 
-def _load_instance(path: str) -> ConstructedInstance:
-    return instance_from_dict(read_json(path))
+def _load_instance(path: str) -> tuple[_Family, ConstructedInstance]:
+    """A stored instance and its family, which every command that reads an
+    instance file checks first."""
+    instance = instance_from_dict(read_json(path))
+    return _family_of(instance), instance
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -249,7 +259,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "instance.json", instance_to_dict(instance))
+        write_json(out_dir / "instance.json", instance)
         write_json(out_dir / "certificate.json", certificate_to_dict(cert))
         (out_dir / "instance.dot").write_text(
             graph_to_dot(instance.graph, instance.x0), encoding="utf-8"
@@ -280,7 +290,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.instance is None) == (args.graph is None):
         raise ValueError("give exactly one of --instance or --graph")
     if args.instance is not None:
-        instance = _load_instance(args.instance)
+        _, instance = _load_instance(args.instance)
         graph, x0 = instance.graph, instance.x0
     else:
         if args.x0 is None:
@@ -328,8 +338,7 @@ def _verify_instance(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
-    instance = _load_instance(args.instance)
-    family = _family_of(instance)
+    family, instance = _load_instance(args.instance)
     lines, cert_problems = _verify_instance(family, instance, params, replay(instance, params))
     ok = not lines and not cert_problems
     families = family.invariants + ("certificate",)
@@ -408,7 +417,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    _, instance = _load_instance(args.instance)
     _emit(graph_to_dot(instance.graph, instance.x0), args.out)
     return EXIT_OK
 

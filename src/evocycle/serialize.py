@@ -1,18 +1,20 @@
 """External formats: JSON for graphs, payoffs, instances, certificates, and
 trajectory reports; CSV for cooperator counts; DOT for state snapshots.
 
-JSON is always emitted through dumps() with sorted keys and a fixed layout,
-so writing, reading, and writing again is byte-identical.
+JSON always has the layout of dumps(), sorted keys and two-space indent,
+so writing, reading, and writing again is byte-identical.  write_json
+emits an instance in that layout straight from its graph and roles.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import fields
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .constructions import ConstructedInstance, Role, RoleMap
 from .dynamics import TrajectoryReport
@@ -50,6 +52,12 @@ def _require_int(value: Any, what: str) -> int:
     """JSON integers only: no float, string, null or bool passes as one."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _require_str(value: Any, what: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -97,12 +105,13 @@ def instance_from_dict(data: Mapping[str, Any]) -> ConstructedInstance:
         graph = graph_from_dict(data["graph"])
         x0 = StrategyVector.from_string(data["x0"])
         roles = RoleMap(
-            Role(entry[0], tuple(_require_int(x, "role coordinate") for x in entry[1:]))
+            Role(_require_str(entry[0], "role kind"),
+                 tuple(_require_int(x, "role coordinate") for x in entry[1:]))
             for entry in data["roles"]
         )
         structural = {k: _require_int(v, k) for k, v in data["structural_params"].items()}
         instance = ConstructedInstance(
-            kind=str(data["kind"]),
+            kind=_require_str(data["kind"], "kind"),
             graph=graph,
             x0=x0,
             roles=roles,
@@ -163,10 +172,59 @@ def dumps(obj: Any) -> str:
     return _ENCODER.encode(obj) + "\n"
 
 
+def _array(items: Iterable[str], indent: str) -> Iterator[str]:
+    """A nonempty JSON array laid out as the encoder lays it out, given the
+    text of its elements (or of runs of them) already indented."""
+    sep = "[\n"
+    for item in items:
+        yield sep + item
+        sep = ",\n"
+    yield "\n" + indent + "]"
+
+
+def _edges_from(v: int, nbrs: tuple[int, ...]) -> str:
+    """The edges (v, w) with w > v, as elements of the "edges" array."""
+    later = nbrs[bisect_right(nbrs, v):]
+    if not later:
+        return ""
+    head = "      [\n        %d,\n        " % v
+    return head + ("\n      ],\n" + head).join(map(str, later)) + "\n      ]"
+
+
+def _instance_chunks(instance: ConstructedInstance) -> Iterator[str]:
+    """The text of dumps(instance_to_dict(instance)) without that dict: the
+    edges one vertex at a time from the sorted adjacency, the roles one at
+    a time, and every other field through the shared encoder.  The keys
+    are written in sorted order."""
+    encode = _ENCODER.encode
+    graph = instance.graph
+    yield '{\n  "graph": {\n    "edges": '
+    edges = map(_edges_from, range(graph.n), map(graph.neighbors, range(graph.n)))
+    yield from _array(filter(None, edges), "    ")
+    yield ',\n    "n": %s\n  },\n  "kind": %s,\n  "predicted_period": %s,\n  "roles": ' % (
+        encode(graph.n), encode(instance.kind), encode(instance.predicted_period))
+    kind_text = {kind: encode(kind) for kind in {role.kind for role in instance.roles}}
+    yield from _array(
+        ("    [\n      " + ",\n      ".join([kind_text[role.kind], *map(str, role.index)])
+         + "\n    ]" for role in instance.roles),
+        "  ",
+    )
+    # JSON text has no raw newline inside a string, so this indents it exactly.
+    structural = encode(dict(instance.structural_params)).replace("\n", "\n  ")
+    yield ',\n  "structural_params": %s,\n  "x0": %s\n}' % (
+        structural, encode(instance.x0.to_string()))
+
+
 def write_json(path: str | Path, obj: Any) -> None:
-    """Write dumps(obj) chunk by chunk, never holding the whole text."""
+    """Write dumps(obj) chunk by chunk, never holding the whole text.  An
+    instance is written as dumps(instance_to_dict(obj)) with no per-edge or
+    per-role list, so memory stays within one vertex's edges."""
+    if isinstance(obj, ConstructedInstance):
+        chunks = _instance_chunks(obj)
+    else:
+        chunks = _ENCODER.iterencode(obj)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_ENCODER.iterencode(obj))
+        handle.writelines(chunks)
         handle.write("\n")
 
 

@@ -181,6 +181,7 @@ class TestWitnessPipeline:
     ])
     def test_family_vertex_count_matches_builder(self, family, instance):
         assert family.vertices(instance.structural_params) == instance.graph.n
+        assert sorted(family.params) == sorted(instance.structural_params)
 
     @pytest.mark.parametrize("params,select,raised", [
         (HD, ["--period", "4"], {"p": 2000, "predicted_period": 2000}),
@@ -207,13 +208,32 @@ class TestWitnessPipeline:
         assert out == ""
         assert "-vertex graph of the instance" in err
 
-    # Each fault used to load through int() as 1, 4, 4 and 1, and the
-    # damaged file verified OK.
+    @pytest.mark.parametrize("command", ["simulate", "verify", "export-dot"])
+    @pytest.mark.parametrize("role_kind", ["K", 7])
+    def test_every_command_checks_the_family(self, tmp_path, capsys, command, role_kind):
+        # With o deleted and the role kind 7, simulate and export-dot used to
+        # exit 0 and verify to exit 2 with the bare message "error: 'o'".
+        run_cli(capsys, "witness", "--params", HD, "--period", "3",
+                "--out", str(tmp_path))
+        path = tmp_path / "instance.json"
+        data = json.loads(path.read_text())
+        del data["structural_params"]["o"]
+        data["roles"][0][0] = role_kind
+        path.write_text(json.dumps(data))
+        params = [] if command == "export-dot" else ["--params", HD]
+        code, out, err = run_cli(capsys, command, *params, "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert ("missing structural param 'o'" if role_kind == "K"
+                else "role kind must be a string, got 7") in err
+
+    # Each fault used to load through int() as 1, 4, 4 and 1, the role kind
+    # loaded as it was, and the damaged file verified OK.
     MALFORMED = {  # name -> (path into the instance JSON, new value)
         "edge": (("graph", "edges", 0), [0, 1.7]),
         "predicted_period": (("predicted_period",), 4.9),
         "structural": (("structural_params", "p"), "4"),
         "role": (("roles", 0, 1), 1.5),
+        "role_kind": (("roles", 0, 0), {"x": 1}),
     }
 
     @pytest.mark.parametrize("faults", [[name] for name in MALFORMED] + [list(MALFORMED)])

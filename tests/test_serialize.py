@@ -1,11 +1,16 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evocycle import (
     GameParams,
     Graph,
     StrategyVector,
+    build_fcsh,
     build_hdpd,
     build_tree,
     check_tree,
@@ -69,18 +74,40 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="^not a graph object: "):
             graph_from_dict({"n": 3, "edges": [[0, endpoint], [1, 2]]})
 
-    def test_write_json_writes_the_dumps_bytes(self, tmp_path):
-        instance = build_hdpd(2, 3, 1, 1, 4)
-        report = trajectory(instance.graph, GameParams(1, "0.45", "1.24", 0), instance.x0)
-        payloads = [
-            instance_to_dict(instance),
-            certificate_to_dict(check_tree(GameParams(1, "0.6", 2, 0), 2, 6)),
-            report_to_dict(report),
-        ]
-        for k, payload in enumerate(payloads):
-            path = tmp_path / f"{k}.json"
-            write_json(path, payload)
+    @settings(max_examples=40)
+    @given(st.one_of(
+        st.builds(build_fcsh, st.integers(2, 4), st.integers(1, 4), st.integers(1, 3),
+                  st.integers(1, 4)),
+        st.builds(build_hdpd, st.integers(2, 5), st.integers(1, 4), st.integers(1, 4),
+                  st.integers(1, 3), st.integers(1, 4)),
+        st.builds(build_tree, st.integers(2, 3), st.integers(5, 7)),
+    ))
+    def test_write_json_writes_the_dumps_bytes(self, tmp_path_factory, instance):
+        # An instance streams from its adjacency and role tuples, whether
+        # built or loaded; everything else goes through the encoder.
+        data = instance_to_dict(instance)
+        loaded = instance_from_dict(json.loads(dumps(data)))
+        small = build_hdpd(2, 3, 1, 1, 4)
+        report = report_to_dict(
+            trajectory(small.graph, GameParams(1, "0.45", "1.24", 0), small.x0))
+        certificate = certificate_to_dict(check_tree(GameParams(1, "0.6", 2, 0), 2, 6))
+        path = tmp_path_factory.mktemp("json") / "out.json"
+        for obj, payload in [(instance, data), (loaded, data), (data, data),
+                             (certificate, certificate), (report, report)]:
+            write_json(path, obj)
             assert path.read_bytes() == dumps(payload).encode("utf-8")
+
+    def test_writing_an_instance_holds_no_per_edge_list(self, tmp_path):
+        # Writing instance_to_dict's output peaked at 101 bytes per edge
+        # here; the instance writer holds one vertex's edges at a time.
+        instance = build_fcsh(4, 10, 8, 16)  # 22,785 edges
+        tracemalloc.start()
+        try:
+            write_json(tmp_path / "instance.json", instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * instance.graph.edge_count
 
     @pytest.mark.parametrize("key,value", [("x0", 5), ("structural_params", [1])])
     def test_instance_rejects_fields_of_the_wrong_json_type(self, key, value):
