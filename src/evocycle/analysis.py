@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 from .constructions import ConstructedInstance
-from .dynamics import TrajectoryReport, step
+from .dynamics import Quotient, TrajectoryReport, step
 from .game import GameParams, StrategyVector, _utility
 from .solver import _tree_sides
 
@@ -76,12 +76,29 @@ def f_of_t(q: int, t: int) -> int:
     return abs(t - q + 3) + 1
 
 
-def replay(instance: ConstructedInstance, params: GameParams) -> list[StrategyVector]:
-    """X(0) .. X(P) of the instance, where P is its predicted period."""
-    states = [instance.x0]
-    for _ in range(instance.predicted_period):
-        states.append(step(instance.graph, params, states[-1]))
-    return states
+def replay(
+    instance: ConstructedInstance,
+    params: GameParams,
+    cells: Optional[Sequence[Hashable]] = None,
+) -> list[StrategyVector]:
+    """X(0) .. X(P) of the instance, where P is its predicted period.
+
+    As in `trajectory`, `cells` names a cell for every vertex, and the
+    steps are taken on the Quotient by that partition when it is
+    equitable and x0 is constant on its cells; the states are the same.
+    """
+    graph, x0, period = instance.graph, instance.x0, instance.predicted_period
+    quotient = None if cells is None else Quotient.of(graph, cells)
+    bits = None if quotient is None else quotient.project(x0)
+    if quotient is None or bits is None:
+        states = [x0]
+        for _ in range(period):
+            states.append(step(graph, params, states[-1]))
+        return states
+    orbit = [bits]
+    for _ in range(period):
+        orbit.append(quotient.step(params, orbit[-1]))
+    return list(map(quotient.lift, orbit))
 
 
 def _open_log(

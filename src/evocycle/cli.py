@@ -22,8 +22,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 from .analysis import (
     InvariantViolation,
@@ -35,6 +36,7 @@ from .analysis import (
 )
 from .constructions import (
     ConstructedInstance,
+    Role,
     build_fcsh,
     build_hdpd,
     build_tree,
@@ -72,6 +74,10 @@ EXIT_VIOLATIONS = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
+# A sweep runs one witness pipeline per period; longer period lists are
+# refused before any list or task is built.
+MAX_SWEEP_ROWS = 10_000
+
 
 @dataclass(frozen=True)
 class _Family:
@@ -80,14 +86,18 @@ class _Family:
     wrapper patched over the name (as perfbench does) sees every call."""
 
     kind: str
-    params: tuple[str, ...]  # the structural integers its formulas read
+    params: tuple[str, ...]  # the structural integers, in the builder's order
     solve: Callable[[GameParams, int, int], Certificate]  # params, period, budget
-    build: Callable[[int, Any], ConstructedInstance]  # period, certificate
+    build: Callable[[Mapping[str, int]], ConstructedInstance]  # structural integers
     check: Callable[[GameParams, Mapping[str, int]], Certificate]
     verify: Callable[..., list[InvariantViolation]]  # instance, params, X(0)..X(P)
     invariants: tuple[str, ...]  # listed by verify, so exit 0 states what was checked
     period: Callable[[Mapping[str, int]], int]  # from the structural integers
     vertices: Callable[[Mapping[str, int]], int]  # n, from the structural integers
+    edges: Callable[[Mapping[str, int]], int]  # m, from the structural integers
+    # The cell of a role in an equitable partition of the built graph, or
+    # None where none is known; see _cells.
+    cell: Optional[Callable[[Role], Hashable]]
 
 
 def _tree_vertices(r: int, q: int) -> int:
@@ -96,33 +106,56 @@ def _tree_vertices(r: int, q: int) -> int:
     return 1 + levels + r ** (q - 1) - r ** 3
 
 
+def _fcsh_cell(role: Role) -> Hashable:
+    """One cell per |n| for the cliques K_n and K_-n; J splits into i = 1,
+    the vertex its feeler touches, and the rest; any other kind is one cell."""
+    if role.kind == "K":
+        return role.kind, tuple(map(abs, role.index[:1]))
+    return role.kind, role.kind == "J" and role.index[2:] == (1,)
+
+
+def _hdpd_cell(role: Role) -> Hashable:
+    """The cliques K_n by layer n; every other kind is one cell."""
+    return role.kind, role.index[:1] if role.kind == "K" else ()
+
+
 _FCSH = _Family(
     kind="fcsh",
     params=("p", "q", "r", "s"),
     solve=lambda params, p, budget: solve_fcsh(params, p, max_candidates=budget),
-    build=lambda p, cert: build_fcsh(p, cert.q, cert.r, cert.s),
+    build=lambda sp: build_fcsh(sp["p"], sp["q"], sp["r"], sp["s"]),
     check=lambda params, sp: check_fcsh(params, sp["p"], sp["q"], sp["r"], sp["s"]),
     verify=lambda inst, params, states: verify_fcsh_dynamics(inst, params, states),
     invariants=("fcsh:frozen", "fcsh:chain", "fcsh:reset"),
     period=lambda sp: sp["p"],
     vertices=lambda sp: (2 * sp["p"] - 1) * sp["q"] + 1 + sp["q"] * sp["r"] * (2 * sp["s"] + 2),
+    edges=lambda sp: (
+        (2 * sp["p"] - 1) * (comb(sp["q"], 2) + sp["q"])
+        + sp["q"] * sp["r"] * (sp["s"] ** 2 + sp["s"] + 2 * sp["p"])
+    ),
+    cell=_fcsh_cell,
 )
 _HDPD = _Family(
     kind="hdpd",
     params=("p", "o", "q", "r", "s"),
     solve=lambda params, p, budget: solve_hdpd(params, p, max_candidates=budget),
-    build=lambda p, cert: build_hdpd(p, cert.o, cert.q, cert.r, cert.s),
+    build=lambda sp: build_hdpd(sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
     check=lambda params, sp: check_hdpd(params, sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
     verify=lambda inst, params, states: verify_hdpd_dynamics(inst, params, states),
     invariants=("hdpd:chain", "hdpd:frozen", "hdpd:outer", "hdpd:reset"),
     period=lambda sp: sp["p"],
     vertices=lambda sp: (sp["p"] + 1) * sp["o"] + sp["q"] + sp["r"] + sp["s"] + 3,
+    edges=lambda sp: (
+        sp["p"] * comb(sp["o"], 2) + (2 * sp["p"] - 1) * sp["o"]
+        + sp["q"] + sp["r"] + 2 * sp["s"] + 1
+    ),
+    cell=_hdpd_cell,
 )
 _TREE = _Family(
     kind="tree",
     params=("r", "q"),
     solve=lambda params, bound, budget: solve_tree(params, bound, max_candidates=budget),
-    build=lambda _bound, cert: build_tree(cert.r, cert.q),
+    build=lambda sp: build_tree(sp["r"], sp["q"]),
     check=lambda params, sp: check_tree(params, sp["r"], sp["q"]),
     verify=lambda inst, params, states: (
         verify_tree_invariants(inst, params, states)
@@ -146,6 +179,8 @@ _TREE = _Family(
     ),
     period=lambda sp: 2 * (sp["q"] - 3),
     vertices=lambda sp: _tree_vertices(sp["r"], sp["q"]),
+    edges=lambda sp: _tree_vertices(sp["r"], sp["q"]) - 1,
+    cell=None,
 )
 _FAMILIES = {family.kind: family for family in (_FCSH, _HDPD, _TREE)}
 
@@ -174,10 +209,19 @@ def _family_of(instance: ConstructedInstance) -> _Family:
     return family
 
 
-def _solve_and_build(
+def _cells(family: _Family, instance: ConstructedInstance) -> Optional[list[Hashable]]:
+    """The family's cell of every vertex, split by its x0 bit, for the
+    quotient replay; trajectory and replay check that it is equitable."""
+    if family.cell is None:
+        return None
+    return list(zip(map(family.cell, instance.roles), instance.x0.bits))
+
+
+def _solve(
     params: GameParams, period: int, tree: bool, max_candidates: int
-) -> tuple[_Family, Certificate, ConstructedInstance]:
-    """Shared by witness and sweep; with tree, period is a lower bound."""
+) -> tuple[_Family, Certificate, dict[str, int]]:
+    """Shared by witness and sweep; with tree, period is a lower bound.
+    Returns the family, the certificate and its structural integers."""
     if tree:
         family = _TREE
     elif period == 1:
@@ -190,7 +234,9 @@ def _solve_and_build(
     else:  # HD / PD; non-admissible quadruples fail the solver's scenario gate
         family = _HDPD
     cert = family.solve(params, period, max_candidates)
-    return family, cert, family.build(period, cert)
+    return family, cert, {
+        key: period if key == "p" else getattr(cert, key) for key in family.params
+    }
 
 
 def parse_params(text: str) -> GameParams:
@@ -202,17 +248,24 @@ def parse_params(text: str) -> GameParams:
 
 
 def parse_periods(text: str) -> list[int]:
-    """Parse a period list: "4", "2,3,5", or an inclusive range "2..6"."""
+    """Parse a period list: "4", "2,3,5", or an inclusive range "2..6",
+    of at most MAX_SWEEP_ROWS periods."""
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty period range {text!r}")
-        return list(range(lo, hi + 1))
-    values = sorted({int(part) for part in text.split(",") if part.strip()})
-    if not values:
-        raise ValueError("no periods given")
-    return values
+        periods: Sequence[int] = range(lo, hi + 1)  # lazy until the cap is checked
+        count = hi - lo + 1
+    else:
+        periods = sorted({int(part) for part in text.split(",") if part.strip()})
+        if not periods:
+            raise ValueError("no periods given")
+        count = len(periods)
+    if count > MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep row cap: {text!r} asks for {count} periods, "
+                         f"at most {MAX_SWEEP_ROWS} are allowed")
+    return list(periods)
 
 
 def _load_instance(path: str) -> tuple[_Family, ConstructedInstance]:
@@ -254,9 +307,11 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if not args.tree and args.period is None:
         raise ValueError("--period is required (or use --tree --min-period)")
     period = args.min_period if args.tree else args.period
-    _, cert, instance = _solve_and_build(params, period, args.tree, args.max_candidates)
+    family, cert, sp = _solve(params, period, args.tree, args.max_candidates)
 
+    # Only the artifacts need the graph; the summary is closed-form.
     if args.out is not None:
+        instance = family.build(sp)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "instance.json", instance)
@@ -266,20 +321,20 @@ def cmd_witness(args: argparse.Namespace) -> int:
         )
 
     summary = {
-        "kind": instance.kind,
-        "structural_params": dict(instance.structural_params),
-        "vertices": instance.graph.n,
-        "edges": instance.graph.edge_count,
-        "predicted_period": instance.predicted_period,
+        "kind": family.kind,
+        "structural_params": sp,
+        "vertices": family.vertices(sp),
+        "edges": family.edges(sp),
+        "predicted_period": family.period(sp),
     }
     if args.format == "json":
         summary["certificate"] = certificate_to_dict(cert)
         sys.stdout.write(dumps(summary))
     else:
-        fields = " ".join(f"{k}={v}" for k, v in instance.structural_params.items())
-        print(f"kind={instance.kind} {fields}")
-        print(f"vertices={instance.graph.n} edges={instance.graph.edge_count}")
-        print(f"predicted_period={instance.predicted_period}")
+        fields = " ".join(f"{k}={v}" for k, v in sp.items())
+        print(f"kind={family.kind} {fields}")
+        print(f"vertices={summary['vertices']} edges={summary['edges']}")
+        print(f"predicted_period={summary['predicted_period']}")
         if args.out is not None:
             print(f"written: {args.out}/instance.json certificate.json instance.dot")
     return EXIT_OK
@@ -290,14 +345,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.instance is None) == (args.graph is None):
         raise ValueError("give exactly one of --instance or --graph")
     if args.instance is not None:
-        _, instance = _load_instance(args.instance)
-        graph, x0 = instance.graph, instance.x0
+        family, instance = _load_instance(args.instance)
+        graph, x0, cells = instance.graph, instance.x0, _cells(family, instance)
     else:
         if args.x0 is None:
             raise ValueError("--graph requires --x0 (e.g. CCD)")
         graph = graph_from_dict(read_json(args.graph))
-        x0 = StrategyVector.from_string(args.x0)
-    report = trajectory(graph, params, x0, max_steps=args.max_steps)
+        x0, cells = StrategyVector.from_string(args.x0), None
+    report = trajectory(graph, params, x0, max_steps=args.max_steps, cells=cells)
 
     if args.out is not None:
         out_dir = Path(args.out)
@@ -339,7 +394,8 @@ def _verify_instance(
 def cmd_verify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     family, instance = _load_instance(args.instance)
-    lines, cert_problems = _verify_instance(family, instance, params, replay(instance, params))
+    states = replay(instance, params, _cells(family, instance))
+    lines, cert_problems = _verify_instance(family, instance, params, states)
     ok = not lines and not cert_problems
     families = family.invariants + ("certificate",)
     if args.format == "json":
@@ -365,9 +421,11 @@ def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
     """One sweep entry: solve, build, simulate, verify.  Module level so a
     process pool can pickle it."""
     params, period, tree, max_candidates = task
-    family, _, instance = _solve_and_build(params, period, tree, max_candidates)
+    family, _, sp = _solve(params, period, tree, max_candidates)
+    instance = family.build(sp)
     budget = max(64, 4 * instance.predicted_period + 16)
-    report = trajectory(instance.graph, params, instance.x0, max_steps=budget)
+    report = trajectory(instance.graph, params, instance.x0, max_steps=budget,
+                        cells=_cells(family, instance))
     # state_at folds times past the report into its cycle, so these are
     # exactly X(0) .. X(P) without simulating again.
     states = [report.state_at(t) for t in range(instance.predicted_period + 1)]

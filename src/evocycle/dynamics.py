@@ -8,7 +8,8 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import groupby
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from .game import (
     SYNCHRONOUS,
@@ -28,6 +29,7 @@ __all__ = [
     "argmax_strategies",
     "step",
     "is_fixed_point",
+    "Quotient",
     "TrajectoryReport",
     "trajectory",
 ]
@@ -125,6 +127,22 @@ class _Counts:
             rank[v] = rank_of_key[(bits[v], coop[v], len(neighbors(v)))]
 
 
+def _top_strategies(
+    own: int, utility: Fraction, others: Iterable[tuple[Fraction, int]]
+) -> frozenset[int]:
+    """Strategies of the top scorers among a vertex, playing `own` with
+    `utility`, and its neighbors, given as (utility, strategy) pairs."""
+    best = utility
+    strategies = {own}
+    for u, strategy in others:
+        if u > best:
+            best = u
+            strategies = {strategy}
+        elif u == best:
+            strategies.add(strategy)
+    return frozenset(strategies)
+
+
 def argmax_strategies(
     graph: Graph, params: GameParams, state: StrategyVector, vertex: int
 ) -> frozenset[int]:
@@ -134,16 +152,11 @@ def argmax_strategies(
     a singleton, otherwise the vertex keeps its strategy.
     """
     _check_state(graph, state)
-    best = mean_utility(graph, params, state, vertex)
-    strategies = {state[vertex]}
-    for w in graph.neighbors(vertex):
-        u = mean_utility(graph, params, state, w)
-        if u > best:
-            best = u
-            strategies = {state[w]}
-        elif u == best:
-            strategies.add(state[w])
-    return frozenset(strategies)
+    return _top_strategies(
+        state[vertex],
+        mean_utility(graph, params, state, vertex),
+        ((mean_utility(graph, params, state, w), state[w]) for w in graph.neighbors(vertex)),
+    )
 
 
 def step(
@@ -233,6 +246,83 @@ def is_fixed_point(graph: Graph, params: GameParams, state: StrategyVector) -> b
     return step(graph, params, state) == state
 
 
+class Quotient:
+    """A graph seen through an equitable partition of its vertices.
+
+    Equitable means every vertex of cell k has the same number of
+    neighbors in each cell l.  While a state is constant on every cell,
+    all vertices of a cell then have the same utility and see the same
+    (utility, strategy) pairs in their closed neighborhoods, so they make
+    one decision: a synchronous update maps a state constant on cells to
+    another one.  `step` makes that update on one bit per cell, and `lift`
+    turns the cell bits back into the state of every vertex.
+    """
+
+    __slots__ = ("cell_of", "first", "links", "degree")
+
+    def __init__(
+        self,
+        cell_of: list[int],
+        first: tuple[int, ...],
+        links: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> None:
+        self.cell_of = cell_of  # the cell of every vertex
+        self.first = first  # one vertex of every cell
+        self.links = links  # per cell: the (cell l, neighbors in l) pairs
+        self.degree = tuple(sum(count for _, count in pairs) for pairs in links)
+
+    @classmethod
+    def of(cls, graph: Graph, cell_of: Sequence[Hashable]) -> Optional["Quotient"]:
+        """The quotient by the partition that puts vertex v in the cell
+        named cell_of[v], or None when that partition is not equitable.
+
+        One pass over the sorted adjacency compares each vertex's sorted
+        list of neighbor cells with the first one seen in its cell.
+        """
+        if len(cell_of) != graph.n:
+            raise ValueError(f"{len(cell_of)} cell keys for a graph with n={graph.n}")
+        ids: dict[Hashable, int] = {}
+        cells = [ids.setdefault(key, len(ids)) for key in cell_of]
+        seen: list[Optional[list[int]]] = [None] * len(ids)
+        first = [0] * len(ids)
+        neighbors = graph.neighbors
+        for v, k in enumerate(cells):
+            around = sorted(map(cells.__getitem__, neighbors(v)))
+            known = seen[k]
+            if known is None:
+                seen[k] = around
+                first[k] = v
+            elif around != known:
+                return None
+        links = tuple(
+            tuple((l, sum(1 for _ in run)) for l, run in groupby(around))
+            for around in seen
+        )
+        return cls(cells, tuple(first), links)
+
+    def project(self, state: StrategyVector) -> Optional[bytes]:
+        """The bit of every cell, or None when state is not constant on cells."""
+        bits = bytes(state[v] for v in self.first)
+        return bits if self.lift(bits) == state else None
+
+    def lift(self, bits: bytes) -> StrategyVector:
+        """The state in which every vertex plays its cell's bit."""
+        return StrategyVector(bytes(map(bits.__getitem__, self.cell_of)))
+
+    def step(self, params: GameParams, bits: bytes) -> bytes:
+        """One synchronous update, by the rule of `step`, on the cell bits."""
+        utility = [
+            _utility(params, own, sum(count for l, count in pairs if bits[l]), degree)
+            for own, pairs, degree in zip(bits, self.links, self.degree)
+        ]
+        # A vertex adopts the other strategy only when its own is not
+        # among the top scorers' strategies.
+        return bytes(
+            own ^ (own not in _top_strategies(own, u, ((utility[l], bits[l]) for l, _ in pairs)))
+            for own, u, pairs in zip(bits, utility, self.links)
+        )
+
+
 @dataclass(frozen=True)
 class TrajectoryReport:
     """Transient, minimal period, and the states covering both.
@@ -265,12 +355,40 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+_State = TypeVar("_State", StrategyVector, bytes)
+
+
+def _orbit(
+    start: _State, advance: Callable[[_State, int], _State], phases: int, max_steps: int
+) -> tuple[list[_State], int, int]:
+    """States from `start` until one recurs at the same schedule phase.
+
+    Returns (states up to the recurrence, transient, cycle length), with
+    transient -1 when max_steps updates bring no recurrence; states then
+    holds X(0) .. X(max_steps).
+    """
+    seen: dict[object, int] = {}
+    states: list[_State] = []
+    state = start
+    for t in range(max_steps + 1):
+        key: object = state if phases == 1 else (state, t % phases)
+        first = seen.get(key)
+        if first is not None:
+            return states, first, t - first
+        seen[key] = t
+        states.append(state)
+        if t < max_steps:
+            state = advance(state, t)
+    return states, -1, -1
+
+
 def trajectory(
     graph: Graph,
     params: GameParams,
     x0: StrategyVector,
     schedule: UpdateSchedule = SYNCHRONOUS,
     max_steps: int = 10_000,
+    cells: Optional[Sequence[Hashable]] = None,
 ) -> TrajectoryReport:
     """Iterate the dynamics until a state repeats at the same schedule phase.
 
@@ -280,6 +398,11 @@ def trajectory(
     (state, phase) pairs and the cycle length is then reduced to the
     minimal period of the state sequence itself, which may be a proper
     divisor of the pair-cycle length.
+
+    `cells` names a cell for every vertex.  Under the synchronous schedule,
+    when that partition is equitable and x0 is constant on its cells, the
+    dynamics runs on the Quotient, one bit per cell, and its states are
+    lifted; otherwise it runs on the whole graph.  The report is the same.
 
     Raises TrajectoryBudgetError when max_steps updates happen without a
     revisit. Warns NonGenericParamsWarning for tied payoffs.
@@ -295,25 +418,22 @@ def trajectory(
             stacklevel=2,
         )
     phases = schedule.phase_count
-    seen: dict[object, int] = {}
-    states: list[StrategyVector] = []
-    state = x0
-    transient = -1
-    cycle_len = -1
-    for t in range(max_steps + 1):
-        key: object = state.bits if phases == 1 else (state.bits, t % phases)
-        first = seen.get(key)
-        if first is not None:
-            transient = first
-            cycle_len = t - first
-            break
-        seen[key] = t
-        states.append(state)
-        if t == max_steps:
-            raise TrajectoryBudgetError(
-                f"no revisited state within {max_steps} steps", tuple(states)
-            )
-        state = step(graph, params, state, schedule.active_at(t))
+    quotient = Quotient.of(graph, cells) if cells is not None and phases == 1 else None
+    start = None if quotient is None else quotient.project(x0)
+    if quotient is None or start is None:
+        states, transient, cycle_len = _orbit(
+            x0, lambda state, t: step(graph, params, state, schedule.active_at(t)),
+            phases, max_steps,
+        )
+    else:
+        orbit, transient, cycle_len = _orbit(
+            start, lambda bits, _t: quotient.step(params, bits), 1, max_steps
+        )
+        states = list(map(quotient.lift, orbit))
+    if transient < 0:
+        raise TrajectoryBudgetError(
+            f"no revisited state within {max_steps} steps", tuple(states)
+        )
     period = cycle_len
     if phases > 1:
         # The same state sequence can repeat faster than the (state, phase)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evocycle.cli
+import evocycle.constructions
 from evocycle.cli import main
 from evocycle.serialize import instance_to_dict
 
@@ -174,14 +176,42 @@ class TestWitnessPipeline:
         assert "OK" not in out
         assert f"predicted_period {wrong} does not match" in err
 
-    @pytest.mark.parametrize("family,instance", [
-        (evocycle.cli._FCSH, evocycle.build_fcsh(3, 2, 2, 1)),
-        (evocycle.cli._HDPD, evocycle.build_hdpd(3, 2, 1, 2, 1)),
-        (evocycle.cli._TREE, evocycle.build_tree(3, 6)),
+    @pytest.mark.parametrize("family,sizes", [
+        *((evocycle.cli._FCSH, sizes)
+          for sizes in itertools.product((2, 3), (1, 2, 4), (1, 3), (1, 2))),
+        *((evocycle.cli._HDPD, sizes)
+          for sizes in itertools.product((2, 4), (1, 3), (1, 2), (1, 2), (1, 3))),
+        *((evocycle.cli._TREE, sizes) for sizes in itertools.product((2, 3), (5, 6, 7))),
     ])
-    def test_family_vertex_count_matches_builder(self, family, instance):
-        assert family.vertices(instance.structural_params) == instance.graph.n
-        assert sorted(family.params) == sorted(instance.structural_params)
+    def test_family_vertex_count_matches_builder(self, family, sizes):
+        # The closed forms of n and m, which witness prints without a build.
+        sp = dict(zip(family.params, sizes))
+        instance = family.build(sp)
+        assert instance.structural_params == sp
+        assert family.vertices(sp) == instance.graph.n
+        assert family.edges(sp) == instance.graph.edge_count
+
+    @pytest.mark.parametrize("params,select", [
+        ("1,1/2,4/5,0", ["--period", "3"]),
+        (HD, ["--period", "4"]),
+        (TREE_HD, ["--tree", "--min-period", "6"]),
+    ])
+    def test_witness_without_out_builds_no_graph(self, monkeypatch, capsys, params, select):
+        code, out, _ = run_cli(capsys, "witness", "--params", params, *select)
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("witness without --out built a graph")
+
+        for name in ("build_fcsh", "build_hdpd", "build_tree", "Graph"):
+            monkeypatch.setattr(evocycle.constructions, name, refuse)
+            monkeypatch.setattr(evocycle.cli, name, refuse, raising=False)
+        for fmt in ("text", "json"):
+            code, printed, _ = run_cli(capsys, "witness", "--params", params, *select,
+                                       "--format", fmt)
+            assert code == 0
+            if fmt == "text":
+                assert printed == out
 
     @pytest.mark.parametrize("params,select,raised", [
         (HD, ["--period", "4"], {"p": 2000, "predicted_period": 2000}),
@@ -394,6 +424,26 @@ class TestSweep:
     def test_bad_period_spec(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--params", HD, "--periods", "6..2")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", [
+        "2..1000000000000000000000",  # used to raise OverflowError in range()
+        f"2..{evocycle.cli.MAX_SWEEP_ROWS + 2}",  # one row over the cap
+        "2..100000000",  # used to build 10**8 periods and tasks first
+    ])
+    def test_period_ranges_beyond_the_row_cap_are_refused(self, monkeypatch, capsys, spec):
+        def refuse(*args):
+            raise AssertionError("a sweep row ran")
+
+        monkeypatch.setattr(evocycle.cli, "_sweep_row", refuse)
+        code, out, err = run_cli(capsys, "sweep", "--params", "1,9/20,31/25,0",
+                                 "--periods", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: sweep row cap:")
+        assert "Traceback" not in err
+
+    def test_period_range_at_the_row_cap_is_accepted(self):
+        cap = evocycle.cli.MAX_SWEEP_ROWS
+        assert len(evocycle.cli.parse_periods(f"2..{cap + 1}")) == cap
 
 
 class TestExportDot:
