@@ -161,6 +161,21 @@ class TestTamperedInstances:
         violations = verify_tree_invariants(tampered, TREE_HD, replay(tampered, TREE_HD))
         assert len(violations) == MAX_VIOLATION_RECORDS
 
+    @pytest.mark.parametrize("q,cycle", [(9, 6), (9, 4), (7, 1)])
+    def test_cycle_shorter_than_designed_is_reported(self, q, cycle):
+        # The first `cycle` designed states, repeated over the whole window
+        # of 2(q-3) steps: the smallest proper divisor that is already a
+        # period is reported, at that time.
+        instance = build_tree(2, q)
+        designed = replay(instance, TREE_HD)
+        states = [designed[t % cycle] for t in range(len(designed))]
+        found = [v for v in verify_tree_invariants(instance, TREE_HD, states)
+                 if v.label == "tree:minimal-period"]
+        assert found == [InvariantViolation(
+            cycle, "tree:minimal-period",
+            detail=f"cycle already repeats after {cycle} < {2 * (q - 3)} steps",
+        )]
+
 
 class TestKindDispatch:
     def test_verifiers_reject_wrong_kind(self):
@@ -187,6 +202,17 @@ class TestKindDispatch:
             verify_hdpd_dynamics(hdpd, WORKED_HD, hdpd_states[1:] + hdpd_states[:1])
         with pytest.raises(ValueError):
             verify_tree_invariants(tree, TREE_HD, tree_states + tree_states[1:2])
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_cell_keys_must_name_every_vertex(self, extra):
+        instance = build_hdpd(2, 3, 1, 1, 4)
+        n = instance.graph.n
+        cells = [0] * (n + extra)
+        message = f"{n + extra} cell keys for a graph with n={n}"
+        with pytest.raises(ValueError, match=message):
+            trajectory(instance.graph, WORKED_HD, instance.x0, cells=cells)
+        with pytest.raises(ValueError, match=message):
+            replay(instance, WORKED_HD, cells)
 
 
 class TestLemmaScan:

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -26,6 +27,7 @@ from evocycle import (
     GameParams,
     NonGenericParamsWarning,
     Quotient,
+    StrategyVector,
     TrajectoryBudgetError,
     build_fcsh,
     build_hdpd,
@@ -150,6 +152,37 @@ class TestFastPathGuard:
             assert quiet([command, "--params", params, "--instance", str(path)])[0] == 0
         assert quiet(["sweep", "--params", params, "--periods", GOLDEN[kind][1]])[0] == 0
         assert calls == []
+
+    @pytest.mark.parametrize("instance,flipped", [
+        # fcsh: the cliques K_n with n > 0, so K_n and K_-n now differ.
+        (build_fcsh(3, 3, 2, 3), lambda role: role.kind == "K" and role.index[0] > 0),
+        (build_fcsh(4, 2, 1, 2), lambda role: role.kind == "K" and role.index[0] > 0),
+        # hdpd: position 1 of every layer, and one pendant of g_R.
+        (build_hdpd(3, 3, 2, 1, 2), lambda role: role.kind == "K" and role.index[1] == 1),
+        (build_hdpd(4, 2, 3, 2, 2), lambda role: role.kind == "H" and role.index == (1,)),
+    ], ids=["fcsh-3", "fcsh-4", "hdpd-position", "hdpd-pendant"])
+    def test_cells_without_the_x0_split_take_the_quotient(self, monkeypatch, instance,
+                                                         flipped):
+        # A start that differs from x0 on whole cells of a finer equitable
+        # partition is not constant on the family cells, but its own split
+        # of them is equitable.
+        cells = [_FAMILIES[instance.kind].cell(role) for role in instance.roles]
+        start = StrategyVector(
+            bit ^ flipped(role) for bit, role in zip(instance.x0.bits, instance.roles)
+        )
+        split = canonical(zip(cells, start.bits))
+        assert split != canonical(cells)
+        assert colour_refinement(instance.graph, split) == split
+        moved = replace(instance, x0=start)
+        for text in GOLDEN.values():
+            params = parse_params(text[0])
+            full = run(instance.graph, params, start, 64)
+            full_replay = replay(moved, params)
+            calls = count_steps(monkeypatch)
+            assert run(instance.graph, params, start, 64, cells) == full
+            assert replay(moved, params, cells) == full_replay
+            assert calls == []
+            monkeypatch.undo()
 
     def test_tampered_golden_replays_the_whole_graph(self, tmp_path, monkeypatch):
         params, path = witness_file(tmp_path, "hdpd")
