@@ -13,11 +13,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 from .constructions import ConstructedInstance
-from .dynamics import Quotient, TrajectoryReport, step
-from .game import GameParams, StrategyVector, _utility
+# step is not called here; perfbench/tracing.py wraps this name.
+from .dynamics import TrajectoryReport, _minimal_period, _states, step
+from .game import SYNCHRONOUS, GameParams, StrategyVector, _utility
 from .solver import _tree_sides
 
 __all__ = [
@@ -83,22 +85,13 @@ def replay(
 ) -> list[StrategyVector]:
     """X(0) .. X(P) of the instance, where P is its predicted period.
 
-    As in `trajectory`, `cells` names a cell for every vertex, and the
-    steps are taken on the Quotient by that partition when it is
-    equitable and x0 is constant on its cells; the states are the same.
+    The states come from the source `trajectory` draws on: with `cells`,
+    one cell key per vertex, the steps are taken on the Quotient by those
+    cells split by the x0 bit when that partition is equitable, and on
+    the whole graph otherwise; the states are the same.
     """
-    graph, x0, period = instance.graph, instance.x0, instance.predicted_period
-    quotient = None if cells is None else Quotient.of(graph, cells)
-    bits = None if quotient is None else quotient.project(x0)
-    if quotient is None or bits is None:
-        states = [x0]
-        for _ in range(period):
-            states.append(step(graph, params, states[-1]))
-        return states
-    orbit = [bits]
-    for _ in range(period):
-        orbit.append(quotient.step(params, orbit[-1]))
-    return list(map(quotient.lift, orbit))
+    states = _states(instance.graph, params, instance.x0, SYNCHRONOUS, cells)
+    return list(islice(states, instance.predicted_period + 1))
 
 
 def _open_log(
@@ -353,17 +346,13 @@ def verify_tree_invariants(
                     _expect(log, state, t, "tree:g", v, 0)
 
     if _closes(log, "tree:periodic", states):
-        cycle = states[:period]
-        for cand in range(1, period):
-            if period % cand == 0 and all(
-                cycle[i] == cycle[(i + cand) % period] for i in range(period)
-            ):
-                log.add(
-                    cand,
-                    "tree:minimal-period",
-                    detail=f"cycle already repeats after {cand} < {period} steps",
-                )
-                break
+        minimal = _minimal_period(states[:period])
+        if minimal < period:
+            log.add(
+                minimal,
+                "tree:minimal-period",
+                detail=f"cycle already repeats after {minimal} < {period} steps",
+            )
     return log.records
 
 

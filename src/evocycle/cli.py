@@ -210,11 +210,11 @@ def _family_of(instance: ConstructedInstance) -> _Family:
 
 
 def _cells(family: _Family, instance: ConstructedInstance) -> Optional[list[Hashable]]:
-    """The family's cell of every vertex, split by its x0 bit, for the
-    quotient replay; trajectory and replay check that it is equitable."""
+    """The family's cell of every vertex, for the quotient replay;
+    trajectory and replay split it by x0 and check that it is equitable."""
     if family.cell is None:
         return None
-    return list(zip(map(family.cell, instance.roles), instance.x0.bits))
+    return list(map(family.cell, instance.roles))
 
 
 def _solve(

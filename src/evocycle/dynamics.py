@@ -8,8 +8,8 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
+from itertools import count, groupby, islice
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .game import (
     SYNCHRONOUS,
@@ -300,11 +300,6 @@ class Quotient:
         )
         return cls(cells, tuple(first), links)
 
-    def project(self, state: StrategyVector) -> Optional[bytes]:
-        """The bit of every cell, or None when state is not constant on cells."""
-        bits = bytes(state[v] for v in self.first)
-        return bits if self.lift(bits) == state else None
-
     def lift(self, bits: bytes) -> StrategyVector:
         """The state in which every vertex plays its cell's bit."""
         return StrategyVector(bytes(map(bits.__getitem__, self.cell_of)))
@@ -351,35 +346,59 @@ class TrajectoryReport:
         return self.states[self.transient :]
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _minimal_period(cycle: Sequence[StrategyVector]) -> int:
+    """The least d dividing len(cycle) after which the cycle repeats."""
+    n = len(cycle)
+    return next(d for d in range(1, n + 1) if n % d == 0 and cycle[d:] == cycle[: n - d])
 
 
-_State = TypeVar("_State", StrategyVector, bytes)
+def _states(
+    graph: Graph,
+    params: GameParams,
+    x0: StrategyVector,
+    schedule: UpdateSchedule,
+    cells: Optional[Sequence[Hashable]],
+) -> Iterator[StrategyVector]:
+    """X(0), X(1), ... from x0: on the Quotient by the cells split by the
+    x0 bit when the schedule is synchronous and that partition is
+    equitable, else by `step` on the whole graph, looked up in the module
+    globals so that a wrapper patched over the name sees every step."""
+    quotient = None
+    if cells is not None and schedule.phase_count == 1:
+        if len(cells) != graph.n:
+            raise ValueError(f"{len(cells)} cell keys for a graph with n={graph.n}")
+        quotient = Quotient.of(graph, list(zip(cells, x0.bits)))
+    if quotient is None:
+        state = x0
+        for t in count():
+            yield state
+            state = step(graph, params, state, schedule.active_at(t))
+    else:
+        bits = bytes(map(x0.bits.__getitem__, quotient.first))
+        while True:
+            yield quotient.lift(bits)
+            bits = quotient.step(params, bits)
 
 
 def _orbit(
-    start: _State, advance: Callable[[_State, int], _State], phases: int, max_steps: int
-) -> tuple[list[_State], int, int]:
-    """States from `start` until one recurs at the same schedule phase.
+    source: Iterator[StrategyVector], phases: int, max_steps: int
+) -> tuple[list[StrategyVector], int]:
+    """States from `source` until one recurs at the same schedule phase.
 
-    Returns (states up to the recurrence, transient, cycle length), with
-    transient -1 when max_steps updates bring no recurrence; states then
-    holds X(0) .. X(max_steps).
+    Returns (states up to the recurrence, transient), with transient -1
+    when max_steps updates bring no recurrence; states then holds
+    X(0) .. X(max_steps).
     """
     seen: dict[object, int] = {}
-    states: list[_State] = []
-    state = start
-    for t in range(max_steps + 1):
+    states: list[StrategyVector] = []
+    for t, state in enumerate(islice(source, max_steps + 1)):
         key: object = state if phases == 1 else (state, t % phases)
         first = seen.get(key)
         if first is not None:
-            return states, first, t - first
+            return states, first
         seen[key] = t
         states.append(state)
-        if t < max_steps:
-            state = advance(state, t)
-    return states, -1, -1
+    return states, -1
 
 
 def trajectory(
@@ -399,9 +418,9 @@ def trajectory(
     minimal period of the state sequence itself, which may be a proper
     divisor of the pair-cycle length.
 
-    `cells` names a cell for every vertex.  Under the synchronous schedule,
-    when that partition is equitable and x0 is constant on its cells, the
-    dynamics runs on the Quotient, one bit per cell, and its states are
+    `cells` names a cell for every vertex.  Under the synchronous schedule
+    they are split by the x0 bit, and when that partition is equitable the
+    dynamics runs on its Quotient, one bit per cell, and its states are
     lifted; otherwise it runs on the whole graph.  The report is the same.
 
     Raises TrajectoryBudgetError when max_steps updates happen without a
@@ -417,32 +436,16 @@ def trajectory(
             NonGenericParamsWarning,
             stacklevel=2,
         )
-    phases = schedule.phase_count
-    quotient = Quotient.of(graph, cells) if cells is not None and phases == 1 else None
-    start = None if quotient is None else quotient.project(x0)
-    if quotient is None or start is None:
-        states, transient, cycle_len = _orbit(
-            x0, lambda state, t: step(graph, params, state, schedule.active_at(t)),
-            phases, max_steps,
-        )
-    else:
-        orbit, transient, cycle_len = _orbit(
-            start, lambda bits, _t: quotient.step(params, bits), 1, max_steps
-        )
-        states = list(map(quotient.lift, orbit))
+    states, transient = _orbit(
+        _states(graph, params, x0, schedule, cells), schedule.phase_count, max_steps
+    )
     if transient < 0:
         raise TrajectoryBudgetError(
             f"no revisited state within {max_steps} steps", tuple(states)
         )
-    period = cycle_len
-    if phases > 1:
-        # The same state sequence can repeat faster than the (state, phase)
-        # pair does; the minimal sequence period divides the pair cycle.
-        cycle = states[transient:]
-        for cand in _divisors(cycle_len):
-            if all(cycle[i] == cycle[i - cand] for i in range(cand, cycle_len)):
-                period = cand
-                break
+    # Under several phases the state sequence can repeat faster than the
+    # (state, phase) pair does; with one phase the cycle's states differ.
+    period = _minimal_period(states[transient:])
     del states[transient + period :]
     counts = tuple(s.count_cooperators() for s in states)
     return TrajectoryReport(x0, transient, period, tuple(states), counts)

@@ -223,8 +223,8 @@ class TestDifferential:
     def test_quotient_trajectory_equals_the_full_one(self, sizes, params, max_steps, rng):
         instance = sizes[0](*sizes[1:])
         graph, cells = instance.graph, family_cells(instance)
-        # A random start is rarely constant on the cells of x0 and must then
-        # take the whole graph.
+        # The split of the cells by a random start is rarely equitable, and
+        # the run must then take the whole graph.
         x0 = instance.x0 if rng is None else random_state(rng, graph.n)
         assert Quotient.of(graph, cells) is not None
         with warnings.catch_warnings():
