@@ -77,6 +77,14 @@ EXIT_BUDGET = 3
 # A sweep runs one witness pipeline per period; longer period lists are
 # refused before any list or task is built.
 MAX_SWEEP_ROWS = 10_000
+# Witnesses with more edges are refused before any graph is built: a built
+# graph holds about 100 bytes per edge, so SH p=32 (53M edges) is killed
+# for lack of memory, while SH p=16 (3.7M) and every benchmark op fit.
+MAX_EDGES = 10_000_000
+
+
+class SizeBudgetError(RuntimeError):
+    """The witness for the request would have more than MAX_EDGES edges."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,7 @@ class _Family:
     period: Callable[[Mapping[str, int]], int]  # from the structural integers
     vertices: Callable[[Mapping[str, int]], int]  # n, from the structural integers
     edges: Callable[[Mapping[str, int]], int]  # m, from the structural integers
+    roles: Mapping[str, int]  # the number of coordinates of each role kind
     # The cell of a role in an equitable partition of the built graph, or
     # None where none is known; see _cells.
     cell: Optional[Callable[[Role], Hashable]]
@@ -133,6 +142,7 @@ _FCSH = _Family(
         (2 * sp["p"] - 1) * (comb(sp["q"], 2) + sp["q"])
         + sp["q"] * sp["r"] * (sp["s"] ** 2 + sp["s"] + 2 * sp["p"])
     ),
+    roles={"K": 2, "g": 0, "H": 2, "I": 3, "J": 3, "F": 2},
     cell=_fcsh_cell,
 )
 _HDPD = _Family(
@@ -149,6 +159,7 @@ _HDPD = _Family(
         sp["p"] * comb(sp["o"], 2) + (2 * sp["p"] - 1) * sp["o"]
         + sp["q"] + sp["r"] + 2 * sp["s"] + 1
     ),
+    roles={"K": 2, "g_R": 0, "g_D": 0, "g_C": 0, "H": 1, "I": 1, "J": 1},
     cell=_hdpd_cell,
 )
 _TREE = _Family(
@@ -180,6 +191,7 @@ _TREE = _Family(
     period=lambda sp: 2 * (sp["q"] - 3),
     vertices=lambda sp: _tree_vertices(sp["r"], sp["q"]),
     edges=lambda sp: _tree_vertices(sp["r"], sp["q"]) - 1,
+    roles={"root": 0, "special": 1, "ordinary": 2},
     cell=None,
 )
 _FAMILIES = {family.kind: family for family in (_FCSH, _HDPD, _TREE)}
@@ -206,6 +218,13 @@ def _family_of(instance: ConstructedInstance) -> _Family:
     if not all(0 < value <= n for value in sp.values()) or family.vertices(sp) != n:
         raise ValueError(f"the {family.kind} structural params {dict(sp)} do not "
                          f"describe the {n}-vertex graph of the instance")
+    # The verifiers read role coordinates by position.
+    for v, role in enumerate(instance.roles):
+        size = family.roles.get(role.kind)
+        if size != len(role.index):
+            raise ValueError(f"vertex {v} has role {[role.kind, *role.index]}: " + (
+                f"no {family.kind} role has kind {role.kind!r}" if size is None
+                else f"a {family.kind} role {role.kind!r} has {size} coordinates"))
     return family
 
 
@@ -221,7 +240,8 @@ def _solve(
     params: GameParams, period: int, tree: bool, max_candidates: int
 ) -> tuple[_Family, Certificate, dict[str, int]]:
     """Shared by witness and sweep; with tree, period is a lower bound.
-    Returns the family, the certificate and its structural integers."""
+    Returns the family, the certificate and its structural integers, once
+    the witness is known to have at most MAX_EDGES edges."""
     if tree:
         family = _TREE
     elif period == 1:
@@ -234,9 +254,17 @@ def _solve(
     else:  # HD / PD; non-admissible quadruples fail the solver's scenario gate
         family = _HDPD
     cert = family.solve(params, period, max_candidates)
-    return family, cert, {
-        key: period if key == "p" else getattr(cert, key) for key in family.params
-    }
+    sp = {key: period if key == "p" else getattr(cert, key) for key in family.params}
+    # A tree has an edge into each of its r^(q-2) >= 2^(q-2) vertices on
+    # level q-1, so q is bounded before r^(q-1) is computed.
+    if tree and sp["q"] - 2 >= MAX_EDGES.bit_length():
+        raise SizeBudgetError(f"size budget: a tree with q={sp['q']} has at least "
+                              f"2^{sp['q'] - 2} edges, more than MAX_EDGES={MAX_EDGES}")
+    edges = family.edges(sp)
+    if edges > MAX_EDGES:
+        raise SizeBudgetError(f"size budget: the {family.kind} witness {sp} has "
+                              f"{edges} edges, more than MAX_EDGES={MAX_EDGES}")
+    return family, cert, sp
 
 
 def parse_params(text: str) -> GameParams:
@@ -554,7 +582,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SearchBudgetError, TrajectoryBudgetError) as exc:
+    except (SearchBudgetError, SizeBudgetError, TrajectoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ScenarioError, CertificateFailure) as exc:

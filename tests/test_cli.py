@@ -20,6 +20,16 @@ TREE_HD = "1,0.6,2,0"
 PD = "1,-0.45,1.35,0"
 
 
+def refuse_builds(monkeypatch):
+    """Make any build of a witness graph fail the test."""
+    def refuse(*args):
+        raise AssertionError("a witness graph was built")
+
+    for name in ("build_fcsh", "build_hdpd", "build_tree", "Graph"):
+        monkeypatch.setattr(evocycle.constructions, name, refuse)
+        monkeypatch.setattr(evocycle.cli, name, refuse, raising=False)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -190,28 +200,52 @@ class TestWitnessPipeline:
         assert instance.structural_params == sp
         assert family.vertices(sp) == instance.graph.n
         assert family.edges(sp) == instance.graph.edge_count
+        # The role layout that _family_of checks on every loaded file.
+        assert {(role.kind, len(role.index)) for role in instance.roles} == set(
+            family.roles.items())
 
     @pytest.mark.parametrize("params,select", [
         ("1,1/2,4/5,0", ["--period", "3"]),
         (HD, ["--period", "4"]),
         (TREE_HD, ["--tree", "--min-period", "6"]),
+        ("1,2/5,9/10,1/2", ["--period", "16"]),  # SH, 3.7M edges: within MAX_EDGES
     ])
     def test_witness_without_out_builds_no_graph(self, monkeypatch, capsys, params, select):
         code, out, _ = run_cli(capsys, "witness", "--params", params, *select)
         assert code == 0
-
-        def refuse(*args):
-            raise AssertionError("witness without --out built a graph")
-
-        for name in ("build_fcsh", "build_hdpd", "build_tree", "Graph"):
-            monkeypatch.setattr(evocycle.constructions, name, refuse)
-            monkeypatch.setattr(evocycle.cli, name, refuse, raising=False)
+        refuse_builds(monkeypatch)
         for fmt in ("text", "json"):
             code, printed, _ = run_cli(capsys, "witness", "--params", params, *select,
                                        "--format", fmt)
             assert code == 0
             if fmt == "text":
                 assert printed == out
+
+    @pytest.mark.parametrize("argv,edges", [
+        # The first two used to die converting a tree size of over 4300
+        # digits to text, or computing 2^(5*10^11); the others in the OOM
+        # killer while building the graph.
+        (["witness", "--params", TREE_HD, "--tree", "--min-period", "40000"], "2^20001"),
+        (["witness", "--params", TREE_HD, "--tree", "--min-period", str(10**12)],
+         "2^500000000001"),
+        (["witness", "--params", TREE_HD, "--tree", "--min-period", "60", "--out", "OUT"],
+         "2^31"),
+        (["sweep", "--params", TREE_HD, "--tree", "--periods", "60"], "2^31"),
+        (["sweep", "--params", TREE_HD, "--tree", "--periods", "60,62", "--jobs", "2"],
+         "2^31"),
+        (["witness", "--params", TREE_HD, "--tree", "--min-period", "44"], "33554423"),
+        (["witness", "--params", "1,2/5,9/10,1/2", "--period", "32", "--out", "OUT"],
+         "53364270"),
+    ])
+    def test_oversized_witness_is_refused_before_any_build(self, tmp_path, monkeypatch,
+                                                            capsys, argv, edges):
+        refuse_builds(monkeypatch)
+        out_dir = tmp_path / "out"
+        argv = [str(out_dir) if arg == "OUT" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert f"{edges} edges, more than MAX_EDGES=10000000" in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("params,select,raised", [
         (HD, ["--period", "4"], {"p": 2000, "predicted_period": 2000}),
@@ -239,22 +273,41 @@ class TestWitnessPipeline:
         assert "-vertex graph of the instance" in err
 
     @pytest.mark.parametrize("command", ["simulate", "verify", "export-dot"])
-    @pytest.mark.parametrize("role_kind", ["K", 7])
-    def test_every_command_checks_the_family(self, tmp_path, capsys, command, role_kind):
+    @pytest.mark.parametrize("params,select,deleted,vertex,role,error", [
         # With o deleted and the role kind 7, simulate and export-dot used to
         # exit 0 and verify to exit 2 with the bare message "error: 'o'".
-        run_cli(capsys, "witness", "--params", HD, "--period", "3",
-                "--out", str(tmp_path))
+        pytest.param(HD, ["--period", "3"], "o", 0, ["K", 1, 1],
+                     "missing structural param 'o'", id="K"),
+        pytest.param(HD, ["--period", "3"], "o", 0, [7, 1, 1],
+                     "role kind must be a string, got 7", id="7"),
+        # A role without its coordinates used to end verify in an IndexError
+        # traceback (exit 1) while simulate and export-dot exited 0.
+        pytest.param("1,1/2,4/5,0", ["--period", "3"], None, 0, ["K"],
+                     "vertex 0 has role ['K']: a fcsh role 'K' has 2 coordinates",
+                     id="fcsh-bare-K"),
+        pytest.param(HD, ["--period", "4"], None, 0, ["K"],
+                     "vertex 0 has role ['K']: a hdpd role 'K' has 2 coordinates",
+                     id="hdpd-bare-K"),
+        pytest.param(TREE_HD, ["--tree", "--min-period", "4"], None, 1, ["special"],
+                     "vertex 1 has role ['special']: a tree role 'special' has 1 coordinates",
+                     id="tree-bare-special"),
+        pytest.param("1,1/2,4/5,0", ["--period", "3"], None, 0, ["special", 1],
+                     "vertex 0 has role ['special', 1]: no fcsh role has kind 'special'",
+                     id="fcsh-foreign-kind"),
+    ])
+    def test_every_command_checks_the_family(self, tmp_path, capsys, command, params,
+                                             select, deleted, vertex, role, error):
+        run_cli(capsys, "witness", "--params", params, *select, "--out", str(tmp_path))
         path = tmp_path / "instance.json"
         data = json.loads(path.read_text())
-        del data["structural_params"]["o"]
-        data["roles"][0][0] = role_kind
+        if deleted is not None:
+            del data["structural_params"][deleted]
+        data["roles"][vertex] = role
         path.write_text(json.dumps(data))
-        params = [] if command == "export-dot" else ["--params", HD]
-        code, out, err = run_cli(capsys, command, *params, "--instance", str(path))
+        given = [] if command == "export-dot" else ["--params", params]
+        code, out, err = run_cli(capsys, command, *given, "--instance", str(path))
         assert (code, out) == (2, "")
-        assert ("missing structural param 'o'" if role_kind == "K"
-                else "role kind must be a string, got 7") in err
+        assert error in err
 
     # Each fault used to load through int() as 1, 4, 4 and 1, the role kind
     # loaded as it was, and the damaged file verified OK.
