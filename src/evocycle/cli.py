@@ -77,9 +77,10 @@ EXIT_BUDGET = 3
 # A sweep runs one witness pipeline per period; longer period lists are
 # refused before any list or task is built.
 MAX_SWEEP_ROWS = 10_000
-# Witnesses with more edges are refused before any graph is built: a built
-# graph holds about 100 bytes per edge, so SH p=32 (53M edges) is killed
-# for lack of memory, while SH p=16 (3.7M) and every benchmark op fit.
+# Witnesses with more edges are refused before any graph is built.  A built
+# graph takes about 120 bytes per edge on clique chains and 430 on trees
+# (perfbench's traced builds), so SH p=32 (53M edges) ran out of memory;
+# SH p=16 (3.7M) and every benchmark op fit below the limit.
 MAX_EDGES = 10_000_000
 
 
