@@ -33,7 +33,14 @@ from genutil import (
     random_connected_graph,
     random_state,
 )
-from reference import params_to_pairs, ref_step
+from reference import (
+    params_to_pairs,
+    ref_eq,
+    ref_lt,
+    ref_neighbors,
+    ref_step,
+    ref_utility,
+)
 
 PD = GameParams(1, 0, "3/2", "1/5")
 
@@ -74,6 +81,32 @@ class TestStep:
                 state = step(graph, params, state)
                 bits = ref_step(graph.n, edges, bits, pairs)
                 assert [state[v] for v in range(graph.n)] == bits
+
+    def test_argmax_strategies_match_reference_oracle(self, rng):
+        # Every vertex's top-scorer strategies, and step's flip, against
+        # maximisers found with the oracle's cross-multiplied comparisons.
+        # Mixed ties are rare, so draw enough cases to meet some.
+        mixed = 0
+        for _ in range(400):
+            graph = random_connected_graph(rng, rng.randint(2, 9))
+            params = random_admissible_params(rng)
+            pairs = params_to_pairs(params)
+            edges = edge_pair(graph)
+            state = random_state(rng, graph.n)
+            bits = [state[v] for v in range(graph.n)]
+            utility = [ref_utility(edges, bits, pairs, v) for v in range(graph.n)]
+            nxt = step(graph, params, state)
+            for v in range(graph.n):
+                closed = [v] + ref_neighbors(edges, v)
+                best = utility[v]
+                for w in closed:
+                    if ref_lt(best, utility[w]):
+                        best = utility[w]
+                expected = {bits[w] for w in closed if ref_eq(utility[w], best)}
+                assert argmax_strategies(graph, params, state, v) == expected
+                assert (nxt[v] != bits[v]) == (expected == {1 - bits[v]})
+                mixed += expected == {0, 1}
+        assert mixed > 0
 
     def test_deterministic(self, rng):
         graph = random_connected_graph(rng, 8)
