@@ -9,7 +9,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, groupby, islice
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .game import (
     SYNCHRONOUS,
@@ -127,20 +127,27 @@ class _Counts:
             rank[v] = rank_of_key[(bits[v], coop[v], len(neighbors(v)))]
 
 
-def _top_strategies(
-    own: int, utility: Fraction, others: Iterable[tuple[Fraction, int]]
-) -> frozenset[int]:
-    """Strategies of the top scorers among a vertex, playing `own` with
-    `utility`, and its neighbors, given as (utility, strategy) pairs."""
-    best = utility
-    strategies = {own}
-    for u, strategy in others:
-        if u > best:
-            best = u
-            strategies = {strategy}
-        elif u == best:
-            strategies.add(strategy)
-    return frozenset(strategies)
+def _top_masks(
+    vertices: Iterable[int], adj: Sequence[Sequence[int]], bits: Sequence[int], score: Sequence[Any]
+) -> list[int]:
+    """The update rule's one decision procedure.  Per vertex v, the mask
+    (bit s for strategy s) of the strategies of the top scorers among v
+    and adj[v], with score[v] ordered like v's utility; v adopts the other
+    strategy exactly when its mask is 2 >> bits[v], and else keeps its own.
+    """
+    masks = []
+    for v in vertices:
+        best = score[v]
+        mask = 1 << bits[v]
+        for w in adj[v]:
+            s = score[w]
+            if s > best:
+                best = s
+                mask = 1 << bits[w]
+            elif s == best:
+                mask |= 1 << bits[w]
+        masks.append(mask)
+    return masks
 
 
 def argmax_strategies(
@@ -152,11 +159,10 @@ def argmax_strategies(
     a singleton, otherwise the vertex keeps its strategy.
     """
     _check_state(graph, state)
-    return _top_strategies(
-        state[vertex],
-        mean_utility(graph, params, state, vertex),
-        ((mean_utility(graph, params, state, w), state[w]) for w in graph.neighbors(vertex)),
-    )
+    closed = (vertex, *graph.neighbors(vertex))  # indexed locally: the vertex is 0
+    score = [mean_utility(graph, params, state, w) for w in closed]
+    (mask,) = _top_masks((0,), (range(1, len(closed)),), [state[w] for w in closed], score)
+    return frozenset(s for s in (0, 1) if mask >> s & 1)
 
 
 def step(
@@ -201,31 +207,20 @@ def step(
     else:
         targets = active.intersection(counts.dirty)
         waiting = set(counts.dirty).difference(targets)
-    neighbors = graph.neighbors
-    coop, rank = counts.coop, counts.rank
-    flipped = []
-    for v in targets:
-        nbrs = neighbors(v)
-        own = bits[v]
-        if coop[v] == (len(nbrs) if own else 0):
-            continue  # the closed neighborhood plays one strategy: keep
-        best = rank[v]
-        mask = 1 << own
-        for w in nbrs:
-            rw = rank[w]
-            if rw > best:
-                best = rw
-                mask = 1 << bits[w]
-            elif rw == best:
-                mask |= 1 << bits[w]
-        if mask == 2 >> own:  # only the other strategy reaches the maximum
-            flipped.append(v)
+    adj, coop = graph._adj, counts.coop
+    # A vertex whose closed neighborhood plays one strategy keeps it.
+    mixed = [v for v in targets if coop[v] != (len(adj[v]) if bits[v] else 0)]
+    flipped = [
+        v
+        for v, mask in zip(mixed, _top_masks(mixed, adj, bits, counts.rank))
+        if mask == 2 >> bits[v]
+    ]
     new = bytearray(bits)
     touched = set(flipped)
     for v in flipped:
         new[v] ^= 1
         delta = -1 if bits[v] else 1
-        nbrs = neighbors(v)
+        nbrs = adj[v]
         for w in nbrs:
             coop[w] += delta
         touched.update(nbrs)
@@ -236,7 +231,7 @@ def step(
     # (which contain `touched`, as no vertex is isolated) may now decide
     # differently.
     for w in touched:
-        waiting.update(neighbors(w))
+        waiting.update(adj[w])
     counts.dirty = waiting
     held[:] = (counts,)
     return result
@@ -258,7 +253,7 @@ class Quotient:
     turns the cell bits back into the state of every vertex.
     """
 
-    __slots__ = ("cell_of", "first", "links", "degree")
+    __slots__ = ("cell_of", "first", "links", "linked", "degree")
 
     def __init__(
         self,
@@ -269,6 +264,7 @@ class Quotient:
         self.cell_of = cell_of  # the cell of every vertex
         self.first = first  # one vertex of every cell
         self.links = links  # per cell: the (cell l, neighbors in l) pairs
+        self.linked = tuple(tuple(l for l, _ in pairs) for pairs in links)
         self.degree = tuple(sum(count for _, count in pairs) for pairs in links)
 
     @classmethod
@@ -310,12 +306,8 @@ class Quotient:
             _utility(params, own, sum(count for l, count in pairs if bits[l]), degree)
             for own, pairs, degree in zip(bits, self.links, self.degree)
         ]
-        # A vertex adopts the other strategy only when its own is not
-        # among the top scorers' strategies.
-        return bytes(
-            own ^ (own not in _top_strategies(own, u, ((utility[l], bits[l]) for l, _ in pairs)))
-            for own, u, pairs in zip(bits, utility, self.links)
-        )
+        masks = _top_masks(range(len(bits)), self.linked, bits, utility)
+        return bytes(own ^ (mask == 2 >> own) for own, mask in zip(bits, masks))
 
 
 @dataclass(frozen=True)
