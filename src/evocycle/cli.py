@@ -61,6 +61,7 @@ from .solver import (
     CertificateFailure,
     ScenarioError,
     SearchBudgetError,
+    _require_at_least,
     check_fcsh,
     check_hdpd,
     check_tree,
@@ -487,6 +488,7 @@ def _sweep_csv(rows: list[dict[str, Any]]) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     periods = parse_periods(args.periods)
+    _require_at_least(1, jobs=args.jobs, max_candidates=args.max_candidates)
     tasks = [(params, p, args.tree, args.max_candidates) for p in periods]
     # With fork a pool starts all its workers at once, so never ask for
     # more than there are tasks or cores.

@@ -189,6 +189,7 @@ def solve_fcsh(
     """
     _require_scenario(params, (Scenario.FC, Scenario.SH), "solve_fcsh")
     _require_at_least(2, p=p)
+    _require_at_least(1, max_candidates=max_candidates)
     a, b, c, d = params.as_tuple()
 
     m_start = max(
@@ -356,6 +357,7 @@ def solve_hdpd(
     """
     _require_scenario(params, (Scenario.HD, Scenario.PD), "solve_hdpd")
     _require_at_least(2, p=p)
+    _require_at_least(1, max_candidates=max_candidates)
 
     spent = 0
 
@@ -461,7 +463,7 @@ def solve_tree(
     SearchBudgetError if no r certifies within max_candidates attempts.
     """
     _require_scenario(params, (Scenario.HD,), "solve_tree")
-    _require_at_least(1, min_period=min_period)
+    _require_at_least(1, min_period=min_period, max_candidates=max_candidates)
     q = max(5, (min_period + 1) // 2 + 3)
     for r in range(2, 2 + max_candidates):
         if all(left > right for left, right in _tree_sides(params, r).values()):

@@ -494,6 +494,32 @@ class TestSweep:
         assert err.startswith("error: sweep row cap:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["sweep", "--params", HD, "--periods", "2..4", "--jobs", "0"], "jobs"),
+        (["sweep", "--params", HD, "--periods", "2..4", "--jobs", "-4"], "jobs"),
+        (["sweep", "--params", HD, "--periods", "2..4", "--max-candidates", "0"],
+         "max_candidates"),
+        (["sweep", "--params", TREE_HD, "--tree", "--periods", "6",
+          "--max-candidates", "-1"], "max_candidates"),
+        (["witness", "--params", HD, "--period", "4", "--max-candidates", "0"],
+         "max_candidates"),
+        (["witness", "--params", "1,1/2,4/5,0", "--period", "3", "--max-candidates", "-1"],
+         "max_candidates"),
+        (["witness", "--params", TREE_HD, "--tree", "--min-period", "6",
+          "--max-candidates", "0"], "max_candidates"),
+    ])
+    def test_non_positive_counts_are_refused(self, monkeypatch, capsys, argv, named):
+        # These used to run serially, or exit 3 as an exhausted budget.
+        def refuse(*args):
+            raise AssertionError("a sweep row ran")
+
+        monkeypatch.setattr(evocycle.cli, "_sweep_row", refuse)
+        refuse_builds(monkeypatch)
+        code, out, err = run_cli(capsys, *argv)
+        value = argv[-1]
+        assert (code, out) == (2, "")
+        assert err == f"error: {named} must be an integer >= 1, got {value}\n"
+
     def test_period_range_at_the_row_cap_is_accepted(self):
         cap = evocycle.cli.MAX_SWEEP_ROWS
         assert len(evocycle.cli.parse_periods(f"2..{cap + 1}")) == cap

@@ -63,6 +63,10 @@ class TestFcshSolver:
         with pytest.raises(SearchBudgetError):
             solve_fcsh(FC_EXAMPLE, 2, max_candidates=3)
 
+    def test_rejects_non_positive_budget(self):
+        with pytest.raises(ValueError, match="max_candidates must be an integer >= 1"):
+            solve_fcsh(FC_EXAMPLE, 2, max_candidates=0)
+
 
 class TestHdpdSolver:
     def test_rediscovers_worked_example(self):
@@ -115,6 +119,10 @@ class TestHdpdSolver:
         with pytest.raises(SearchBudgetError):
             solve_hdpd(WORKED_HD, 5, max_candidates=2)
 
+    def test_rejects_non_positive_budget(self):
+        with pytest.raises(ValueError, match="max_candidates must be an integer >= 1"):
+            solve_hdpd(WORKED_HD, 5, max_candidates=0)
+
 
 class TestCertificateRobustness:
     # Every residual is a difference of two payoff averages, so moving
@@ -158,6 +166,10 @@ class TestTreeSolver:
         for p0 in (1, 4, 7, 13, 20):
             q = solve_tree(TREE_HD, p0).q
             assert 2 * (q - 3) >= p0
+
+    def test_rejects_non_positive_budget(self):
+        with pytest.raises(ValueError, match="max_candidates must be an integer >= 1"):
+            solve_tree(TREE_HD, 6, max_candidates=0)
 
     def test_residuals(self):
         cert = check_tree(TREE_HD, 2, 6)
