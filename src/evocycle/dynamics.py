@@ -264,7 +264,7 @@ class Quotient:
         self.cell_of = cell_of  # the cell of every vertex
         self.first = first  # one vertex of every cell
         self.links = links  # per cell: the (cell l, neighbors in l) pairs
-        self.linked = tuple(tuple(l for l, _ in pairs) for pairs in links)
+        self.linked = tuple(tuple(l for l, _ in pairs) for pairs in links)  # the cells l alone
         self.degree = tuple(sum(count for _, count in pairs) for pairs in links)
 
     @classmethod
