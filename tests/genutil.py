@@ -31,8 +31,12 @@ def random_rationals(rng, count, max_den=12, lo=-3, hi=3):
 
 def random_scenario_params(rng, tag=None):
     """Admissible generic quadruple for the requested (or a random) scenario."""
-    tag = tag or rng.choice(SCENARIO_TAGS)
-    w, x, y, z = random_rationals(rng, 4)
+    return scenario_params(tag or rng.choice(SCENARIO_TAGS), random_rationals(rng, 4))
+
+
+def scenario_params(tag, values):
+    """The quadruple of scenario `tag` made of four distinct rationals."""
+    w, x, y, z = sorted(values)
     if tag == "PD":
         b, d, a, c = w, x, y, z
     elif tag == "SH":

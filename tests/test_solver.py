@@ -1,20 +1,36 @@
 from fractions import Fraction
+from itertools import count
+from math import floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from evocycle import (
     CertificateFailure,
     GameParams,
+    Quotient,
     ScenarioError,
     SearchBudgetError,
+    build_fcsh,
     check_fcsh,
     check_hdpd,
     check_tree,
     solve_fcsh,
     solve_hdpd,
     solve_tree,
+    trajectory,
 )
-from evocycle.solver import hdpd_q_bounds, hdpd_slopes
+from evocycle.cli import _FAMILIES, _cells
+from evocycle.game import _utility
+from evocycle.solver import (
+    _fcsh_residuals,
+    _hdpd_residuals,
+    _tree_sides,
+    hdpd_q_bounds,
+    hdpd_slopes,
+)
+from genutil import scenario_params
 
 WORKED_HD = GameParams(1, "0.45", "1.24", 0)
 FC_EXAMPLE = GameParams(1, "1/2", "4/5", 0)
@@ -196,3 +212,207 @@ class TestTreeSolver:
         with pytest.raises(CertificateFailure) as excinfo:
             check_tree(GameParams(1, "2/5", 2, 0), 2, 6)
         assert excinfo.value.violated == ["spread"]
+
+
+# ---------------------------------------------------------------------------
+# the solvers against plain linear scans
+# ---------------------------------------------------------------------------
+#
+# Each scan below evaluates the residual system on one candidate after
+# another and charges one candidate for each, the way the solvers searched
+# before they computed their picks from the residuals' bounds.  A solver
+# must return the scan's certificate at the scan's exact candidate count,
+# and must run out of budget, with the scan's message, one candidate
+# earlier.  Each scan also collects its ties: the deciding residuals that
+# were exactly 0 at some candidate, and "q_lower"/"q_upper" when an
+# endpoint of the hdpd q interval is the integer the scan starts or stops
+# at.  The inequalities are strict, so a tie is where an off-by-one in a
+# closed form would show.
+
+
+def _deciding(residuals, ties, *names):
+    """Whether the named residuals are all positive; adds those that are 0 to ties."""
+    ties.update(name for name in names if residuals[name] == 0)
+    return all(residuals[name] > 0 for name in names)
+
+
+def _scan_fcsh(params, p, max_candidates):
+    a, b, c, d = params.as_tuple()
+    m = max(1, floor(6 * p * (a - b) / (c - d) - 2) + 1, floor(Fraction(2 * p, 2 * p - 3)) + 1)
+    spent, ties = 0, set()
+    while True:
+        for r in range(1, m):
+            spent += 1
+            if spent > max_candidates:
+                raise SearchBudgetError(
+                    f"no (q, r) within {max_candidates} candidates (reached m={m})"
+                )
+            residuals = _fcsh_residuals(params, p, m - r, r, 1)
+            if _deciding(residuals, ties, "feeler_reset", "center_spread"):
+                beta = _utility(params, 0, 2 * p - 1, 2 * p)
+                s = max(1, floor((a - d) / (c - b)) + 1, floor((beta - d) / (c - beta)) + 1)
+                return check_fcsh(params, p, m - r, r, s), spent, ties
+        m += 1
+
+
+def _scan_hdpd(params, p, max_candidates):
+    spent, ties = 0, set()
+
+    def charge(context):
+        nonlocal spent
+        spent += 1
+        if spent > max_candidates:
+            raise SearchBudgetError(
+                f"no certified tuple within {max_candidates} candidates ({context})"
+            )
+
+    for o in count(1):
+        charge(f"o={o}")
+        if not _deciding(_hdpd_residuals(params, p, o, 1, 1, 1), ties, "clique_spread"):
+            continue
+        lower, upper = hdpd_q_bounds(params, p, o)
+        if lower is None:
+            continue
+        q = max(1, floor(lower) + 1)
+        if lower == q - 1:
+            ties.add("q_lower")
+        while q < upper:
+            charge(f"o={o}, q={q}")
+            trial = _hdpd_residuals(params, p, o, q, 1, 1)
+            if trial["spread_over_hub"] > 0 and trial["hub_reset"] > 0:
+                break
+            q += 1
+        else:
+            if q == upper:
+                ties.add("q_upper")
+            continue
+        for total in count(2):
+            for r in range(1, total):
+                charge(f"o={o}, q={q}, r+s={total}")
+                trial = _hdpd_residuals(params, p, o, q, r, total - r)
+                if _deciding(trial, ties, "anchor_lower", "anchor_upper"):
+                    return check_hdpd(params, p, o, q, r, total - r), spent, ties
+
+
+def _scan_tree(params, min_period, max_candidates):
+    q = max(5, (min_period + 1) // 2 + 3)
+    ties = set()
+    for r in range(2, 2 + max_candidates):
+        sides = {name: left - right for name, (left, right) in _tree_sides(params, r).items()}
+        if _deciding(sides, ties, "spread", "retreat"):
+            return check_tree(params, r, q), r - 1, ties
+    raise SearchBudgetError(
+        f"no branching factor within {max_candidates} candidates for {params}"
+    )
+
+
+SCAN_CAP = 2_000  # candidates; a pick the scan does not reach must fail the same way
+SOLVERS = {"fcsh": (solve_fcsh, _scan_fcsh), "hdpd": (solve_hdpd, _scan_hdpd),
+           "tree": (solve_tree, _scan_tree)}
+
+
+def assert_matches_scan(family, params, p):
+    """The solver's certificate and least sufficient budget are the scan's;
+    returns the scan's ties."""
+    solve, scan = SOLVERS[family]
+    try:
+        cert, spent, ties = scan(params, p, SCAN_CAP)
+    except SearchBudgetError as want:
+        with pytest.raises(SearchBudgetError) as got:
+            solve(params, p, max_candidates=SCAN_CAP)
+        assert str(got.value) == str(want)
+        return set()
+    assert solve(params, p, max_candidates=spent) == cert
+    if spent > 1:
+        with pytest.raises(SearchBudgetError) as want:
+            scan(params, p, spent - 1)
+        with pytest.raises(SearchBudgetError) as got:
+            solve(params, p, max_candidates=spent - 1)
+        assert str(got.value) == str(want.value)
+    return ties
+
+
+def quadruples(*tags):
+    """Generic quadruples of the named scenarios, each payoff a rational in
+    [-3, 3] with denominator at most 12, as random_scenario_params draws them."""
+    rational = st.integers(1, 12).flatmap(
+        lambda den: st.integers(-3 * den, 3 * den).map(lambda num: Fraction(num, den))
+    )
+    values = st.lists(rational, min_size=4, max_size=4, unique=True)
+    return st.builds(scenario_params, st.sampled_from(tags), values)
+
+
+@settings(max_examples=60)
+@given(params=quadruples("FC", "SH"), p=st.integers(2, 12))
+def test_fcsh_picks_match_the_scan(params, p):
+    assert_matches_scan("fcsh", params, p)
+
+
+@settings(max_examples=150)
+@given(params=quadruples("HD", "PD"), p=st.integers(2, 12))
+def test_hdpd_picks_match_the_scan(params, p):
+    assert_matches_scan("hdpd", params, p)
+
+
+@settings(max_examples=60)
+@given(params=quadruples("HD"), bound=st.integers(1, 24))
+def test_tree_picks_match_the_scan(params, bound):
+    assert_matches_scan("tree", params, bound)
+
+
+# Quadruples (scenario noted) whose scan meets a tie on the named residual
+# or q endpoint, found by scanning random small rationals.  fcsh has no
+# center_spread tie: once feeler_reset holds, the margin conditions leave
+# more than four integers of room below its bound.
+TIES = [
+    ("fcsh", "-3/4,-13/6,-1,-17/6", 2, "feeler_reset"),  # FC
+    ("fcsh", "3,-5/2,11/6,-3/2", 8, "feeler_reset"),  # SH
+    ("hdpd", "4/3,1/4,11/4,-1", 4, "clique_spread"),  # HD
+    ("hdpd", "-1/2,-11/4,3,-5/2", 2, "clique_spread"),  # PD
+    ("hdpd", "1,-3/4,3,-3/2", 4, "q_lower"),  # HD
+    ("hdpd", "0,-3/2,1,-7/5", 3, "q_lower"),  # PD
+    ("hdpd", "-1,-15/8,1,-5/2", 4, "q_upper"),  # HD
+    ("hdpd", "3/4,-2/3,3/2,-1/4", 3, "q_upper"),  # PD
+    ("hdpd", "1,-2,3,-5/2", 3, "anchor_lower"),  # HD
+    ("hdpd", "5/2,3/2,3,5/3", 2, "anchor_lower"),  # PD
+    ("hdpd", "-1/2,-11/12,0,-1", 3, "anchor_upper"),  # HD
+    ("hdpd", "6/5,-1,12/5,0", 2, "anchor_upper"),  # PD
+    ("tree", "2/9,-2/3,26/9,-2", 7, "spread"),
+    ("tree", "-1,-12/11,-3/4,-3/2", 6, "retreat"),
+]
+
+
+@pytest.mark.parametrize("family,quadruple,p,tie", TIES)
+def test_picks_match_the_scan_at_integer_endpoints(family, quadruple, p, tie):
+    params = GameParams(*quadruple.split(","))
+    assert tie in assert_matches_scan(family, params, p)
+
+
+# Builds above this size are skipped: building and checking the quotient
+# cost about 0.1 s at this size, and the median pick at p <= 8 has 68k edges.
+REPLAY_MAX_EDGES = 30_000
+
+
+@settings(max_examples=25)
+@given(params=quadruples("FC", "SH"), p=st.integers(2, 8))
+def test_fcsh_picks_meet_the_margins_and_replay_to_period_p(params, p):
+    # solve_fcsh's docstring derives the chain links check_fcsh does not
+    # test from two margin conditions on m = q + r; every pick must meet
+    # them, and its witness must cycle from x0 with period exactly p.
+    try:
+        cert = solve_fcsh(params, p, max_candidates=SCAN_CAP)
+    except SearchBudgetError:
+        assume(False)
+    sp = {"p": p, "q": cert.q, "r": cert.r, "s": cert.s}
+    assume(_FAMILIES["fcsh"].edges(sp) <= REPLAY_MAX_EDGES)
+    a, b, c, d = params.as_tuple()
+    m = cert.q + cert.r
+    assert 6 * (a - b) / (m + 2) < (c - d) / p
+    assert (c + (m - 1) * d) / m < ((2 * p - 3) * c + 3 * d) / (2 * p)
+    assert check_fcsh(params, p, cert.q, cert.r, cert.s) == cert
+    instance = build_fcsh(p, cert.q, cert.r, cert.s)
+    cells = _cells(_FAMILIES["fcsh"], instance)
+    # the replay below takes the quotient, split by x0 as trajectory splits it
+    assert Quotient.of(instance.graph, list(zip(cells, instance.x0.bits))) is not None
+    report = trajectory(instance.graph, params, instance.x0, cells=cells)
+    assert (report.transient, report.minimal_period) == (0, p)
