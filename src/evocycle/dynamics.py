@@ -18,6 +18,7 @@ from .game import (
     StrategyVector,
     UpdateSchedule,
     _check_state,
+    _check_vertex,
     _utility,
     mean_utility,
 )
@@ -159,6 +160,7 @@ def argmax_strategies(
     a singleton, otherwise the vertex keeps its strategy.
     """
     _check_state(graph, state)
+    _check_vertex(graph, vertex)
     closed = (vertex, *graph.neighbors(vertex))  # indexed locally: the vertex is 0
     score = [mean_utility(graph, params, state, w) for w in closed]
     (mask,) = _top_masks((0,), (range(1, len(closed)),), [state[w] for w in closed], score)

@@ -370,6 +370,12 @@ def _check_state(graph: Graph, state: StrategyVector) -> None:
         raise ValueError(f"state has {len(state)} entries, graph has {graph.n} vertices")
 
 
+def _check_vertex(graph: Graph, vertex: int) -> None:
+    """Refuse a vertex outside 0..n-1, which a tuple index would wrap or miss."""
+    if not 0 <= vertex < graph.n:
+        raise ValueError(f"vertex {vertex} outside graph with n={graph.n}")
+
+
 def _utility(params: GameParams, own: int, coop: int, deg: int) -> Fraction:
     """Mean utility of a vertex playing `own` with `coop` of `deg` neighbors cooperating."""
     if own:
@@ -387,6 +393,7 @@ def mean_utility(
     neighbor strategies.
     """
     _check_state(graph, state)
+    _check_vertex(graph, vertex)
     nbrs = graph.neighbors(vertex)
     if not nbrs:
         raise ValueError(f"vertex {vertex} has no neighbors; mean utility undefined")
@@ -397,6 +404,7 @@ def mean_utility(
 def vertex_class(graph: Graph, state: StrategyVector, vertex: int) -> VertexClass:
     """Inner vertices sit in a strategy-uniform closed neighborhood."""
     _check_state(graph, state)
+    _check_vertex(graph, vertex)
     own = state[vertex]
     uniform = all(state[w] == own for w in graph.neighbors(vertex))
     if own:

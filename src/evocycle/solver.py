@@ -176,16 +176,23 @@ def solve_fcsh(
     Recipe: take the smallest m = q + r such that both margin conditions
     hold, 6(a-b)/(m+2) < (c-d)/p and (c + (m-1)d)/m < ((2p-3)c + 3d)/(2p);
     both sides are monotone in m, so the threshold is computed in closed
-    form. Then scan r = 1..m-1 with q = m - r for the two chain
-    inequalities (center_spread and feeler_reset; the remaining links of
-    the chain follow from the margin conditions). If no r works the search
-    escalates m by one, logging the escalation, since every larger m keeps
-    the margin conditions. Finally s is the smallest integer satisfying
-    gadget_inner together with (s*c + d)/(s+1) > ((2p-1)c + d)/(2p), which
-    implies gadget_center through feeler_reset.
+    form. Then pick the smallest r in 1..m-1, with q = m - r, that passes
+    the two chain inequalities (the remaining links of the chain follow
+    from the margin conditions). At fixed m both center utilities fall by
+    (a-b)/(m+2) per unit of r, since a > b, so each inequality bounds r
+    on one side: feeler_reset holds exactly when
+    r > (m+2)(a - u_feeler_full)/(a-b), and center_spread exactly when
+    r < (m*a + 2b - (m+2)*u_feeler_short)/(a-b). If no r in 1..m-1 lies
+    strictly between the two, the search escalates m by one, logging the
+    escalation, since every larger m keeps the margin conditions. Finally
+    s is the smallest integer satisfying gadget_inner together with
+    (s*c + d)/(s+1) > ((2p-1)c + d)/(2p), which implies gadget_center
+    through feeler_reset.
 
     The returned certificate is produced by check_fcsh on the final tuple.
-    Raises SearchBudgetError after max_candidates candidate evaluations.
+    Each r the pick passes over or takes counts as one candidate, r = 1..m-1
+    at every escalated m and 1..r at the last, and SearchBudgetError is
+    raised when that count would exceed max_candidates.
     """
     _require_scenario(params, (Scenario.FC, Scenario.SH), "solve_fcsh")
     _require_at_least(2, p=p)
@@ -200,32 +207,27 @@ def solve_fcsh(
     assert 6 * (a - b) / (m_start + 2) < (c - d) / p
     assert _utility(params, 0, 1, m_start) < _utility(params, 0, 2 * p - 3, 2 * p)
 
+    u_feeler_full = _utility(params, 0, 2 * p - 1, 2 * p)
+    u_feeler_short = _utility(params, 0, 2 * p - 3, 2 * p)
     spent = 0
-    chosen: tuple[int, int] | None = None
     for m in count(m_start):
-        for r in range(1, m):
-            spent += 1
-            if spent > max_candidates:
-                raise SearchBudgetError(
-                    f"no (q, r) within {max_candidates} candidates (reached m={m})"
-                )
-            q = m - r
-            residuals = _fcsh_residuals(params, p, q, r, s=1)
-            if residuals["feeler_reset"] > 0 and residuals["center_spread"] > 0:
-                chosen = (q, r)
-                break
-        if chosen is not None:
+        r = max(1, _next_int_above((m + 2) * (a - u_feeler_full) / (a - b)))
+        found = r < m and r < (m * a + 2 * b - (m + 2) * u_feeler_short) / (a - b)
+        spent += r if found else m - 1
+        if spent > max_candidates:
+            raise SearchBudgetError(
+                f"no (q, r) within {max_candidates} candidates (reached m={m})"
+            )
+        if found:
             break
         logger.info("no feasible r for m=%d with %s, p=%d; escalating m", m, params, p)
 
-    q, r = chosen
-    beta = _utility(params, 0, 2 * p - 1, 2 * p)
     s = max(
         1,
         _next_int_above((a - d) / (c - b)),
-        _next_int_above((beta - d) / (c - beta)),
+        _next_int_above((u_feeler_full - d) / (c - u_feeler_full)),
     )
-    return check_fcsh(params, p, q, r, s)
+    return check_fcsh(params, p, m - r, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +314,13 @@ def hdpd_q_bounds(params: GameParams, p: int, o: int) -> tuple[Fraction | None, 
     _require_scenario(params, (Scenario.HD, Scenario.PD), "hdpd_q_bounds")
     if p < 2 or o < 1:
         raise ValueError("need p >= 2 and o >= 1")
-    norm = normalize_params(params)
+    return _hdpd_q_interval(normalize_params(params), p, o)
+
+
+def _hdpd_q_interval(
+    norm: GameParams, p: int, o: int
+) -> tuple[Fraction | None, Fraction]:
+    """hdpd_q_bounds for a quadruple already normalized to a = 1, d = 0."""
     b, c = norm.b, norm.c
     upper = o * (p - 1) * (c - 1) - 1
     den = o + 2 * b
@@ -344,26 +352,35 @@ def solve_hdpd(
     """Search (o, q, r, s) certifying the hub-chain instance for period p.
 
     Scans o upward, keeping only o that satisfy clique_spread. For each
-    such o the normalized bounds of hdpd_q_bounds frame the q scan; o with
+    such o the normalized bounds of hdpd_q_bounds give the exact open
+    interval of q passing spread_over_hub and hub_reset; o with
     o + 2b <= 0 in the normalized frame are skipped outright because
-    spread_over_hub is then unsatisfiable. The smallest integer q in the
-    interval that passes spread_over_hub and hub_reset directly is kept.
-    Then (r, s) are scanned in order of r + s (ties by smaller r) until
-    the anchor utility lands strictly between its two bounds; such a pair
-    always exists because the target interval is open and nonempty.
+    spread_over_hub is then unsatisfiable, and so is o whose interval
+    holds no integer q >= 1. The smallest such q is kept. Then (r, s) go
+    by increasing total T = r + s, taking the smallest r in 1..T-1 whose
+    anchor utility u_anchor = (T*c + d - r(c-d))/(T+1) lies strictly
+    between its two bounds. u_anchor falls in r, since c > d in HD and PD,
+    so anchor_upper holds exactly when r > (T*c + d - (T+1)a)/(c-d) and
+    anchor_lower exactly when r < (T*c + d - (T+1)u_top)/(c-d), with
+    u_top = ((o+1)a + b)/(o+2). The interval is (T+1)(a-b)/((o+2)(c-d))
+    wide, which grows with T, so some T holds an r.
 
     The returned certificate is produced by check_hdpd on the final tuple.
-    Raises SearchBudgetError after max_candidates candidate evaluations.
+    Candidates are counted as one per o, one for the kept q, and one per
+    r passed over or taken at each T (all of 1..T-1 where none fits);
+    SearchBudgetError is raised when that count would exceed max_candidates.
     """
     _require_scenario(params, (Scenario.HD, Scenario.PD), "solve_hdpd")
     _require_at_least(2, p=p)
     _require_at_least(1, max_candidates=max_candidates)
+    a, _, c, d = params.as_tuple()
+    norm = normalize_params(params)
 
     spent = 0
 
-    def charge(context: str) -> None:
+    def charge(context: str, candidates: int = 1) -> None:
         nonlocal spent
-        spent += 1
+        spent += candidates
         if spent > max_candidates:
             raise SearchBudgetError(
                 f"no certified tuple within {max_candidates} candidates ({context})"
@@ -371,29 +388,24 @@ def solve_hdpd(
 
     for o in count(1):
         charge(f"o={o}")
-        if _hdpd_residuals(params, p, o, q=1, r=1, s=1)["clique_spread"] <= 0:
-            continue
-        lower, upper = hdpd_q_bounds(params, p, o)
+        u_next = _utility(params, 0, 1, o + 2)
+        if min(_utility(params, 1, o - 1, o), _utility(params, 1, o, o + 2)) <= u_next:
+            continue  # clique_spread fails
+        lower, upper = _hdpd_q_interval(norm, p, o)
         if lower is None:
             continue
-        q_found: int | None = None
         q = max(1, _next_int_above(lower))
-        while Fraction(q) < upper:
+        if q < upper:
             charge(f"o={o}, q={q}")
-            trial = _hdpd_residuals(params, p, o, q, r=1, s=1)
-            if trial["spread_over_hub"] > 0 and trial["hub_reset"] > 0:
-                q_found = q
-                break
-            q += 1
-        if q_found is None:
-            continue
-        for total in count(2):
-            for r in range(1, total):
-                charge(f"o={o}, q={q_found}, r+s={total}")
-                s = total - r
-                trial = _hdpd_residuals(params, p, o, q_found, r, s)
-                if trial["anchor_lower"] > 0 and trial["anchor_upper"] > 0:
-                    return check_hdpd(params, p, o, q_found, r, s)
+            break
+
+    u_top = _utility(params, 1, o + 1, o + 2)
+    for total in count(2):
+        r = max(1, _next_int_above((total * c + d - (total + 1) * a) / (c - d)))
+        found = r < total and r < (total * c + d - (total + 1) * u_top) / (c - d)
+        charge(f"o={o}, q={q}, r+s={total}", r if found else total - 1)
+        if found:
+            return check_hdpd(params, p, o, q, r, total - r)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +470,21 @@ def solve_tree(
 
     q = max(5, ceil(min_period / 2) + 3) is forced by the period formula;
     r is the smallest integer >= 2 satisfying both tree inequalities.
+    Multiplying out the degree r + 1, spread holds exactly when
+    r(b-d) > c-a and retreat exactly when r(c-a) > a-d; HD has
+    c > a > b > d, so each bounds r from below.
 
-    The returned certificate is produced by check_tree. Raises
-    SearchBudgetError if no r certifies within max_candidates attempts.
+    The returned certificate is produced by check_tree. The branchings
+    2..r count as candidates, and SearchBudgetError is raised when there
+    are more than max_candidates of them.
     """
     _require_scenario(params, (Scenario.HD,), "solve_tree")
     _require_at_least(1, min_period=min_period, max_candidates=max_candidates)
     q = max(5, (min_period + 1) // 2 + 3)
-    for r in range(2, 2 + max_candidates):
-        if all(left > right for left, right in _tree_sides(params, r).values()):
-            return check_tree(params, r, q)
-    raise SearchBudgetError(
-        f"no branching factor within {max_candidates} candidates for {params}"
-    )
+    a, b, c, d = params.as_tuple()
+    r = max(2, _next_int_above((c - a) / (b - d)), _next_int_above((a - d) / (c - a)))
+    if r - 1 > max_candidates:
+        raise SearchBudgetError(
+            f"no branching factor within {max_candidates} candidates for {params}"
+        )
+    return check_tree(params, r, q)

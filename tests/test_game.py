@@ -11,6 +11,7 @@ from evocycle import (
     StrategyVector,
     UpdateSchedule,
     VertexClass,
+    argmax_strategies,
     as_rational,
     classify_scenario,
     mean_utility,
@@ -278,3 +279,19 @@ class TestVertexClass:
                     (False, True): VertexClass.INNER_DEFECTOR,
                 }[(cooperating, uniform)]
                 assert cls is expected
+
+
+@pytest.mark.parametrize("vertex", [-1, 3])
+def test_vertex_outside_the_graph_is_refused(vertex):
+    # A negative vertex must not be read as a Python index (-1 as vertex 2).
+    graph = Graph(3, [(0, 1), (1, 2)])
+    state = StrategyVector.from_string("110")
+    params = GameParams(1, "-0.45", "1.35", 0)
+    calls = (
+        lambda: mean_utility(graph, params, state, vertex),
+        lambda: vertex_class(graph, state, vertex),
+        lambda: argmax_strategies(graph, params, state, vertex),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^vertex {vertex} outside graph with n=3$"):
+            call()
