@@ -219,8 +219,8 @@ class TestTreeSolver:
 # ---------------------------------------------------------------------------
 #
 # Each scan below evaluates the residual system on one candidate after
-# another and charges one candidate for each, the way the solvers searched
-# before they computed their picks from the residuals' bounds.  A solver
+# another and charges one candidate for each: the plain search whose picks
+# and budgets the solvers' closed-form bounds must reproduce.  A solver
 # must return the scan's certificate at the scan's exact candidate count,
 # and must run out of budget, with the scan's message, one candidate
 # earlier.  Each scan also collects its ties: the deciding residuals that
