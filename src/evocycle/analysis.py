@@ -19,7 +19,7 @@ from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 from .constructions import ConstructedInstance
 # step is not called here; perfbench/tracing.py wraps this name.
 from .dynamics import TrajectoryReport, _minimal_period, _states, step
-from .game import SYNCHRONOUS, GameParams, StrategyVector, _utility
+from .game import GameParams, StrategyVector, _utility
 from .solver import _tree_sides
 
 __all__ = [
@@ -90,7 +90,7 @@ def replay(
     cells split by the x0 bit when that partition is equitable, and on
     the whole graph otherwise; the states are the same.
     """
-    states = _states(instance.graph, params, instance.x0, SYNCHRONOUS, cells)
+    states = _states(instance.graph, params, instance.x0, cells)
     return list(islice(states, instance.predicted_period + 1))
 
 

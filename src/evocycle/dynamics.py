@@ -8,15 +8,13 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, groupby, islice
+from itertools import groupby, islice
 from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .game import (
-    SYNCHRONOUS,
     GameParams,
     Graph,
     StrategyVector,
-    UpdateSchedule,
     _check_state,
     _check_vertex,
     _utility,
@@ -167,18 +165,12 @@ def argmax_strategies(
     return frozenset(s for s in (0, 1) if mask >> s & 1)
 
 
-def step(
-    graph: Graph,
-    params: GameParams,
-    state: StrategyVector,
-    active: Optional[Iterable[int]] = None,
-) -> StrategyVector:
-    """One parallel update of the active vertices (all vertices by default).
+def step(graph: Graph, params: GameParams, state: StrategyVector) -> StrategyVector:
+    """One synchronous update of every vertex.
 
-    Every active vertex looks at the closed neighborhood under the old
-    state and adopts the strategy of the unique best performer; if both
-    strategies attain the maximum, it keeps its own. Inactive vertices are
-    copied unchanged.
+    Every vertex looks at the closed neighborhood under the old state and
+    adopts the strategy of the unique best performer; if both strategies
+    attain the maximum, it keeps its own.
 
     The graph keeps the neighbor counts and utility ranks of the state this
     function last returned on it.  Called again with that very state (and
@@ -187,12 +179,6 @@ def step(
     called with any other state, it first counts from scratch.
     """
     _check_state(graph, state)
-    n = graph.n
-    if active is not None:
-        active = set(active)
-        outside = [v for v in active if not 0 <= v < n]
-        if outside:
-            raise ValueError(f"active vertex {min(outside)} outside graph with n={n}")
     bits = state.bits
     held = graph._step_counts
     # pop() hands the counts to this call alone, so no other call, whether
@@ -203,15 +189,9 @@ def step(
         counts = None
     if counts is None or counts.bits is not bits or counts.params != params:
         counts = _Counts(graph, params, bits)
-    if active is None:
-        targets: Iterable[int] = counts.dirty
-        waiting: set[int] = set()
-    else:
-        targets = active.intersection(counts.dirty)
-        waiting = set(counts.dirty).difference(targets)
     adj, coop = graph._adj, counts.coop
     # A vertex whose closed neighborhood plays one strategy keeps it.
-    mixed = [v for v in targets if coop[v] != (len(adj[v]) if bits[v] else 0)]
+    mixed = [v for v in counts.dirty if coop[v] != (len(adj[v]) if bits[v] else 0)]
     flipped = [
         v
         for v, mask in zip(mixed, _top_masks(mixed, adj, bits, counts.rank))
@@ -232,9 +212,10 @@ def step(
     # Utilities changed exactly on `touched`; their closed neighborhoods
     # (which contain `touched`, as no vertex is isolated) may now decide
     # differently.
+    dirty: set[int] = set()
     for w in touched:
-        waiting.update(adj[w])
-    counts.dirty = waiting
+        dirty.update(adj[w])
+    counts.dirty = dirty
     held[:] = (counts,)
     return result
 
@@ -350,23 +331,22 @@ def _states(
     graph: Graph,
     params: GameParams,
     x0: StrategyVector,
-    schedule: UpdateSchedule,
     cells: Optional[Sequence[Hashable]],
 ) -> Iterator[StrategyVector]:
     """X(0), X(1), ... from x0: on the Quotient by the cells split by the
-    x0 bit when the schedule is synchronous and that partition is
-    equitable, else by `step` on the whole graph, looked up in the module
-    globals so that a wrapper patched over the name sees every step."""
+    x0 bit when that partition is equitable, else by `step` on the whole
+    graph, looked up in the module globals so that a wrapper patched over
+    the name sees every step."""
     quotient = None
-    if cells is not None and schedule.phase_count == 1:
+    if cells is not None:
         if len(cells) != graph.n:
             raise ValueError(f"{len(cells)} cell keys for a graph with n={graph.n}")
         quotient = Quotient.of(graph, list(zip(cells, x0.bits)))
     if quotient is None:
         state = x0
-        for t in count():
+        while True:
             yield state
-            state = step(graph, params, state, schedule.active_at(t))
+            state = step(graph, params, state)
     else:
         bits = bytes(map(x0.bits.__getitem__, quotient.first))
         while True:
@@ -374,48 +354,23 @@ def _states(
             bits = quotient.step(params, bits)
 
 
-def _orbit(
-    source: Iterator[StrategyVector], phases: int, max_steps: int
-) -> tuple[list[StrategyVector], int]:
-    """States from `source` until one recurs at the same schedule phase.
-
-    Returns (states up to the recurrence, transient), with transient -1
-    when max_steps updates bring no recurrence; states then holds
-    X(0) .. X(max_steps).
-    """
-    seen: dict[object, int] = {}
-    states: list[StrategyVector] = []
-    for t, state in enumerate(islice(source, max_steps + 1)):
-        key: object = state if phases == 1 else (state, t % phases)
-        first = seen.get(key)
-        if first is not None:
-            return states, first
-        seen[key] = t
-        states.append(state)
-    return states, -1
-
-
 def trajectory(
     graph: Graph,
     params: GameParams,
     x0: StrategyVector,
-    schedule: UpdateSchedule = SYNCHRONOUS,
     max_steps: int = 10_000,
     cells: Optional[Sequence[Hashable]] = None,
 ) -> TrajectoryReport:
-    """Iterate the dynamics until a state repeats at the same schedule phase.
+    """Iterate the synchronous dynamics until a state repeats.
 
-    The synchronous dynamics is deterministic and memoryless, so the first
-    revisit pins down both the minimal transient and the minimal period.
-    Under a periodic-subset schedule the revisit is detected on
-    (state, phase) pairs and the cycle length is then reduced to the
-    minimal period of the state sequence itself, which may be a proper
-    divisor of the pair-cycle length.
+    The dynamics is deterministic and memoryless, so the first revisit
+    pins down both the minimal transient and the minimal period, and the
+    states of the cycle are pairwise distinct.
 
-    `cells` names a cell for every vertex.  Under the synchronous schedule
-    they are split by the x0 bit, and when that partition is equitable the
-    dynamics runs on its Quotient, one bit per cell, and its states are
-    lifted; otherwise it runs on the whole graph.  The report is the same.
+    `cells` names a cell for every vertex.  They are split by the x0 bit,
+    and when that partition is equitable the dynamics runs on its
+    Quotient, one bit per cell, and its states are lifted; otherwise it
+    runs on the whole graph.  The report is the same.
 
     Raises TrajectoryBudgetError when max_steps updates happen without a
     revisit. Warns NonGenericParamsWarning for tied payoffs.
@@ -423,23 +378,18 @@ def trajectory(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     _check_state(graph, x0)
-    schedule.validate_for(graph.n)
     if not params.generic:
         warnings.warn(
             f"payoff quadruple {params} has tied payoffs",
             NonGenericParamsWarning,
             stacklevel=2,
         )
-    states, transient = _orbit(
-        _states(graph, params, x0, schedule, cells), schedule.phase_count, max_steps
-    )
-    if transient < 0:
-        raise TrajectoryBudgetError(
-            f"no revisited state within {max_steps} steps", tuple(states)
-        )
-    # Under several phases the state sequence can repeat faster than the
-    # (state, phase) pair does; with one phase the cycle's states differ.
-    period = _minimal_period(states[transient:])
-    del states[transient + period :]
-    counts = tuple(s.count_cooperators() for s in states)
-    return TrajectoryReport(x0, transient, period, tuple(states), counts)
+    # Each state's first time, in order of first visit.
+    seen: dict[StrategyVector, int] = {}
+    for t, state in enumerate(islice(_states(graph, params, x0, cells), max_steps + 1)):
+        transient = seen.setdefault(state, t)
+        if transient < t:
+            states = tuple(seen)
+            counts = tuple(s.count_cooperators() for s in states)
+            return TrajectoryReport(x0, transient, t - transient, states, counts)
+    raise TrajectoryBudgetError(f"no revisited state within {max_steps} steps", tuple(seen))

@@ -1,5 +1,5 @@
 """Two-strategy games on graphs: payoff quadruples, scenario classification,
-graphs, strategy vectors, update schedules, and the mean-utility layer.
+graphs, strategy vectors, and the mean-utility layer.
 
 Everything in this layer is exact. Payoffs are rationals, and every
 comparison the dynamics makes is a strict rational comparison; floating
@@ -26,8 +26,6 @@ __all__ = [
     "normalize_params",
     "Graph",
     "StrategyVector",
-    "UpdateSchedule",
-    "SYNCHRONOUS",
     "VertexClass",
     "mean_utility",
     "vertex_class",
@@ -304,56 +302,6 @@ class StrategyVector:
         if len(text) > 60:
             text = text[:57] + "..."
         return f"StrategyVector('{text}')"
-
-
-@dataclass(frozen=True)
-class UpdateSchedule:
-    """Which vertices may update at each step.
-
-    subsets None means synchronous: every vertex updates every step.
-    Otherwise step t updates exactly the vertices in subsets[t % k] where
-    k = len(subsets); the listed subsets repeat cyclically.
-    """
-
-    subsets: tuple[frozenset[int], ...] | None = None
-
-    @classmethod
-    def synchronous(cls) -> "UpdateSchedule":
-        return cls(None)
-
-    @classmethod
-    def periodic(cls, subsets: Iterable[Iterable[int]]) -> "UpdateSchedule":
-        subs = tuple(frozenset(s) for s in subsets)
-        if not subs:
-            raise ValueError("periodic schedule needs at least one subset")
-        return cls(subs)
-
-    @property
-    def kind(self) -> str:
-        return "synchronous" if self.subsets is None else "periodic-subsets"
-
-    @property
-    def phase_count(self) -> int:
-        return 1 if self.subsets is None else len(self.subsets)
-
-    def active_at(self, t: int) -> frozenset[int] | None:
-        """Vertex set allowed to update at step t; None means all vertices."""
-        if self.subsets is None:
-            return None
-        return self.subsets[t % len(self.subsets)]
-
-    def validate_for(self, n: int) -> None:
-        if self.subsets is None:
-            return
-        for k, sub in enumerate(self.subsets):
-            for v in sub:
-                if not 0 <= v < n:
-                    raise ValueError(
-                        f"schedule subset {k} mentions vertex {v}, graph has n={n}"
-                    )
-
-
-SYNCHRONOUS = UpdateSchedule.synchronous()
 
 
 class VertexClass(Enum):

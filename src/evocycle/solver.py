@@ -50,7 +50,8 @@ class SolverError(Exception):
 
 
 class ScenarioError(SolverError):
-    """The payoff quadruple is not in a scenario this construction serves."""
+    """The payoff quadruple, or the quadruple at this period, is not one
+    this construction serves."""
 
 
 class CertificateFailure(SolverError):
@@ -189,6 +190,11 @@ def solve_fcsh(
     (s*c + d)/(s+1) > ((2p-1)c + d)/(2p), which implies gadget_center
     through feeler_reset.
 
+    Every center utility ((q+2)a + rb)/(q+r+2) exceeds b, so feeler_reset
+    fails at every (q, r) when ((2p-1)c + d)/(2p) <= b, and ScenarioError
+    is raised before any search.  Otherwise the feasible r interval widens
+    linearly in m, so some m serves the request.
+
     The returned certificate is produced by check_fcsh on the final tuple.
     Each r the pick passes over or takes counts as one candidate, r = 1..m-1
     at every escalated m and 1..r at the last, and SearchBudgetError is
@@ -198,6 +204,12 @@ def solve_fcsh(
     _require_at_least(2, p=p)
     _require_at_least(1, max_candidates=max_candidates)
     a, b, c, d = params.as_tuple()
+    u_feeler_full = _utility(params, 0, 2 * p - 1, 2 * p)
+    if u_feeler_full <= b:
+        raise ScenarioError(
+            f"no fcsh witness for {params} at p={p}: feeler_reset needs "
+            f"((2p-1)c + d)/(2p) = {u_feeler_full} > b = {b} at every (q, r)"
+        )
 
     m_start = max(
         1,
@@ -207,7 +219,6 @@ def solve_fcsh(
     assert 6 * (a - b) / (m_start + 2) < (c - d) / p
     assert _utility(params, 0, 1, m_start) < _utility(params, 0, 2 * p - 3, 2 * p)
 
-    u_feeler_full = _utility(params, 0, 2 * p - 1, 2 * p)
     u_feeler_short = _utility(params, 0, 2 * p - 3, 2 * p)
     spent = 0
     for m in count(m_start):

@@ -348,6 +348,20 @@ class TestWitnessPipeline:
         assert code == 2
         assert "NonAdmissible" in err
 
+    def test_fc_period_no_fcsh_witness_can_serve_exits_2(self, capsys):
+        # ((2p-1)c + d)/(2p) <= b for every p <= 32 at this quadruple, and
+        # every center utility exceeds b, so feeler_reset fails at every
+        # (q, r); at p = 64 the inequality holds and a witness exists.
+        params = "--params=11/9,-3/11,-1/4,-13/7"
+        code, out, err = run_cli(capsys, "witness", params, "--period", "8")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: no fcsh witness for (a=11/9, b=-3/11, c=-1/4, d=-13/7) at p=8: "
+            "feeler_reset needs ((2p-1)c + d)/(2p) = -157/448 > b = -3/11 at every (q, r)\n"
+        )
+        code, out, _ = run_cli(capsys, "witness", params, "--period", "64")
+        assert code == 0 and out.startswith("kind=fcsh p=64 q=1 r=438 s=136\n")
+
     def test_flag_combinations(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--params", HD, "--tree")
         assert code == 2 and "--min-period" in err

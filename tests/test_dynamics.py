@@ -10,13 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evocycle import (
-    SYNCHRONOUS,
     GameParams,
     Graph,
     NonGenericParamsWarning,
     StrategyVector,
     TrajectoryBudgetError,
-    UpdateSchedule,
     argmax_strategies,
     build_fcsh,
     build_hdpd,
@@ -137,20 +135,6 @@ class TestStep:
             for v in range(graph.n):
                 assert moved_then_stepped[perm[v]] == stepped_then_moved[v]
 
-    def test_explicit_active_set_matches_synchronous(self, rng):
-        graph = random_connected_graph(rng, 7)
-        params = random_admissible_params(rng)
-        state = random_state(rng, 7)
-        assert step(graph, params, state) == step(
-            graph, params, state, active=frozenset(range(7))
-        )
-
-    def test_empty_active_set_freezes(self, rng):
-        graph = random_connected_graph(rng, 5)
-        params = random_admissible_params(rng)
-        state = random_state(rng, 5)
-        assert step(graph, params, state, active=frozenset()) == state
-
 
 class TestUtilityProfile:
     def test_matches_mean_utility(self, rng):
@@ -186,6 +170,7 @@ class TestTrajectory:
                 % report.minimal_period
             )
             assert report.cycle == report.states[report.transient:]
+            assert len(set(report.cycle)) == report.minimal_period
 
     def test_budget_error_carries_states(self):
         # A 6-cycle of alternating pairs under HD params moves; with a
@@ -204,42 +189,6 @@ class TestTrajectory:
         with pytest.warns(NonGenericParamsWarning):
             trajectory(graph, params, StrategyVector.from_string("10"))
 
-    def test_periodic_schedule_against_reference(self, rng):
-        for _ in range(15):
-            graph = random_connected_graph(rng, rng.randint(3, 7))
-            params = random_admissible_params(rng)
-            x0 = random_state(rng, graph.n)
-            half = list(range(0, graph.n, 2))
-            rest = list(range(1, graph.n, 2))
-            schedule = UpdateSchedule.periodic([half, rest])
-            pairs = params_to_pairs(params)
-            edges = edge_pair(graph)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NonGenericParamsWarning)
-                report = trajectory(graph, params, x0, schedule=schedule)
-            bits = [x0[v] for v in range(graph.n)]
-            for t in range(1, len(report.states)):
-                active = half if (t - 1) % 2 == 0 else rest
-                bits = ref_step(graph.n, edges, bits, pairs, active=set(active))
-                assert [report.states[t][v] for v in range(graph.n)] == bits
-
-    def test_periodic_schedule_period_multiple_of_phases_or_divisor_refined(self):
-        # Alternating singleton updates on a 2-path, PD params: state
-        # reaches all-D and stays there; the reported minimal period must
-        # be 1 even though revisits are only checked at matching phases.
-        graph = Graph(2, [(0, 1)])
-        schedule = UpdateSchedule.periodic([[0], [1]])
-        report = trajectory(
-            graph, PD, StrategyVector.from_string("10"), schedule=schedule
-        )
-        assert report.minimal_period == 1
-        assert report.states[-1].to_string() == "00"
-
-    def test_schedule_must_fit_graph(self):
-        graph = Graph(2, [(0, 1)])
-        schedule = UpdateSchedule.periodic([[0, 5]])
-        with pytest.raises(ValueError):
-            trajectory(graph, PD, StrategyVector.from_string("10"), schedule=schedule)
 
 
 # Payoffs from a small grid, so tied payoffs and tied utilities are common.
@@ -262,18 +211,14 @@ def states(n):
     return st.lists(st.integers(0, 1), min_size=n, max_size=n).map(StrategyVector)
 
 
-def subsets(n):
-    return st.none() | st.frozensets(st.integers(0, n - 1))
-
-
-def assert_is_one_step(graph, params, before, after, active=None):
+def assert_is_one_step(graph, params, before, after):
     """after is one update of before, both from scratch and by the oracle."""
     # A separate equal graph and a new bytes object: nothing is carried over.
     twin = Graph(graph.n, graph.edges())
     copy = StrategyVector(bytearray(before.bits))
-    assert step(twin, params, copy, active) == after
+    assert step(twin, params, copy) == after
     expected = ref_step(graph.n, list(graph.edges()), list(before.bits),
-                        params_to_pairs(params), active=active)
+                        params_to_pairs(params))
     assert list(after.bits) == expected
 
 
@@ -281,26 +226,22 @@ class TestCarriedCounts:
     """step reuses the counts of the state it last returned on a graph; every
     state it so produces must equal a from-scratch update and the oracle."""
 
-    @given(st.data())
-    def test_chains_of_steps(self, data):
-        graph, params, state = data.draw(small_games())
-        for active in data.draw(st.lists(subsets(graph.n), max_size=8)):
-            after = step(graph, params, state, active)
-            assert_is_one_step(graph, params, state, after, active)
+    @given(small_games(), st.integers(0, 8))
+    def test_chains_of_steps(self, game, steps):
+        graph, params, state = game
+        for _ in range(steps):
+            after = step(graph, params, state)
+            assert_is_one_step(graph, params, state, after)
             state = after
 
-    @given(small_games(), st.data())
-    def test_trajectories_synchronous_and_periodic(self, game, data):
+    @given(small_games())
+    def test_trajectories_synchronous(self, game):
         graph, params, x0 = game
-        phases = data.draw(st.lists(st.frozensets(st.integers(0, graph.n - 1)),
-                                    max_size=3))
-        schedule = UpdateSchedule.periodic(phases) if phases else SYNCHRONOUS
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonGenericParamsWarning)
-            report = trajectory(graph, params, x0, schedule=schedule, max_steps=200)
+            report = trajectory(graph, params, x0, max_steps=200)
         for t in range(1, len(report.states)):
-            assert_is_one_step(graph, params, report.states[t - 1],
-                               report.states[t], schedule.active_at(t - 1))
+            assert_is_one_step(graph, params, report.states[t - 1], report.states[t])
 
     @given(small_games(), st.data())
     def test_two_trajectories_stepped_alternately(self, game, data):
@@ -314,16 +255,15 @@ class TestCarriedCounts:
             assert_is_one_step(graph, params[j], current[k], after)
             current[k] = after
 
-    @given(small_games(), st.data())
-    def test_repeated_step_on_the_same_state(self, game, data):
+    @given(small_games())
+    def test_repeated_step_on_the_same_state(self, game):
         graph, params, x0 = game
-        active = data.draw(subsets(graph.n))
-        x1 = step(graph, params, x0, active)
-        assert step(graph, params, x0, active) == x1
-        x2 = step(graph, params, x1, active)
-        assert step(graph, params, x1, active) == x2
-        assert_is_one_step(graph, params, x0, x1, active)
-        assert_is_one_step(graph, params, x1, x2, active)
+        x1 = step(graph, params, x0)
+        assert step(graph, params, x0) == x1
+        x2 = step(graph, params, x1)
+        assert step(graph, params, x1) == x2
+        assert_is_one_step(graph, params, x0, x1)
+        assert_is_one_step(graph, params, x1, x2)
 
     def test_threads_stepping_one_graph(self, rng):
         # Thread 0 advances a chain on a shared graph; the others step its

@@ -9,7 +9,6 @@ from evocycle import (
     Graph,
     Scenario,
     StrategyVector,
-    UpdateSchedule,
     VertexClass,
     argmax_strategies,
     as_rational,
@@ -200,23 +199,6 @@ class TestStrategyVector:
             StrategyVector([])
         with pytest.raises(TypeError):
             StrategyVector("101")
-
-
-class TestSchedules:
-    def test_synchronous_has_no_phases(self):
-        schedule = UpdateSchedule.synchronous()
-        assert schedule.kind == "synchronous"
-        assert schedule.phase_count == 1
-        assert schedule.active_at(3) is None
-
-    def test_periodic_cycles(self):
-        schedule = UpdateSchedule.periodic([[0, 1], [2]])
-        assert schedule.phase_count == 2
-        assert schedule.active_at(0) == frozenset({0, 1})
-        assert schedule.active_at(3) == frozenset({2})
-        schedule.validate_for(3)
-        with pytest.raises(ValueError):
-            schedule.validate_for(2)
 
 
 class TestMeanUtility:

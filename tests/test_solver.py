@@ -311,17 +311,29 @@ SOLVERS = {"fcsh": (solve_fcsh, _scan_fcsh), "hdpd": (solve_hdpd, _scan_hdpd),
            "tree": (solve_tree, _scan_tree)}
 
 
+def fcsh_servable(params, p):
+    """((2p-1)c + d)/(2p) > b: without it no (q, r) passes feeler_reset, and
+    solve_fcsh refuses the request while the scan spends any budget."""
+    return _utility(params, 0, 2 * p - 1, 2 * p) > params.b
+
+
 def assert_matches_scan(family, params, p):
     """The solver's certificate and least sufficient budget are the scan's;
     returns the scan's ties."""
     solve, scan = SOLVERS[family]
+    refused = family == "fcsh" and not fcsh_servable(params, p)
     try:
         cert, spent, ties = scan(params, p, SCAN_CAP)
     except SearchBudgetError as want:
+        if refused:
+            with pytest.raises(ScenarioError):
+                solve(params, p, max_candidates=SCAN_CAP)
+            return set()
         with pytest.raises(SearchBudgetError) as got:
             solve(params, p, max_candidates=SCAN_CAP)
         assert str(got.value) == str(want)
         return set()
+    assert not refused
     assert solve(params, p, max_candidates=spent) == cert
     if spent > 1:
         with pytest.raises(SearchBudgetError) as want:
@@ -399,6 +411,7 @@ def test_fcsh_picks_meet_the_margins_and_replay_to_period_p(params, p):
     # solve_fcsh's docstring derives the chain links check_fcsh does not
     # test from two margin conditions on m = q + r; every pick must meet
     # them, and its witness must cycle from x0 with period exactly p.
+    assume(fcsh_servable(params, p))
     try:
         cert = solve_fcsh(params, p, max_candidates=SCAN_CAP)
     except SearchBudgetError:
