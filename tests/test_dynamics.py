@@ -135,6 +135,21 @@ class TestStep:
             for v in range(graph.n):
                 assert moved_then_stepped[perm[v]] == stepped_then_moved[v]
 
+    def test_uniform_states_are_fixed(self, rng):
+        # Every closed neighborhood plays one strategy, so no vertex moves.
+        for _ in range(20):
+            graph = random_connected_graph(rng, rng.randint(2, 9))
+            params = random_admissible_params(rng)
+            for bit in (0, 1):
+                state = StrategyVector([bit] * graph.n)
+                assert step(graph, params, state) == state
+                assert is_fixed_point(graph, params, state)
+
+    def test_state_must_fit_graph(self):
+        graph = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="state has 2 entries, graph has 3"):
+            step(graph, PD, StrategyVector.from_string("10"))
+
 
 class TestUtilityProfile:
     def test_matches_mean_utility(self, rng):
@@ -188,6 +203,45 @@ class TestTrajectory:
         params = GameParams(3, 1, 4, 1)
         with pytest.warns(NonGenericParamsWarning):
             trajectory(graph, params, StrategyVector.from_string("10"))
+
+    def test_first_revisit_matches_reference(self, rng):
+        # The oracle is iterated until some state comes back; its first
+        # time fixes the transient and the steps since then the period.
+        for _ in range(20):
+            graph = random_connected_graph(rng, rng.randint(2, 8))
+            params = random_admissible_params(rng)
+            x0 = random_state(rng, graph.n)
+            pairs = params_to_pairs(params)
+            edges = edge_pair(graph)
+            seen = []
+            bits = [x0[v] for v in range(graph.n)]
+            while bits not in seen:
+                seen.append(bits)
+                bits = ref_step(graph.n, edges, bits, pairs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonGenericParamsWarning)
+                report = trajectory(graph, params, x0)
+            assert [list(s.bits) for s in report.states] == seen
+            assert report.transient == seen.index(bits)
+            assert report.minimal_period == len(seen) - seen.index(bits)
+
+    def test_budget_is_exact(self):
+        # From 10 on a 2-path under PD the run is 10, 00, 00: the revisit
+        # comes at the second update, so a budget of 2 suffices and 1 does not.
+        graph = Graph(2, [(0, 1)])
+        x0 = StrategyVector.from_string("10")
+        report = trajectory(graph, PD, x0, max_steps=2)
+        assert (report.transient, report.minimal_period) == (1, 1)
+        with pytest.raises(TrajectoryBudgetError) as excinfo:
+            trajectory(graph, PD, x0, max_steps=1)
+        assert [s.to_string() for s in excinfo.value.states] == ["10", "00"]
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            trajectory(graph, PD, x0, max_steps=0)
+
+    def test_state_must_fit_graph(self):
+        graph = Graph(2, [(0, 1)])
+        with pytest.raises(ValueError, match="state has 3 entries, graph has 2"):
+            trajectory(graph, PD, StrategyVector.from_string("100"))
 
 
 

@@ -83,6 +83,28 @@ class TestFcshSolver:
         with pytest.raises(ValueError, match="max_candidates must be an integer >= 1"):
             solve_fcsh(FC_EXAMPLE, 2, max_candidates=0)
 
+    def test_refuses_unservable_period_before_any_search(self):
+        # ((2p-1)c + d)/(2p) <= b at p = 8: one candidate would exhaust a
+        # search, so the ScenarioError shows that none was made.
+        params = GameParams("11/9", "-3/11", "-1/4", "-13/7")
+        with pytest.raises(ScenarioError, match="p=8: feeler_reset needs"):
+            solve_fcsh(params, 8, max_candidates=1)
+        cert = solve_fcsh(params, 64)
+        assert (cert.q, cert.r, cert.s) == (1, 438, 136)
+
+    def test_refusal_includes_equality(self):
+        # At p = 2, ((2p-1)c + d)/(2p) = -1 = b: feeler_reset fails at every
+        # (q, r) and the request is refused; at p = 3 it is -2/3 > b.
+        params = GameParams(1, -1, 0, -4)
+        with pytest.raises(ScenarioError, match="= -1 > b = -1 at every"):
+            solve_fcsh(params, 2)
+        for q, r in ((1, 1), (1, 16), (5, 2), (40, 40)):
+            with pytest.raises(CertificateFailure) as excinfo:
+                check_fcsh(params, 2, q, r, 1)
+            assert "feeler_reset" in excinfo.value.violated
+        cert = solve_fcsh(params, 3)
+        assert min(check_fcsh(params, 3, cert.q, cert.r, cert.s).residuals.values()) > 0
+
 
 class TestHdpdSolver:
     def test_rediscovers_worked_example(self):
