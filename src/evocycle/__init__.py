@@ -9,7 +9,6 @@ built instance against the pattern it was designed for.
 from .analysis import (
     InvariantViolation,
     check_local_lemmas,
-    cooperator_series,
     f_of_t,
     replay,
     verify_fcsh_dynamics,
@@ -19,7 +18,6 @@ from .analysis import (
 from .constructions import (
     ConstructedInstance,
     Role,
-    RoleMap,
     build_fcsh,
     build_hdpd,
     build_tree,
@@ -33,7 +31,6 @@ from .dynamics import (
     is_fixed_point,
     step,
     trajectory,
-    utility_profile,
 )
 from .game import (
     GameParams,
@@ -82,13 +79,11 @@ __all__ = [
     "step",
     "is_fixed_point",
     "trajectory",
-    "utility_profile",
     "Quotient",
     "TrajectoryReport",
     "TrajectoryBudgetError",
     "NonGenericParamsWarning",
     "Role",
-    "RoleMap",
     "ConstructedInstance",
     "build_fcsh",
     "build_hdpd",
@@ -114,7 +109,6 @@ __all__ = [
     "verify_hdpd_dynamics",
     "verify_tree_invariants",
     "check_local_lemmas",
-    "cooperator_series",
     "InvariantViolation",
     "__version__",
 ]

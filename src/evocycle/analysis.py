@@ -16,9 +16,9 @@ from functools import cache
 from itertools import islice
 from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
-from .constructions import ConstructedInstance
+from .constructions import ConstructedInstance, Role
 # step is not called here; perfbench/tracing.py wraps this name.
-from .dynamics import TrajectoryReport, _minimal_period, _states, step
+from .dynamics import _minimal_period, _states, step
 from .game import GameParams, StrategyVector, _utility
 from .solver import _tree_sides
 
@@ -31,7 +31,6 @@ __all__ = [
     "verify_hdpd_dynamics",
     "verify_tree_invariants",
     "check_local_lemmas",
-    "cooperator_series",
 ]
 
 MAX_VIOLATION_RECORDS = 1000
@@ -209,6 +208,11 @@ def verify_hdpd_dynamics(
     return log.records
 
 
+def _of_kind(roles: Sequence[Role], kind: str) -> tuple[int, ...]:
+    """All vertices carrying the given role kind, in index order."""
+    return tuple(v for v, role in enumerate(roles) if role.kind == kind)
+
+
 def _role_levels(instance: ConstructedInstance) -> list[int]:
     """Level of every tree vertex, as its role states it."""
     foreign = [role.kind for role in instance.roles if role.kind not in _TREE_ROLES]
@@ -230,7 +234,7 @@ def _tree_shape(
     """
     graph, roles = instance.graph, instance.roles
     n = graph.n
-    root_vertices = roles.vertices("root")
+    root_vertices = _of_kind(roles, "root")
     if len(root_vertices) != 1:
         log.add(0, "tree:structure", detail=f"{len(root_vertices)} root roles, expected 1")
         return None
@@ -313,8 +317,8 @@ def verify_tree_invariants(
     for v in range(n):
         _expect(log, x0, 0, "tree:x0", v, 1 if level[v] <= q - 2 else 0)
 
-    specials = roles.vertices("special")
-    ordinaries = roles.vertices("ordinary")
+    specials = _of_kind(roles, "special")
+    ordinaries = _of_kind(roles, "ordinary")
 
     for t in range(period + 1):
         state = states[t]
@@ -383,7 +387,7 @@ def check_local_lemmas(
     log = _open_log(instance, "tree", states)
     r = instance.structural_params["r"]
     roles = instance.roles
-    if len(roles.vertices("root")) != 1:
+    if len(_of_kind(roles, "root")) != 1:
         return log.records  # verify_tree_invariants reports the damage
     level = _role_levels(instance)
     graph = instance.graph
@@ -430,8 +434,3 @@ def check_local_lemmas(
                 for w in kids:
                     _expect(log, nxt, t + 1, "lemma:descend", w, 0)
     return log.records
-
-
-def cooperator_series(report: TrajectoryReport) -> list[tuple[int, int]]:
-    """(t, cooperator count) pairs over the report's transient plus period."""
-    return list(enumerate(report.cooperator_counts))

@@ -42,7 +42,8 @@ from .constructions import (
     build_tree,
 )
 from .dynamics import TrajectoryBudgetError, trajectory
-from .game import GameParams, Scenario, StrategyVector, as_rational, classify_scenario
+from .game import (GameParams, Scenario, StrategyVector, _require_at_least, as_rational,
+                   classify_scenario)
 from .serialize import (
     certificate_to_dict,
     counts_to_csv,
@@ -61,7 +62,6 @@ from .solver import (
     CertificateFailure,
     ScenarioError,
     SearchBudgetError,
-    _require_at_least,
     check_fcsh,
     check_hdpd,
     check_tree,

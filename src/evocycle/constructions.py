@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .game import Graph, StrategyVector
-from .solver import _require_at_least
+from .game import Graph, StrategyVector, _require_at_least
 
 __all__ = [
     "Role",
-    "RoleMap",
     "ConstructedInstance",
     "build_fcsh",
     "build_hdpd",
@@ -50,39 +48,6 @@ class Role:
     index: tuple[int, ...] = ()
 
 
-class RoleMap:
-    """Role lookup for every vertex of a constructed instance."""
-
-    __slots__ = ("_roles",)
-
-    def __init__(self, roles: Iterator[Role] | list[Role] | tuple[Role, ...]) -> None:
-        self._roles: tuple[Role, ...] = tuple(roles)
-
-    def __len__(self) -> int:
-        return len(self._roles)
-
-    def __getitem__(self, vertex: int) -> Role:
-        return self._roles[vertex]
-
-    def __iter__(self) -> Iterator[Role]:
-        return iter(self._roles)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RoleMap):
-            return NotImplemented
-        return self._roles == other._roles
-
-    def vertices(self, kind: str) -> tuple[int, ...]:
-        """All vertices carrying the given role kind, in index order."""
-        return tuple(v for v, role in enumerate(self._roles) if role.kind == kind)
-
-    def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for role in self._roles:
-            counts[role.kind] = counts.get(role.kind, 0) + 1
-        return counts
-
-
 @dataclass(frozen=True)
 class ConstructedInstance:
     """A built witness: graph, initial state, roles, and the target period."""
@@ -90,7 +55,7 @@ class ConstructedInstance:
     kind: str
     graph: Graph
     x0: StrategyVector
-    roles: RoleMap
+    roles: tuple[Role, ...]
     structural_params: Mapping[str, int]
     predicted_period: int
 
@@ -110,7 +75,7 @@ def _instance(kind: str, roles: list[Role], edges: list[tuple[int, int]],
         bits[v] = 1
     graph = Graph(len(roles), edges)
     assert graph.is_connected
-    return ConstructedInstance(kind, graph, StrategyVector(bits), RoleMap(roles),
+    return ConstructedInstance(kind, graph, StrategyVector(bits), tuple(roles),
                                structural_params, predicted_period)
 
 

@@ -24,7 +24,6 @@ from .game import (
 __all__ = [
     "NonGenericParamsWarning",
     "TrajectoryBudgetError",
-    "utility_profile",
     "argmax_strategies",
     "step",
     "is_fixed_point",
@@ -48,26 +47,6 @@ class TrajectoryBudgetError(RuntimeError):
     def __init__(self, message: str, states: tuple[StrategyVector, ...]) -> None:
         super().__init__(message)
         self.states = states
-
-
-def utility_profile(
-    graph: Graph, params: GameParams, state: StrategyVector
-) -> tuple[Fraction, ...]:
-    """Mean utility of every vertex at once, each distinct value computed once."""
-    _check_state(graph, state)
-    bits = state.bits
-    # Utilities depend only on (own strategy, cooperating neighbors,
-    # degree); keying on these integers avoids hashing a Fraction per vertex.
-    by_key: dict[tuple[int, int, int], Fraction] = {}
-    profile = []
-    for v in range(graph.n):
-        nbrs = graph.neighbors(v)
-        key = (bits[v], sum(map(bits.__getitem__, nbrs)), len(nbrs))
-        u = by_key.get(key)
-        if u is None:
-            u = by_key[key] = _utility(params, *key)
-        profile.append(u)
-    return tuple(profile)
 
 
 class _Counts:

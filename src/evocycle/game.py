@@ -324,6 +324,12 @@ def _check_vertex(graph: Graph, vertex: int) -> None:
         raise ValueError(f"vertex {vertex} outside graph with n={graph.n}")
 
 
+def _require_at_least(minimum: int, **values: int) -> None:
+    for name, value in values.items():
+        if not isinstance(value, int) or value < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _utility(params: GameParams, own: int, coop: int, deg: int) -> Fraction:
     """Mean utility of a vertex playing `own` with `coop` of `deg` neighbors cooperating."""
     if own:
@@ -343,8 +349,6 @@ def mean_utility(
     _check_state(graph, state)
     _check_vertex(graph, vertex)
     nbrs = graph.neighbors(vertex)
-    if not nbrs:
-        raise ValueError(f"vertex {vertex} has no neighbors; mean utility undefined")
     coop = sum(state[w] for w in nbrs)
     return _utility(params, state[vertex], coop, len(nbrs))
 

@@ -1,4 +1,4 @@
-"""External formats: JSON for graphs, payoffs, instances, certificates, and
+"""External formats: JSON for graphs, instances, certificates, and
 trajectory reports; CSV for cooperator counts; DOT for state snapshots.
 
 JSON always has the layout of dumps(), sorted keys and two-space indent,
@@ -16,17 +16,15 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from .constructions import ConstructedInstance, Role, RoleMap
+from .constructions import ConstructedInstance, Role
 from .dynamics import TrajectoryReport
-from .game import GameParams, Graph, StrategyVector, as_rational
+from .game import Graph, StrategyVector
 from .solver import Certificate
 
 __all__ = [
     "rational_to_str",
     "graph_to_dict",
     "graph_from_dict",
-    "params_to_dict",
-    "params_from_dict",
     "instance_to_dict",
     "instance_from_dict",
     "report_to_dict",
@@ -78,17 +76,6 @@ def graph_from_dict(data: Mapping[str, Any]) -> Graph:
     return Graph(n, edges)
 
 
-def params_to_dict(params: GameParams) -> dict[str, str]:
-    return {key: rational_to_str(getattr(params, key)) for key in ("a", "b", "c", "d")}
-
-
-def params_from_dict(data: Mapping[str, Any]) -> GameParams:
-    try:
-        return GameParams(*(as_rational(data[key]) for key in ("a", "b", "c", "d")))
-    except KeyError as exc:
-        raise ValueError(f"payoff object is missing {exc}") from None
-
-
 def instance_to_dict(instance: ConstructedInstance) -> dict[str, Any]:
     return {
         "kind": instance.kind,
@@ -104,7 +91,7 @@ def instance_from_dict(data: Mapping[str, Any]) -> ConstructedInstance:
     try:
         graph = graph_from_dict(data["graph"])
         x0 = StrategyVector.from_string(data["x0"])
-        roles = RoleMap(
+        roles = tuple(
             Role(_require_str(entry[0], "role kind"),
                  tuple(_require_int(x, "role coordinate") for x in entry[1:]))
             for entry in data["roles"]

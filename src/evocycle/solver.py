@@ -18,7 +18,8 @@ from itertools import count
 from math import floor
 from typing import ClassVar, Mapping
 
-from .game import GameParams, Scenario, _utility, classify_scenario, normalize_params
+from .game import (GameParams, Scenario, _require_at_least, _utility, classify_scenario,
+                   normalize_params)
 
 __all__ = [
     "SolverError",
@@ -78,12 +79,6 @@ def _require_scenario(params: GameParams, allowed: tuple[Scenario, ...], what: s
         raise ScenarioError(
             f"{what} needs a {names} quadruple, got {scenario.value} for {params}"
         )
-
-
-def _require_at_least(minimum: int, **values: int) -> None:
-    for name, value in values.items():
-        if not isinstance(value, int) or value < minimum:
-            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _next_int_above(x: Fraction) -> int:

@@ -10,7 +10,6 @@ from evocycle import (
     build_hdpd,
     build_tree,
     check_local_lemmas,
-    cooperator_series,
     f_of_t,
     replay,
     solve_fcsh,
@@ -21,7 +20,7 @@ from evocycle import (
     verify_tree_invariants,
 )
 from evocycle.analysis import MAX_VIOLATION_RECORDS, InvariantViolation
-from evocycle.constructions import Role, RoleMap
+from evocycle.constructions import Role
 from reference import params_to_pairs, ref_lt, ref_neighbors, ref_utility
 
 WORKED_HD = GameParams(1, "0.45", "1.24", 0)
@@ -83,8 +82,8 @@ class TestTamperedInstances:
     def test_flipped_far_chain_vertex_is_caught_immediately(self):
         instance = build_fcsh(2, 1, 13, 4)
         far = next(
-            v for v in instance.roles.vertices("K")
-            if instance.roles[v].index[0] == 1
+            v for v, role in enumerate(instance.roles)
+            if role.kind == "K" and role.index[0] == 1
         )
         tampered, params = flip_x0(instance, far), GameParams(1, "1/2", "4/5", 0)
         violations = verify_fcsh_dynamics(tampered, params, replay(tampered, params))
@@ -94,8 +93,8 @@ class TestTamperedInstances:
     def test_flipped_outer_vertex_is_caught_immediately(self):
         instance = build_hdpd(5, 4, 2, 1, 6)
         outer = next(
-            v for v in instance.roles.vertices("K")
-            if instance.roles[v].index[0] == 6
+            v for v, role in enumerate(instance.roles)
+            if role.kind == "K" and role.index[0] == 6
         )
         tampered = flip_x0(instance, outer)
         violations = verify_hdpd_dynamics(tampered, WORKED_HD, replay(tampered, WORKED_HD))
@@ -119,7 +118,7 @@ class TestTamperedInstances:
 
     def test_severed_subtree_is_reported_as_structure_damage(self):
         instance = build_tree(2, 6)
-        level1 = instance.roles.vertices("special")[0]
+        level1 = next(v for v, role in enumerate(instance.roles) if role.kind == "special")
         assert instance.roles[level1].index == (1,)
         level2 = [
             w for w in instance.graph.neighbors(level1)
@@ -143,7 +142,7 @@ class TestTamperedInstances:
         bits = bytearray(instance.x0.bits)
         for v in (3, 9, 20, 40):
             bits[v] ^= 1
-        tampered = replace(instance, roles=RoleMap(roles), x0=StrategyVector(bits))
+        tampered = replace(instance, roles=tuple(roles), x0=StrategyVector(bits))
         states = replay(tampered, TREE_HD)
         assert check_local_lemmas(tampered, TREE_HD, states) == []
         assert [v.detail for v in verify_tree_invariants(tampered, TREE_HD, states)] == [
@@ -347,12 +346,12 @@ class TestCooperatorSeries:
         instance = build_hdpd(3, 4, 1, 1, 4)
         params = GameParams(1, "9/20", "31/25", 0)
         report = trajectory(instance.graph, params, instance.x0, max_steps=40)
-        series = cooperator_series(report)
-        assert series == list(enumerate(report.cooperator_counts))
+        series = list(enumerate(report.cooperator_counts))
+        assert series == [(t, s.count_cooperators()) for t, s in enumerate(report.states)]
         assert [t for t, _ in series] == list(range(len(report.states)))
 
     def test_tree_counts_are_non_constant_over_a_period(self):
         instance = build_tree(3, 6)
         report = trajectory(instance.graph, TREE_HD, instance.x0, max_steps=40)
-        counts = {count for _, count in cooperator_series(report)}
+        counts = set(report.cooperator_counts)
         assert len(counts) > 1

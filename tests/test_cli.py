@@ -150,6 +150,40 @@ class TestWitnessPipeline:
         assert code == 1
         assert "FAIL" in out
 
+    def test_certificate_violations_come_before_the_dynamics(self, tmp_path, capsys):
+        # The HD p=4 witness under other HD payoffs: two hub inequalities
+        # fail, and the replay strays from the designed wave 17 times.
+        run_cli(capsys, "witness", "--params", HD, "--period", "4",
+                "--out", str(tmp_path))
+        path = str(tmp_path / "instance.json")
+        code, out, _ = run_cli(capsys, "verify", "--params", TREE_HD, "--instance", path)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[2:4] == [
+            "violated inequality certificate:spread_over_hub",
+            "violated inequality certificate:anchor_upper",
+        ]
+        assert all(line.startswith("violation t=") for line in lines[4:-1])
+        assert lines[-1] == "FAIL (19 problems)"
+        code, out, _ = run_cli(capsys, "verify", "--params", TREE_HD, "--instance", path,
+                               "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["certificate_violations"] == [
+            "certificate:spread_over_hub", "certificate:anchor_upper",
+        ]
+        assert report["ok"] is False
+
+    def test_unknown_instance_kind_is_refused(self, tmp_path, capsys):
+        run_cli(capsys, "witness", "--params", HD, "--period", "4",
+                "--out", str(tmp_path))
+        path = tmp_path / "instance.json"
+        data = json.loads(path.read_text())
+        data["kind"] = "star"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--params", HD, "--instance", str(path))
+        assert (code, out, err) == (2, "", "error: unknown instance kind 'star'\n")
+
     def test_damaged_tree_reports_each_structure_fault_once(self, tmp_path, capsys):
         # The last leaf re-attached to the root: the verifier and the lemma
         # scan used to print the same tree:structure line each.
@@ -362,6 +396,11 @@ class TestWitnessPipeline:
         code, out, _ = run_cli(capsys, "witness", params, "--period", "64")
         assert code == 0 and out.startswith("kind=fcsh p=64 q=1 r=438 s=136\n")
 
+    def test_period_or_tree_is_required(self, capsys):
+        code, out, err = run_cli(capsys, "witness", "--params", HD)
+        assert (code, out) == (2, "")
+        assert err == "error: --period is required (or use --tree --min-period)\n"
+
     def test_flag_combinations(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--params", HD, "--tree")
         assert code == 2 and "--min-period" in err
@@ -420,6 +459,12 @@ class TestSimulate:
             "--instance", str(tmp_path / "nope.json"),
         )
         assert code == 2
+
+    def test_graph_requires_x0(self, tmp_path, capsys):
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text('{"n": 2, "edges": [[0, 1]]}')
+        code, out, err = run_cli(capsys, "simulate", "--params", PD, "--graph", str(graph_file))
+        assert (code, out, err) == (2, "", "error: --graph requires --x0 (e.g. CCD)\n")
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--params", PD)
@@ -487,6 +532,10 @@ class TestSweep:
         )
         assert code == 0
         assert requested == [3]
+
+    def test_empty_period_list_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--params", HD, "--periods", ",")
+        assert (code, out, err) == (2, "", "error: no periods given\n")
 
     def test_bad_period_spec(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--params", HD, "--periods", "6..2")

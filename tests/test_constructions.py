@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from evocycle import build_fcsh, build_hdpd, build_tree
@@ -22,7 +24,7 @@ class TestFcsh:
 
     def test_role_multiplicities(self):
         instance = build_fcsh(5, 3, 2, 4)
-        counts = instance.roles.kind_counts()
+        counts = Counter(role.kind for role in instance.roles)
         assert counts["K"] == 27   # (2p-1) * q
         assert counts["g"] == 1
         assert counts["H"] == 6    # q * r gadget hubs
@@ -40,14 +42,14 @@ class TestFcsh:
             if instance.x0[v]
         }
         assert cooperating_kinds == {"H", "I", "K", "g"}
-        for v in instance.roles.vertices("K"):
-            column = instance.roles[v].index[0]
-            assert bool(instance.x0[v]) == (column == 0)
+        for v, role in enumerate(instance.roles):
+            if role.kind == "K":
+                assert bool(instance.x0[v]) == (role.index[0] == 0)
 
     def test_feeler_degree(self):
         # feeler: one tap into its gadget plus one vertex per chain column
         instance = build_fcsh(p=4, q=2, r=1, s=3)
-        for v in instance.roles.vertices("F"):
+        for v in [v for v, role in enumerate(instance.roles) if role.kind == "F"]:
             assert instance.graph.degree(v) == 1 + (2 * 4 - 1)
 
     def test_rejects_period_one(self):
@@ -71,13 +73,13 @@ class TestHdpd:
         # g_R sees every vertex of cliques 2..p, the q pendants, and g_D.
         p, o, q, r, s = 5, 4, 2, 1, 6
         instance = build_hdpd(p, o, q, r, s)
-        (g_r,) = instance.roles.vertices("g_R")
+        (g_r,) = [v for v, role in enumerate(instance.roles) if role.kind == "g_R"]
         assert instance.graph.degree(g_r) == (p - 1) * o + q + 1
 
     def test_role_multiplicities(self):
         p, o, q, r, s = 5, 4, 2, 1, 6
         instance = build_hdpd(p, o, q, r, s)
-        counts = instance.roles.kind_counts()
+        counts = Counter(role.kind for role in instance.roles)
         assert counts["K"] == (p + 1) * o
         assert counts["g_R"] == counts["g_D"] == counts["g_C"] == 1
         assert counts["H"] == q
@@ -101,8 +103,8 @@ class TestHdpd:
         p, o = 3, 4
         instance = build_hdpd(p, o, 2, 2, 2)
         outer = [
-            v for v in instance.roles.vertices("K")
-            if instance.roles[v].index[0] == p + 1
+            v for v, role in enumerate(instance.roles)
+            if role.kind == "K" and role.index[0] == p + 1
         ]
         assert len(outer) == o
         outer_set = set(outer)
@@ -130,7 +132,7 @@ class TestTree:
 
     def test_role_multiplicities(self):
         instance = build_tree(3, 6)
-        counts = instance.roles.kind_counts()
+        counts = Counter(role.kind for role in instance.roles)
         assert counts["root"] == 1
         # one designated vertex on level 1, all of levels 2 and 3, then one
         # chain per level-3 vertex down to level q-1
@@ -139,7 +141,7 @@ class TestTree:
 
     def test_special_leaves_have_no_children(self):
         instance = build_tree(2, 5)
-        specials = instance.roles.vertices("special")
+        specials = [v for v, role in enumerate(instance.roles) if role.kind == "special"]
         deepest = [
             v for v in specials if instance.roles[v].index[0] == 4
         ]
@@ -150,8 +152,7 @@ class TestTree:
     def test_branch_indices_partition_ordinaries(self):
         instance = build_tree(2, 6)
         branches = {
-            instance.roles[v].index[1]
-            for v in instance.roles.vertices("ordinary")
+            role.index[1] for role in instance.roles if role.kind == "ordinary"
         }
         assert branches == set(range(4))  # r^2 level-3 ancestors
 

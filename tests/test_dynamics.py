@@ -20,10 +20,8 @@ from evocycle import (
     build_hdpd,
     build_tree,
     is_fixed_point,
-    mean_utility,
     step,
     trajectory,
-    utility_profile,
 )
 from evocycle.analysis import replay
 from genutil import (
@@ -151,18 +149,6 @@ class TestStep:
             step(graph, PD, StrategyVector.from_string("10"))
 
 
-class TestUtilityProfile:
-    def test_matches_mean_utility(self, rng):
-        for _ in range(10):
-            graph = random_connected_graph(rng, rng.randint(2, 9))
-            params = random_admissible_params(rng)
-            state = random_state(rng, graph.n)
-            profile = utility_profile(graph, params, state)
-            assert list(profile) == [
-                mean_utility(graph, params, state, v) for v in range(graph.n)
-            ]
-
-
 class TestTrajectory:
     def test_report_shape(self, rng):
         for _ in range(20):
@@ -186,6 +172,12 @@ class TestTrajectory:
             )
             assert report.cycle == report.states[report.transient:]
             assert len(set(report.cycle)) == report.minimal_period
+
+    def test_state_at_refuses_negative_time(self):
+        report = trajectory(Graph(2, [(0, 1)]), PD, StrategyVector.from_string("10"))
+        assert report.state_at(0).to_string() == "10"
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            report.state_at(-1)
 
     def test_budget_error_carries_states(self):
         # A 6-cycle of alternating pairs under HD params moves; with a

@@ -25,6 +25,7 @@ import evocycle.analysis
 import evocycle.dynamics
 from evocycle import (
     GameParams,
+    Graph,
     NonGenericParamsWarning,
     Quotient,
     StrategyVector,
@@ -99,6 +100,14 @@ def test_family_cells_are_the_coarsest_equitable_refinement(family, sp):
     assert cells == colour_refinement(instance.graph, instance.x0.bits)
     extra = 6 if family.kind == "fcsh" else 7
     assert max(cells) + 1 == sp["p"] + extra
+
+
+def test_cell_keys_must_cover_the_graph():
+    graph = Graph(3, [(0, 1), (1, 2)])
+    assert Quotient.of(graph, [0, 1, 0]) is not None
+    for keys in ([0, 1], [0, 1, 0, 1]):
+        with pytest.raises(ValueError, match=f"{len(keys)} cell keys for a graph with n=3"):
+            Quotient.of(graph, keys)
 
 
 def test_more_than_256_cells():

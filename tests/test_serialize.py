@@ -25,8 +25,6 @@ from evocycle.serialize import (
     graph_to_dot,
     instance_from_dict,
     instance_to_dict,
-    params_from_dict,
-    params_to_dict,
     rational_to_str,
     read_json,
     report_to_dict,
@@ -45,12 +43,6 @@ class TestRoundTrips:
     def test_graph_rejects_non_integer_vertex_counts(self, n):
         with pytest.raises(ValueError):
             graph_from_dict({"n": n, "edges": [[0, 1]]})
-
-    def test_params_stay_exact(self):
-        params = GameParams(1, "-0.45", "27/20", 0)
-        data = params_to_dict(params)
-        assert data == {"a": "1", "b": "-9/20", "c": "27/20", "d": "0"}
-        assert params_from_dict(data) == params
 
     def test_instance_reserialization_is_byte_identical(self):
         for instance in (build_hdpd(3, 4, 2, 1, 5), build_tree(2, 6)):
