@@ -215,9 +215,14 @@ def _family_of(instance: ConstructedInstance) -> _Family:
         raise ValueError(f"predicted_period {instance.predicted_period} does not match "
                          f"the {family.kind} period {period} of its structural params")
     n = instance.graph.n
-    # Every structural integer of a witness lies in 1..n; checking that
-    # first also keeps the tree's power r^(q-1) small enough to compute.
-    if not all(0 < value <= n for value in sp.values()) or family.vertices(sp) != n:
+    # Every structural integer of a witness lies in 1..n, and a tree of
+    # height q has at least 2^(q-2) vertices; checking both first keeps the
+    # tree's power r^(q-1) small enough to compute.
+    if (
+        not all(0 < value <= n for value in sp.values())
+        or family is _TREE and sp["q"] - 2 >= n.bit_length()
+        or family.vertices(sp) != n
+    ):
         raise ValueError(f"the {family.kind} structural params {dict(sp)} do not "
                          f"describe the {n}-vertex graph of the instance")
     # The verifiers read role coordinates by position.

@@ -7,7 +7,6 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby, islice
 from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -49,60 +48,15 @@ class TrajectoryBudgetError(RuntimeError):
         self.states = states
 
 
-class _Counts:
-    """What `step` knows about the last state it returned on one graph.
-
-    coop[v] counts the cooperating neighbors of v, and rank[v] is the dense
-    rank of v's exact utility among `levels`, the sorted distinct utilities
-    of every (strategy, cooperators, degree) key in `rank_of_key`, so equal
-    utilities share a rank.  Each vertex outside `dirty` kept its strategy
-    when last decided, and nothing within distance 2 of it has flipped
-    since; its decision reads only those strategies, so it keeps again.
-    """
-
-    __slots__ = ("params", "bits", "coop", "rank", "dirty", "levels", "rank_of_key")
-
-    def __init__(self, graph: Graph, params: GameParams, bits: bytes) -> None:
-        n = graph.n
-        self.params = params
-        self.bits = bits
-        self.coop = [sum(map(bits.__getitem__, graph.neighbors(v))) for v in range(n)]
-        self.rank = [0] * n
-        self.dirty: Iterable[int] = range(n)
-        self.levels: list[Fraction] = []
-        self.rank_of_key: dict[tuple[int, int, int], int] = {}
-        self.rerank(graph, bits, range(n))
-
-    def rerank(self, graph: Graph, bits: bytes, vertices: Iterable[int]) -> None:
-        """Refresh rank[v] for `vertices` under `bits` and the current coop.
-
-        A utility not seen before shifts the ranks above it, which costs
-        one O(n) pass over every rank.
-        """
-        coop, rank, rank_of_key = self.coop, self.rank, self.rank_of_key
-        neighbors = graph.neighbors
-        fresh: dict[tuple[int, int, int], Fraction] = {}
-        for v in vertices:
-            key = (bits[v], coop[v], len(neighbors(v)))
-            r = rank_of_key.get(key)
-            if r is not None:
-                rank[v] = r
-            elif key not in fresh:
-                fresh[key] = _utility(self.params, *key)
-        if not fresh:
-            return
-        old = self.levels
-        levels = sorted(set(old).union(fresh.values()))
-        if old and len(levels) > len(old):
-            remap = [bisect_left(levels, u) for u in old]
-            rank[:] = map(remap.__getitem__, rank)
-            for key, r in rank_of_key.items():
-                rank_of_key[key] = remap[r]
-        self.levels = levels
-        for key, u in fresh.items():
-            rank_of_key[key] = bisect_left(levels, u)
-        for v in vertices:
-            rank[v] = rank_of_key[(bits[v], coop[v], len(neighbors(v)))]
+def _rank_table(
+    params: GameParams, keys: Iterable[tuple[int, int, int]]
+) -> dict[tuple[int, int, int], int]:
+    """Every (strategy, cooperators, degree) key mapped to the dense rank of
+    its exact utility among those of all the keys, so equal utilities share
+    a rank and ranks order like utilities."""
+    utility = {key: _utility(params, *key) for key in keys}
+    levels = sorted(set(utility.values()))
+    return {key: bisect_left(levels, u) for key, u in utility.items()}
 
 
 def _top_masks(
@@ -151,51 +105,46 @@ def step(graph: Graph, params: GameParams, state: StrategyVector) -> StrategyVec
     adopts the strategy of the unique best performer; if both strategies
     attain the maximum, it keeps its own.
 
-    The graph keeps the neighbor counts and utility ranks of the state this
-    function last returned on it.  Called again with that very state (and
-    equal params), it re-decides only the vertices within distance 2 of the
-    last flips, since a decision reads only the strategies that close;
-    called with any other state, it first counts from scratch.
+    The graph keeps the cooperating-neighbor counts of the state this
+    function last returned on it, and a table of utility ranks by key.
+    Called again with that very state (and equal params), it reuses both
+    and updates the counts only around the vertices that flip; called with
+    any other state, it first counts from scratch.
     """
     _check_state(graph, state)
     bits = state.bits
-    held = graph._step_counts
+    adj = graph._adj
     # pop() hands the counts to this call alone, so no other call, whether
-    # concurrent or after an interrupted one, sees half-updated lists.
+    # concurrent or after an interrupted one, sees a half-updated list.
     try:
-        counts = held.pop()
+        held_bits, held_params, coop, table = graph._step_counts.pop()
     except IndexError:
-        counts = None
-    if counts is None or counts.bits is not bits or counts.params != params:
-        counts = _Counts(graph, params, bits)
-    adj, coop = graph._adj, counts.coop
+        held_bits = held_params = None
+    if held_bits is not bits or held_params != params:
+        coop = [sum(map(bits.__getitem__, nbrs)) for nbrs in adj]
+        table = {}
+    # Every rank one call reads comes from one table, so ranks compare
+    # exactly like utilities; a key not in it rebuilds it.
+    try:
+        rank = list(map(table.__getitem__, zip(bits, coop, map(len, adj))))
+    except KeyError:
+        table = _rank_table(params, {*table, *zip(bits, coop, map(len, adj))})
+        rank = list(map(table.__getitem__, zip(bits, coop, map(len, adj))))
     # A vertex whose closed neighborhood plays one strategy keeps it.
-    mixed = [v for v in counts.dirty if coop[v] != (len(adj[v]) if bits[v] else 0)]
-    flipped = [
-        v
-        for v, mask in zip(mixed, _top_masks(mixed, adj, bits, counts.rank))
-        if mask == 2 >> bits[v]
+    mixed = [
+        v for v, own, count, nbrs in zip(range(len(adj)), bits, coop, adj)
+        if count != (len(nbrs) if own else 0)
     ]
     new = bytearray(bits)
-    touched = set(flipped)
-    for v in flipped:
-        new[v] ^= 1
-        delta = -1 if bits[v] else 1
-        nbrs = adj[v]
-        for w in nbrs:
-            coop[w] += delta
-        touched.update(nbrs)
+    for v, mask in zip(mixed, _top_masks(mixed, adj, bits, rank)):
+        own = bits[v]
+        if mask == 2 >> own:
+            new[v] = 1 - own
+            delta = -1 if own else 1
+            for w in adj[v]:
+                coop[w] += delta
     result = StrategyVector(new)
-    counts.bits = result.bits
-    counts.rerank(graph, result.bits, touched)
-    # Utilities changed exactly on `touched`; their closed neighborhoods
-    # (which contain `touched`, as no vertex is isolated) may now decide
-    # differently.
-    dirty: set[int] = set()
-    for w in touched:
-        dirty.update(adj[w])
-    counts.dirty = dirty
-    held[:] = (counts,)
+    graph._step_counts[:] = ((result.bits, params, coop, table),)
     return result
 
 

@@ -177,9 +177,11 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._edge_count = sum(map(len, adj)) // 2
         self._connected: bool | None = None
-        # Owned by dynamics.step: the counts behind the last state it
-        # returned, in a list so that a call takes them with one atomic pop.
-        self._step_counts: list[object] = []
+        # Owned by dynamics.step: (bits, params, coop, table) of the last
+        # state it returned, the cooperating-neighbor counts and the utility
+        # rank of every key seen, in a list so that a call takes them with
+        # one atomic pop.
+        self._step_counts: list[tuple] = []
 
     @property
     def n(self) -> int:

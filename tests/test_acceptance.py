@@ -7,7 +7,6 @@ without -s, pytest still shows the line of any failing criterion.
 import random
 import time
 import warnings
-from fractions import Fraction
 from itertools import product
 
 from evocycle import (
@@ -19,7 +18,6 @@ from evocycle import (
     build_tree,
     check_hdpd,
     check_local_lemmas,
-    classify_scenario,
     is_fixed_point,
     normalize_params,
     solve_fcsh,

@@ -13,7 +13,6 @@ from evocycle import (
     f_of_t,
     replay,
     solve_fcsh,
-    solve_hdpd,
     trajectory,
     verify_fcsh_dynamics,
     verify_hdpd_dynamics,

@@ -306,6 +306,33 @@ class TestWitnessPipeline:
         assert out == ""
         assert "-vertex graph of the instance" in err
 
+    def test_tree_height_is_bounded_before_the_vertex_count(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # A q up to n passed the range check, and counting the tree's
+        # vertices then raised r to the power q - 1: with n in the millions,
+        # a number of millions of bits.
+        run_cli(capsys, "witness", "--params", TREE_HD, "--tree", "--min-period", "6",
+                "--out", str(tmp_path))
+        path = tmp_path / "instance.json"
+        data = json.loads(path.read_text())
+        n = data["graph"]["n"]
+        data["structural_params"]["q"] = n
+        data["predicted_period"] = 2 * (n - 3)
+        path.write_text(json.dumps(data))
+        calls = []
+        counted = evocycle.cli._tree_vertices
+
+        def recording(*args):
+            calls.append(args)
+            return counted(*args)
+
+        monkeypatch.setattr(evocycle.cli, "_tree_vertices", recording)
+        code, out, err = run_cli(capsys, "verify", "--params", TREE_HD,
+                                 "--instance", str(path))
+        assert (code, out) == (2, "")
+        assert "-vertex graph of the instance" in err
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["simulate", "verify", "export-dot"])
     @pytest.mark.parametrize("params,select,deleted,vertex,role,error", [
         # With o deleted and the role kind 7, simulate and export-dot used to

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -20,6 +21,7 @@ from evocycle import (
     build_hdpd,
     build_tree,
     is_fixed_point,
+    mean_utility,
     step,
     trajectory,
 )
@@ -347,6 +349,45 @@ class TestCarriedCounts:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+    def test_rank_table_rebuilt_in_mid_trajectory(self):
+        # On the path 0-1-...-6, the utilities under x0 are 0, 4/5, 1 and 2.
+        # In x1, vertex 6 cooperates next to a defector: a new key whose
+        # utility 3/5 lies strictly between two of them, so the carried call
+        # meets a key its rank table lacks and rebuilds the table.
+        graph = Graph(7, [(v, v + 1) for v in range(6)])
+        params = GameParams(1, "3/5", 2, 0)
+        x0 = StrategyVector.from_string("0011011")
+        x1 = step(graph, params, x0)
+        assert x1 == StrategyVector.from_string("0000001")
+        known = {mean_utility(graph, params, x0, v) for v in range(graph.n)}
+        assert known == {0, Fraction(4, 5), 1, 2}
+        assert mean_utility(graph, params, x1, 6) == Fraction(3, 5)
+        x2 = step(graph, params, x1)
+        assert_is_one_step(graph, params, x0, x1)
+        assert_is_one_step(graph, params, x1, x2)
+
+    @pytest.mark.parametrize("r,q", [(2, 14), (3, 9)])
+    def test_carried_state_memory_per_vertex(self, r, q):
+        # The graph carries the counts and the last state; one carried step
+        # allocates a few lists of n entries.  A list of n key tuples, or a
+        # set of vertices, would break these bounds.
+        instance = build_tree(r, q)
+        graph, n = instance.graph, instance.graph.n
+        params = GameParams(1, "3/5", 2, 0)
+        tracemalloc.start()
+        try:
+            x1 = step(graph, params, instance.x0)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step(graph, params, x1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            del x1
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n
+        assert held < 24 * n
 
     @pytest.mark.parametrize("params,instance", [
         (GameParams(1, "1/2", "4/5", 0), lambda: build_fcsh(4, 4, 10, 8)),
