@@ -17,6 +17,7 @@ rationals: "1,-0.45,1.35,0" reads 0.45 as 9/20, never as a binary float.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -588,6 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Witness data holds no reference cycles (graphs, roles, states and
+    # reports are trees of tuples, lists and frozen dataclasses), so
+    # reference counting frees it all; the cyclic collector would only
+    # rescan the objects a command builds.  Library calls keep the
+    # caller's policy.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (SearchBudgetError, SizeBudgetError, TrajectoryBudgetError) as exc:
@@ -599,6 +607,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -138,6 +138,18 @@ def counts_to_csv(series: Iterable[tuple[int, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge_runs(graph: Graph, head: str, tail: str, sep: str) -> Iterator[str]:
+    """For each vertex v with a later neighbour, the text of its edges
+    (v, w), w > v, each written as head % v, then w, then tail, joined by
+    sep: one str.join per vertex from the sorted adjacency."""
+    for v in range(graph.n):
+        nbrs = graph.neighbors(v)
+        later = nbrs[bisect_right(nbrs, v):]
+        if later:
+            first = head % v
+            yield first + (tail + sep + first).join(map(str, later)) + tail
+
+
 def graph_to_dot(graph: Graph, state: StrategyVector | None = None) -> str:
     """DOT snapshot of graph G; cooperators are filled black, defectors white."""
     lines = ["graph G {", "  node [shape=circle, style=filled];"]
@@ -146,7 +158,7 @@ def graph_to_dot(graph: Graph, state: StrategyVector | None = None) -> str:
             lines.append(f'  {v} [fillcolor="white"];')
         else:
             lines.append(f'  {v} [fillcolor="black", fontcolor="white"];')
-    lines.extend(f"  {i} -- {j};" for i, j in graph.edges())
+    lines.extend(_edge_runs(graph, "  %d -- ", ";", "\n"))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -169,15 +181,6 @@ def _array(items: Iterable[str], indent: str) -> Iterator[str]:
     yield "\n" + indent + "]"
 
 
-def _edges_from(v: int, nbrs: tuple[int, ...]) -> str:
-    """The edges (v, w) with w > v, as elements of the "edges" array."""
-    later = nbrs[bisect_right(nbrs, v):]
-    if not later:
-        return ""
-    head = "      [\n        %d,\n        " % v
-    return head + ("\n      ],\n" + head).join(map(str, later)) + "\n      ]"
-
-
 def _instance_chunks(instance: ConstructedInstance) -> Iterator[str]:
     """The text of dumps(instance_to_dict(instance)) without that dict: the
     edges one vertex at a time from the sorted adjacency, the roles one at
@@ -186,8 +189,8 @@ def _instance_chunks(instance: ConstructedInstance) -> Iterator[str]:
     encode = _ENCODER.encode
     graph = instance.graph
     yield '{\n  "graph": {\n    "edges": '
-    edges = map(_edges_from, range(graph.n), map(graph.neighbors, range(graph.n)))
-    yield from _array(filter(None, edges), "    ")
+    yield from _array(
+        _edge_runs(graph, "      [\n        %d,\n        ", "\n      ]", ",\n"), "    ")
     yield ',\n    "n": %s\n  },\n  "kind": %s,\n  "predicted_period": %s,\n  "roles": ' % (
         encode(graph.n), encode(instance.kind), encode(instance.predicted_period))
     kind_text = {kind: encode(kind) for kind in {role.kind for role in instance.roles}}

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -643,6 +644,86 @@ class TestEntryPoints:
         assert result.stdout.splitlines()[0] == "HD"
 
 
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector while a command runs and leaves
+    the caller's setting as it found it, whatever the exit code."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv,expected", [
+        (["witness", "--params", HD, "--period", "3", "--out", "OUT"], 0),
+        (["verify", "--params", TREE_HD, "--instance", "HD4"], 1),
+        (["verify", "--params", "1,2,3", "--instance", "HD4"], 2),
+        (["witness", "--params", TREE_HD, "--tree", "--min-period", "44"], 3),
+        (["witness", "--params", HD, "--period", "9", "--max-candidates", "1"], 3),
+    ])
+    def test_the_callers_setting_is_restored(self, tmp_path, capsys, enabled, argv,
+                                            expected):
+        run_cli(capsys, "witness", "--params", HD, "--period", "4",
+                "--out", str(tmp_path / "hd4"))
+        paths = {"OUT": str(tmp_path / "out"), "HD4": str(tmp_path / "hd4" / "instance.json")}
+        with collector(enabled):
+            code, _, _ = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
+            assert gc.isenabled() is enabled
+        assert code == expected
+
+    def test_the_collector_is_off_while_a_command_works(self, tmp_path, monkeypatch,
+                                                       capsys):
+        seen = []
+        build = evocycle.cli.build_hdpd
+
+        def recording_build(*args):
+            seen.append(gc.isenabled())
+            return build(*args)
+
+        monkeypatch.setattr(evocycle.cli, "build_hdpd", recording_build)
+        with collector(True):
+            code, _, _ = run_cli(capsys, "witness", "--params", HD, "--period", "3",
+                                 "--out", str(tmp_path))
+        assert (code, seen) == (0, [False])
+
+    @pytest.mark.parametrize("params,select", [
+        (HD, [["--period", "3"], ["--period", "12"]]),
+        ("1,2/5,9/10,1/2", [["--period", "2"], ["--period", "3"]]),
+        (TREE_HD, [["--tree", "--min-period", "4"], ["--tree", "--min-period", "12"]]),
+    ])
+    def test_cyclic_garbage_does_not_grow_with_the_witness(self, tmp_path, capsys,
+                                                           params, select):
+        # The pause rests on witness data holding no reference cycles: what
+        # the collector finds after a command is the parser's, whatever the
+        # size.  Counts are compared between sizes because the parser's
+        # share differs between Python versions.
+        def garbage(*argv):
+            gc.collect()
+            with collector(False):
+                code, _, _ = run_cli(capsys, *argv)
+                found = gc.collect()
+            assert code == 0
+            return found
+
+        counts = []
+        for k, period_args in enumerate(select):
+            instance = str(tmp_path / str(k) / "instance.json")
+            counts.append([
+                garbage("witness", "--params", params, *period_args,
+                        "--out", str(tmp_path / str(k))),
+                garbage("simulate", "--params", params, "--instance", instance),
+                garbage("verify", "--params", params, "--instance", instance),
+            ])
+        assert counts[0] == counts[1]
+
+
 def _sites(node, path=()):
     """("int", path) for every integer and ("key", path) for every object
     key of a JSON tree."""
@@ -732,3 +813,77 @@ class TestLoaderFuzz:
             path = tmp_path / "instance.json"
             path.write_text(json.dumps(base))
             assert _main_quietly(["verify", "--params", params, "--instance", str(path)])[0] == 0
+
+
+# Flag values for TestArgumentFuzz: valid and malformed payoffs, periods
+# around the refusal boundaries, small budgets, and instance files that
+# load, are damaged, or are missing.  INSTANCE_FILES names are resolved to
+# paths in the test.
+SH = "1,2/5,9/10,1/2"
+INSTANCE_FILES = ("hdpd.json", "tree.json", "damaged.json", "missing.json")
+FLAG_VALUES = {
+    "--params": (HD, PD, TREE_HD, SH, "1,2,3", "1,x,2,0", "1,0.5,0.4,0"),
+    "--period": tuple(map(str, range(-2, 6))) + ("x",),
+    "--min-period": tuple(map(str, range(-2, 11))),
+    "--periods": ("2", "5", "1", "2..1", "4..3", "x"),
+    "--jobs": ("-1", "0", "1", "2"),
+    "--max-candidates": ("0", "1", "40", "1000"),
+    "--max-steps": ("0", "1", "100"),
+    "--format": ("text", "json", "csv", "yaml"),
+    "--instance": INSTANCE_FILES,
+    "--graph": INSTANCE_FILES,
+    "--x0": ("C", "CD" * 5, "X"),
+    "--tree": None,
+}
+COMMAND_FLAGS = {
+    "classify": ("--params", "--format"),
+    "witness": ("--params", "--period", "--tree", "--min-period", "--max-candidates",
+                "--format"),
+    "simulate": ("--params", "--instance", "--graph", "--x0", "--max-steps", "--format"),
+    "verify": ("--params", "--instance", "--format"),
+    "sweep": ("--params", "--periods", "--tree", "--jobs", "--max-candidates", "--format"),
+    "export-dot": ("--instance",),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand, most of its own flags, and now and then one more from
+    the whole vocabulary (which may be its own again, or another's)."""
+    often = st.integers(0, 3).map(bool)
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = [flag for flag in COMMAND_FLAGS[command] if draw(often)]
+    if not draw(often):
+        flags.append(draw(st.sampled_from(sorted(FLAG_VALUES))))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if FLAG_VALUES[flag] is not None:
+            argv.append(draw(st.sampled_from(FLAG_VALUES[flag])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "hdpd.json").write_text(json.dumps(FUZZ_HDPD))
+    (root / "tree.json").write_text(json.dumps(FUZZ_TREE))
+    text = json.dumps(FUZZ_HDPD)
+    (root / "damaged.json").write_text(text[: len(text) // 2])
+    return root
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_argv(), st.booleans())
+    def test_main_returns_an_exit_code_or_argparse_exits(self, fuzz_dir, argv, enabled):
+        # With --jobs 2 a sweep of one period still runs in-process, and
+        # every witness here is small, so no example needs a worker pool.
+        argv = [str(fuzz_dir / arg) if arg in INSTANCE_FILES else arg for arg in argv]
+        with collector(enabled):
+            try:
+                code = _main_quietly(argv)[0]
+            except SystemExit as exc:
+                code = ("argparse", exc.code)
+            assert gc.isenabled() is enabled, argv
+        assert code in (0, 1, 2, 3, ("argparse", 2)), argv

@@ -32,6 +32,15 @@ from evocycle.serialize import (
 )
 
 
+SMALL_INSTANCES = st.one_of(
+    st.builds(build_fcsh, st.integers(2, 4), st.integers(1, 4), st.integers(1, 3),
+              st.integers(1, 4)),
+    st.builds(build_hdpd, st.integers(2, 5), st.integers(1, 4), st.integers(1, 4),
+              st.integers(1, 3), st.integers(1, 4)),
+    st.builds(build_tree, st.integers(2, 3), st.integers(5, 7)),
+)
+
+
 class TestRoundTrips:
     def test_graph(self):
         graph = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -67,13 +76,7 @@ class TestRoundTrips:
             graph_from_dict({"n": 3, "edges": [[0, endpoint], [1, 2]]})
 
     @settings(max_examples=40)
-    @given(st.one_of(
-        st.builds(build_fcsh, st.integers(2, 4), st.integers(1, 4), st.integers(1, 3),
-                  st.integers(1, 4)),
-        st.builds(build_hdpd, st.integers(2, 5), st.integers(1, 4), st.integers(1, 4),
-                  st.integers(1, 3), st.integers(1, 4)),
-        st.builds(build_tree, st.integers(2, 3), st.integers(5, 7)),
-    ))
+    @given(SMALL_INSTANCES)
     def test_write_json_writes_the_dumps_bytes(self, tmp_path_factory, instance):
         # An instance streams from its adjacency and role tuples, whether
         # built or loaded; everything else goes through the encoder.
@@ -139,6 +142,22 @@ class TestSnapshots:
             "  1 -- 2;\n"
             "}\n"
         )
+
+    @settings(max_examples=40)
+    @given(SMALL_INSTANCES, st.booleans())
+    def test_dot_output_matches_a_per_edge_rendering(self, instance, with_state):
+        # graph_to_dot writes each vertex's later neighbours in one join;
+        # the bytes must be those of one line per edge in edge order.
+        graph = instance.graph
+        state = instance.x0 if with_state else None
+        nodes = [
+            f'  {v} [fillcolor="black", fontcolor="white"];' if state is not None and state[v]
+            else f'  {v} [fillcolor="white"];'
+            for v in range(graph.n)
+        ]
+        edges = [f"  {i} -- {j};" for i, j in graph.edges()]
+        assert graph_to_dot(graph, state) == "\n".join(
+            ["graph G {", "  node [shape=circle, style=filled];", *nodes, *edges, "}"]) + "\n"
 
     def test_counts_csv(self):
         assert counts_to_csv([(0, 5), (1, 3)]) == "t,cooperators\n0,5\n1,3\n"
