@@ -28,7 +28,6 @@ from .dynamics import (
     TrajectoryBudgetError,
     TrajectoryReport,
     argmax_strategies,
-    is_fixed_point,
     step,
     trajectory,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "vertex_class",
     "argmax_strategies",
     "step",
-    "is_fixed_point",
     "trajectory",
     "Quotient",
     "TrajectoryReport",

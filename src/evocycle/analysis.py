@@ -6,19 +6,28 @@ realize. Mismatches come back as InvariantViolation records; an empty list
 means the run matched the design exactly. Violations are data, not errors:
 tampered instances or uncertified parameters produce records, never
 exceptions.
+
+The two tree verifiers decide each check once per cell of an equitable
+partition: vertices keyed by (role kind, level, attach level, x0 bit).
+All members of a cell share every fact a check reads (their bit, level,
+attach level and degree, their linked cells and cooperating-neighbor
+count), so when that run logs nothing the answer is [].  Otherwise, and
+whenever the cells cannot serve (damaged structure, a partition that is
+not equitable, a state that is not constant on cells), the same code runs
+on the discrete partition, one cell per vertex, and reports per vertex in
+vertex order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import islice
-from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Mapping, NamedTuple, Optional, Sequence
 
-from .constructions import ConstructedInstance, Role
+from .constructions import ConstructedInstance
 # step is not called here; perfbench/tracing.py wraps this name.
-from .dynamics import _minimal_period, _states, step
+from .dynamics import Quotient, _minimal_period, _states, step
 from .game import GameParams, StrategyVector, _utility
 from .solver import _tree_sides
 
@@ -118,14 +127,14 @@ def _open_log(
 
 
 def _expect(
-    log: _ViolationLog, state: StrategyVector, t: int, label: str, vertex: int, expected: int
+    log: _ViolationLog, state: Sequence[int], t: int, label: str, vertex: int, expected: int
 ) -> None:
     observed = state[vertex]
     if observed != expected:
         log.add(t, label, vertex, expected, observed)
 
 
-def _closes(log: _ViolationLog, label: str, states: Sequence[StrategyVector]) -> bool:
+def _closes(log: _ViolationLog, label: str, states: Sequence[Sequence[int]]) -> bool:
     """Log each vertex where X(P) differs from X(0); True when none does."""
     period = len(states) - 1
     start, final = states[0], states[period]
@@ -208,19 +217,6 @@ def verify_hdpd_dynamics(
     return log.records
 
 
-def _of_kind(roles: Sequence[Role], kind: str) -> tuple[int, ...]:
-    """All vertices carrying the given role kind, in index order."""
-    return tuple(v for v, role in enumerate(roles) if role.kind == kind)
-
-
-def _role_levels(instance: ConstructedInstance) -> list[int]:
-    """Level of every tree vertex, as its role states it."""
-    foreign = [role.kind for role in instance.roles if role.kind not in _TREE_ROLES]
-    if foreign:
-        raise ValueError(f"role kind {foreign[0]!r} does not belong to a tree instance")
-    return [role.index[0] if role.kind != "root" else 0 for role in instance.roles]
-
-
 def _tree_shape(
     instance: ConstructedInstance, log: _ViolationLog
 ) -> Optional[tuple[list[int], list[int]]]:
@@ -232,28 +228,35 @@ def _tree_shape(
     vertices whose ancestry cannot be resolved get attach level -1, which
     exempts them from the ancestry-based checks.
     """
-    graph, roles = instance.graph, instance.roles
-    n = graph.n
-    root_vertices = _of_kind(roles, "root")
-    if len(root_vertices) != 1:
-        log.add(0, "tree:structure", detail=f"{len(root_vertices)} root roles, expected 1")
+    graph, n = instance.graph, instance.graph.n
+    kind = [role.kind for role in instance.roles]
+    roots = [v for v in range(n) if kind[v] == "root"]
+    if len(roots) != 1:
+        log.add(0, "tree:structure", detail=f"{len(roots)} root roles, expected 1")
         return None
-    root = root_vertices[0]
-    level = _role_levels(instance)
+    foreign = [k for k in kind if k not in _TREE_ROLES]
+    if foreign:
+        raise ValueError(f"role kind {foreign[0]!r} does not belong to a tree instance")
+    level = [role.index[0] if role.kind != "root" else 0 for role in instance.roles]
 
-    parent = [-1] * n
+    neighbors = graph.neighbors
     depth = [-1] * n
+    attach = [-1] * n
+    (root,) = roots
     depth[root] = 0
-    queue = deque([root])
     order = [root]
-    while queue:
-        v = queue.popleft()
-        for w in graph.neighbors(v):
+    # Breadth-first order visits each parent before its children, so its
+    # attach level is final when they are reached; ordinary children of
+    # the root take the root's, -1.
+    for v in order:  # grows while the walk runs
+        below = depth[v] + 1
+        inherited = level[v] if kind[v] == "special" else attach[v]
+        for w in neighbors(v):
             if depth[w] == -1:
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                queue.append(w)
+                depth[w] = below
                 order.append(w)
+                if kind[w] == "ordinary":
+                    attach[w] = inherited
     for v in range(n):
         if depth[v] == -1:
             log.add(0, "tree:structure", v, detail="unreachable from the root")
@@ -264,15 +267,119 @@ def _tree_shape(
                 v,
                 detail=f"role level {level[v]} but distance {depth[v]} from root",
             )
-
-    # Breadth-first order visits each parent before its children; ordinary
-    # children of the root take the root's attach level, -1.
-    attach = [-1] * n
-    for v in order:
-        if roles[v].kind == "ordinary":
-            par = parent[v]
-            attach[v] = level[par] if roles[par].kind == "special" else attach[par]
     return level, attach
+
+
+class _Cells(NamedTuple):
+    """A tree on the cells of a partition: per cell its role kind, level
+    and attach level, per state one bit per cell.  The quotient gives each
+    cell's linked cells, link counts and degree."""
+
+    quotient: Quotient
+    kind: list[str]
+    level: list[int]
+    attach: list[int]
+    states: list[bytes]
+
+
+def _tree_cells(
+    instance: ConstructedInstance,
+    shape: tuple[list[int], list[int]],
+    states: Sequence[StrategyVector],
+    discrete: bool = False,
+) -> Optional[_Cells]:
+    """The tree on its cells keyed by (role kind, level, attach level, x0
+    bit), or with discrete on one cell per vertex, where cell v is vertex
+    v and its linked cells are its sorted neighbors.  None when the keyed
+    partition is not equitable or some state is not constant on it."""
+    graph, level, attach = instance.graph, *shape
+    kind = [role.kind for role in instance.roles]
+    keys = range(graph.n) if discrete else list(zip(kind, level, attach, instance.x0.bits))
+    quotient = Quotient.of(graph, keys)
+    if quotient is None:
+        return None
+    first = quotient.first
+    bits = [bytes(map(state.bits.__getitem__, first)) for state in states]
+    # Every state is constant on single-vertex cells.
+    if len(first) < graph.n and any(
+        quotient.lift(cell_bits) != state for cell_bits, state in zip(bits, states)
+    ):
+        return None
+    kind, level, attach = ([values[v] for v in first] for values in (kind, level, attach))
+    return _Cells(quotient, kind, level, attach, bits)
+
+
+def _per_cell(
+    instance: ConstructedInstance,
+    shape: tuple[list[int], list[int]],
+    states: Sequence[StrategyVector],
+    log: _ViolationLog,
+    check: Callable[[_ViolationLog, _Cells], None],
+    damaged: bool,
+) -> list[InvariantViolation]:
+    """Run check on the tree's cells and return [] when it logs nothing
+    there.  Otherwise, or when the structure is damaged or the cells cannot
+    serve, run check into log on one cell per vertex and return its records.
+    """
+    if not damaged:
+        cells = _tree_cells(instance, shape, states)
+        if cells is not None:
+            trial = _ViolationLog()
+            check(trial, cells)
+            if not trial.records:
+                return []
+    check(log, _tree_cells(instance, shape, states, discrete=True))
+    return log.records
+
+
+def _tree_checks(log: _ViolationLog, cells: _Cells, q: int) -> None:
+    """The checks of verify_tree_invariants but tree:structure, on cells."""
+    quotient, kind, level, attach, states = cells
+    linked = quotient.linked
+    count = len(kind)
+    period = len(states) - 1
+
+    for k in range(count):
+        _expect(log, states[0], 0, "tree:x0", k, 1 if level[k] <= q - 2 else 0)
+
+    specials = [k for k in range(count) if kind[k] == "special"]
+    ordinaries = [k for k in range(count) if kind[k] == "ordinary"]
+
+    for t in range(period + 1):
+        bits = states[t]
+        f = f_of_t(q, t)  # the window is inclusive: f(2q-6) = f(0)
+        for k in specials:
+            l = level[k]
+            _expect(log, bits, t, "tree:a", k, 1 if l <= f else 0)
+            inner = all(bits[w] == bits[k] for w in linked[k])
+            if (bits[k] == 1 and inner) != (l < f):
+                log.add(t, "tree:b", k, detail=f"inner cooperator iff level {l} < f={f}")
+            if (bits[k] == 0 and inner) != (l > f + 1):
+                log.add(t, "tree:c", k, detail=f"inner defector iff level {l} > f+1={f + 1}")
+        if t < q - 3:
+            for k in ordinaries:
+                j = attach[k]
+                if j < 0:
+                    continue
+                if t >= 1 and j <= f + 1 and level[k] == j + 1:
+                    _expect(log, bits, t, "tree:d", k, 1)
+                if j > f + 1 and level[k] <= 2 * j - f - 1:
+                    _expect(log, bits, t, "tree:e", k, 0)
+        else:
+            for k in range(count):
+                if level[k] <= f:
+                    _expect(log, bits, t, "tree:f", k, 1)
+                elif level[k] <= f + 3:
+                    _expect(log, bits, t, "tree:g", k, 0)
+
+    if _closes(log, "tree:periodic", states):
+        minimal = _minimal_period(states[:period])
+        if minimal < period:
+            log.add(
+                minimal,
+                "tree:minimal-period",
+                detail=f"cycle already repeats after {minimal} < {period} steps",
+            )
 
 
 def verify_tree_invariants(
@@ -301,63 +408,63 @@ def verify_tree_invariants(
 
     Only this verifier reports tree:structure violations.
     Nothing stronger is asserted; outside the listed sets the dynamics is
-    free to do what it likes (and does, near the leaves).
+    free to do what it likes (and does, near the leaves).  The checks run
+    once per cell of the tree's equitable partition (see _per_cell).
     """
     log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3))
     q = instance.structural_params["q"]
-    period = len(states) - 1
     shape = _tree_shape(instance, log)
     if shape is None:
         return log.records
-    level, attach = shape
-    graph, roles = instance.graph, instance.roles
-    n = graph.n
-    x0 = instance.x0
+    check = partial(_tree_checks, q=q)
+    return _per_cell(instance, shape, states, log, check, damaged=bool(log.records))
 
-    for v in range(n):
-        _expect(log, x0, 0, "tree:x0", v, 1 if level[v] <= q - 2 else 0)
 
-    specials = _of_kind(roles, "special")
-    ordinaries = _of_kind(roles, "ordinary")
+def _lemma_checks(log: _ViolationLog, cells: _Cells, params: GameParams, r: int) -> None:
+    """The four checks of check_local_lemmas, on cells."""
+    quotient, kind, level, _, states = cells
+    linked, degree = quotient.linked, quotient.degree
+    (threshold, lean_defector), (rich_defector, surrounded) = _tree_sides(params, r).values()
+    advance_applies = threshold > lean_defector
+    retreat_applies = rich_defector > surrounded
 
-    for t in range(period + 1):
-        state = states[t]
-        f = f_of_t(q, t)  # the window is inclusive: f(2q-6) = f(0)
-        bits = state.bits
-        for v in specials:
-            l = level[v]
-            _expect(log, state, t, "tree:a", v, 1 if l <= f else 0)
-            nbrs = graph.neighbors(v)
-            inner = all(bits[w] == bits[v] for w in nbrs)
-            if (bits[v] == 1 and inner) != (l < f):
-                log.add(t, "tree:b", v, detail=f"inner cooperator iff level {l} < f={f}")
-            if (bits[v] == 0 and inner) != (l > f + 1):
-                log.add(t, "tree:c", v, detail=f"inner defector iff level {l} > f+1={f + 1}")
-        if t < q - 3:
-            for v in ordinaries:
-                j = attach[v]
-                if j < 0:
+    # Both laws concern vertices of degree r + 1 only.
+    hinges = [k for k, d in enumerate(degree) if d == r + 1]
+    children = [[w for w in around if level[w] == level[k] + 1] for k, around in enumerate(linked)]
+    parents = [k for k, kids in enumerate(children) if kind[k] == "ordinary" and kids]
+
+    @cache  # a defector's utility depends only on (cooperating neighbors, degree)
+    def scores_below(coop_x: int, deg: int) -> bool:
+        return _utility(params, 0, coop_x, deg) < threshold
+
+    for t in range(len(states) - 1):
+        bits, nxt = states[t], states[t + 1]
+        coop = quotient.cooperators(bits)
+        for i in hinges:
+            if bits[i]:
+                if not advance_applies or coop[i] != 1:
                     continue
-                if t >= 1 and j <= f + 1 and level[v] == j + 1:
-                    _expect(log, state, t, "tree:d", v, 1)
-                if j > f + 1 and level[v] <= 2 * j - f - 1:
-                    _expect(log, state, t, "tree:e", v, 0)
-        else:
-            for v in range(n):
-                if level[v] <= f:
-                    _expect(log, state, t, "tree:f", v, 1)
-                elif level[v] <= f + 3:
-                    _expect(log, state, t, "tree:g", v, 0)
-
-    if _closes(log, "tree:periodic", states):
-        minimal = _minimal_period(states[:period])
-        if minimal < period:
-            log.add(
-                minimal,
-                "tree:minimal-period",
-                detail=f"cycle already repeats after {minimal} < {period} steps",
-            )
-    return log.records
+                lean = [w for w in linked[i] if not bits[w]]
+                if all(
+                    degree[w] == r + 1
+                    and coop[w] == 1
+                    and all(scores_below(coop[x], degree[x]) for x in linked[w] if not bits[x])
+                    for w in lean
+                ):
+                    for v in (i, *lean):
+                        _expect(log, nxt, t + 1, "lemma:advance", v, 1)
+            elif retreat_applies and coop[i] == r:
+                for v in (i, *linked[i]):
+                    _expect(log, nxt, t + 1, "lemma:retreat", v, 0)
+        for i in parents:
+            kids = children[i]
+            first = bits[kids[0]]
+            for w in kids[1:]:
+                if bits[w] != first:
+                    log.add(t, "lemma:siblings", w, first, bits[w])
+            if retreat_applies and not bits[i]:
+                for w in kids:
+                    _expect(log, nxt, t + 1, "lemma:descend", w, 0)
 
 
 def check_local_lemmas(
@@ -382,55 +489,14 @@ def check_local_lemmas(
       step.  Relies on the same inequality as lemma:retreat.
 
     Levels come from the roles and premises from each state's cooperating-
-    neighbor counts; verify_tree_invariants checks the tree's structure.
+    neighbor counts; verify_tree_invariants reports the tree's structure.
+    The checks run once per cell of the tree's equitable partition (see
+    _per_cell).
     """
     log = _open_log(instance, "tree", states)
-    r = instance.structural_params["r"]
-    roles = instance.roles
-    if len(_of_kind(roles, "root")) != 1:
+    structure = _ViolationLog()
+    shape = _tree_shape(instance, structure)
+    if shape is None:
         return log.records  # verify_tree_invariants reports the damage
-    level = _role_levels(instance)
-    graph = instance.graph
-    adj = [graph.neighbors(v) for v in range(graph.n)]
-    (threshold, lean_defector), (rich_defector, surrounded) = _tree_sides(params, r).values()
-    advance_applies = threshold > lean_defector
-    retreat_applies = rich_defector > surrounded
-
-    # Both laws concern vertices of degree r + 1 only.
-    hinges = [v for v, nbrs in enumerate(adj) if len(nbrs) == r + 1]
-    children = [[w for w in nbrs if level[w] == level[v] + 1] for v, nbrs in enumerate(adj)]
-    parents = [v for v, role in enumerate(roles) if role.kind == "ordinary" and children[v]]
-
-    @cache  # a defector's utility depends only on (cooperating neighbors, degree)
-    def scores_below(coop_x: int, degree: int) -> bool:
-        return _utility(params, 0, coop_x, degree) < threshold
-
-    for t in range(len(states) - 1):
-        bits, nxt = states[t].bits, states[t + 1]
-        coop = [sum(map(bits.__getitem__, nbrs)) for nbrs in adj]
-        for i in hinges:
-            if bits[i]:
-                if not advance_applies or coop[i] != 1:
-                    continue
-                lean = [w for w in adj[i] if not bits[w]]
-                if all(
-                    len(adj[w]) == r + 1
-                    and coop[w] == 1
-                    and all(scores_below(coop[x], len(adj[x])) for x in adj[w] if not bits[x])
-                    for w in lean
-                ):
-                    for v in (i, *lean):
-                        _expect(log, nxt, t + 1, "lemma:advance", v, 1)
-            elif retreat_applies and coop[i] == r:
-                for v in (i, *adj[i]):
-                    _expect(log, nxt, t + 1, "lemma:retreat", v, 0)
-        for i in parents:
-            kids = children[i]
-            first = bits[kids[0]]
-            for w in kids[1:]:
-                if bits[w] != first:
-                    log.add(t, "lemma:siblings", w, first, bits[w])
-            if retreat_applies and not bits[i]:
-                for w in kids:
-                    _expect(log, nxt, t + 1, "lemma:descend", w, 0)
-    return log.records
+    check = partial(_lemma_checks, params=params, r=instance.structural_params["r"])
+    return _per_cell(instance, shape, states, log, check, damaged=bool(structure.records))

@@ -84,10 +84,14 @@ MAX_SWEEP_ROWS = 10_000
 # (perfbench's traced builds), so SH p=32 (53M edges) ran out of memory;
 # SH p=16 (3.7M) and every benchmark op fit below the limit.
 MAX_EDGES = 10_000_000
+# Trees get that limit scaled by 120/430, rounded down, so that no tree is
+# built with more memory than the largest clique chain allowed.
+MAX_TREE_EDGES = 2_500_000
 
 
 class SizeBudgetError(RuntimeError):
-    """The witness for the request would have more than MAX_EDGES edges."""
+    """The witness for the request would have more than MAX_EDGES edges
+    (MAX_TREE_EDGES for a tree)."""
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,8 @@ def _solve(
 ) -> tuple[_Family, Certificate, dict[str, int]]:
     """Shared by witness and sweep; with tree, period is a lower bound.
     Returns the family, the certificate and its structural integers, once
-    the witness is known to have at most MAX_EDGES edges."""
+    the witness is known to have at most MAX_EDGES edges (MAX_TREE_EDGES
+    for a tree)."""
     if tree:
         family = _TREE
     elif period == 1:
@@ -272,6 +277,9 @@ def _solve(
     if edges > MAX_EDGES:
         raise SizeBudgetError(f"size budget: the {family.kind} witness {sp} has "
                               f"{edges} edges, more than MAX_EDGES={MAX_EDGES}")
+    if tree and edges > MAX_TREE_EDGES:
+        raise SizeBudgetError(f"size budget: the tree witness {sp} has {edges} "
+                              f"edges, more than MAX_TREE_EDGES={MAX_TREE_EDGES}")
     return family, cert, sp
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "TrajectoryBudgetError",
     "argmax_strategies",
     "step",
-    "is_fixed_point",
     "Quotient",
     "TrajectoryReport",
     "trajectory",
@@ -148,10 +147,6 @@ def step(graph: Graph, params: GameParams, state: StrategyVector) -> StrategyVec
     return result
 
 
-def is_fixed_point(graph: Graph, params: GameParams, state: StrategyVector) -> bool:
-    return step(graph, params, state) == state
-
-
 class Quotient:
     """A graph seen through an equitable partition of its vertices.
 
@@ -211,11 +206,15 @@ class Quotient:
         """The state in which every vertex plays its cell's bit."""
         return StrategyVector(bytes(map(bits.__getitem__, self.cell_of)))
 
+    def cooperators(self, bits: bytes) -> list[int]:
+        """Every cell's number of cooperating neighbors, given the cell bits."""
+        return [sum(count for l, count in pairs if bits[l]) for pairs in self.links]
+
     def step(self, params: GameParams, bits: bytes) -> bytes:
         """One synchronous update, by the rule of `step`, on the cell bits."""
         utility = [
-            _utility(params, own, sum(count for l, count in pairs if bits[l]), degree)
-            for own, pairs, degree in zip(bits, self.links, self.degree)
+            _utility(params, own, coop, degree)
+            for own, coop, degree in zip(bits, self.cooperators(bits), self.degree)
         ]
         masks = _top_masks(range(len(bits)), self.linked, bits, utility)
         return bytes(own ^ (mask == 2 >> own) for own, mask in zip(bits, masks))

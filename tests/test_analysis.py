@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evocycle import (
     GameParams,
@@ -18,6 +20,7 @@ from evocycle import (
     verify_hdpd_dynamics,
     verify_tree_invariants,
 )
+from evocycle import analysis
 from evocycle.analysis import MAX_VIOLATION_RECORDS, InvariantViolation
 from evocycle.constructions import Role
 from reference import params_to_pairs, ref_lt, ref_neighbors, ref_utility
@@ -291,6 +294,97 @@ def naive_lemma_scan(instance, params, states):
     return records[:MAX_VIOLATION_RECORDS]
 
 
+
+def naive_tree_shape(instance, log):
+    """(role level, attach level) per vertex, or None without one root; a
+    breadth-first walk over the edge list, logging tree:structure damage."""
+    n, roles = instance.graph.n, instance.roles
+    edges = list(instance.graph.edges())
+    roots = [v for v in range(n) if roles[v].kind == "root"]
+    if len(roots) != 1:
+        log.append(InvariantViolation(0, "tree:structure",
+                                      detail=f"{len(roots)} root roles, expected 1"))
+        return None
+    level = [role.index[0] if role.kind != "root" else 0 for role in roles]
+    nbrs = [ref_neighbors(edges, v) for v in range(n)]
+    parent, depth = [-1] * n, [-1] * n
+    depth[roots[0]] = 0
+    order = [roots[0]]
+    for v in order:
+        for w in sorted(nbrs[v]):
+            if depth[w] == -1:
+                depth[w], parent[w] = depth[v] + 1, v
+                order.append(w)
+    for v in range(n):
+        if depth[v] == -1:
+            log.append(InvariantViolation(0, "tree:structure", v,
+                                          detail="unreachable from the root"))
+        elif depth[v] != level[v]:
+            log.append(InvariantViolation(
+                0, "tree:structure", v,
+                detail=f"role level {level[v]} but distance {depth[v]} from root"))
+    attach = [-1] * n
+    for v in order:
+        if roles[v].kind == "ordinary":
+            par = parent[v]
+            attach[v] = level[par] if roles[par].kind == "special" else attach[par]
+    return level, attach, nbrs
+
+
+def naive_tree_invariants(instance, params, states):
+    """verify_tree_invariants as it was written per vertex, on the edge list."""
+    q = instance.structural_params["q"]
+    period = len(states) - 1
+    records = []
+    shape = naive_tree_shape(instance, records)
+    if shape is None:
+        return records
+    level, attach, nbrs = shape
+    n, roles = instance.graph.n, instance.roles
+
+    def expect(state, t, label, v, strategy):
+        if state[v] != strategy:
+            records.append(InvariantViolation(t, label, v, strategy, state[v]))
+
+    for v in range(n):
+        expect(instance.x0, 0, "tree:x0", v, 1 if level[v] <= q - 2 else 0)
+    for t in range(period + 1):
+        state, f = states[t], f_of_t(q, t)
+        for v in range(n):
+            if roles[v].kind != "special":
+                continue
+            expect(state, t, "tree:a", v, 1 if level[v] <= f else 0)
+            inner = all(state[w] == state[v] for w in nbrs[v])
+            if (state[v] == 1 and inner) != (level[v] < f):
+                records.append(InvariantViolation(
+                    t, "tree:b", v, detail=f"inner cooperator iff level {level[v]} < f={f}"))
+            if (state[v] == 0 and inner) != (level[v] > f + 1):
+                records.append(InvariantViolation(
+                    t, "tree:c", v, detail=f"inner defector iff level {level[v]} > f+1={f + 1}"))
+        for v in range(n):
+            j = attach[v]
+            if t >= q - 3:
+                if level[v] <= f:
+                    expect(state, t, "tree:f", v, 1)
+                elif level[v] <= f + 3:
+                    expect(state, t, "tree:g", v, 0)
+            elif roles[v].kind == "ordinary" and j >= 0:
+                if t >= 1 and j <= f + 1 and level[v] == j + 1:
+                    expect(state, t, "tree:d", v, 1)
+                if j > f + 1 and level[v] <= 2 * j - f - 1:
+                    expect(state, t, "tree:e", v, 0)
+    for v in range(n):
+        expect(states[period], period, "tree:periodic", v, states[0][v])
+    if states[period] == states[0]:
+        minimal = next(d for d in range(1, period + 1)
+                       if period % d == 0 and all(states[t] == states[t % d]
+                                                  for t in range(period)))
+        if minimal < period:
+            records.append(InvariantViolation(
+                minimal, "tree:minimal-period",
+                detail=f"cycle already repeats after {minimal} < {period} steps"))
+    return records[:MAX_VIOLATION_RECORDS]
+
 def plant_advance(rng, graph, bits, i):
     """Make cooperator i meet every lemma:advance premise but the utility one.
 
@@ -354,3 +448,107 @@ class TestCooperatorSeries:
         report = trajectory(instance.graph, TREE_HD, instance.x0, max_steps=40)
         counts = set(report.cooperator_counts)
         assert len(counts) > 1
+
+
+def assert_matches_oracles(instance, params, states):
+    """Both tree verifiers give exactly the records of their oracles."""
+    assert verify_tree_invariants(instance, params, states) == naive_tree_invariants(
+        instance, params, states)
+    roots = sum(role.kind == "root" for role in instance.roles)
+    # Without one root the scan has no levels to read and stays silent.
+    expected = naive_lemma_scan(instance, params, states) if roots == 1 else []
+    assert check_local_lemmas(instance, params, states) == expected
+
+
+def tree_cells_of(instance):
+    """The vertices of every (kind, level, attach level) class, from the oracle's walk."""
+    level, attach, _ = naive_tree_shape(instance, [])
+    cells = {}
+    for v, role in enumerate(instance.roles):
+        cells.setdefault((role.kind, level[v], attach[v]), []).append(v)
+    return list(cells.values())
+
+
+def move_leaf(rng, instance):
+    """Reattach a random leaf to a random vertex other than its parent."""
+    graph = instance.graph
+    leaf = rng.choice([v for v in range(graph.n) if graph.degree(v) == 1])
+    (parent,) = graph.neighbors(leaf)
+    target = rng.choice([v for v in range(graph.n) if v not in (leaf, parent)])
+    edges = [e for e in graph.edges() if leaf not in e] + [(leaf, target)]
+    return replace(instance, graph=Graph(graph.n, edges))
+
+
+TREE_PARAMS = (
+    TREE_HD,
+    GameParams(1, "2/5", 2, 0),
+    GameParams(1, "0.7", 2, 0),
+    GameParams(1, "0.05", "1.3", 0),
+)
+
+
+class TestTreeVerifiersAgainstOracles:
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from([(2, 5), (2, 6), (2, 7), (2, 8), (3, 5), (3, 6)]),
+        st.sampled_from(TREE_PARAMS),
+        st.sampled_from(["clean", "cell", "vertex", "state", "edge"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_records_equal_the_per_vertex_oracles(self, size, params, damage, rng):
+        instance = build_tree(*size)
+        if damage == "cell":  # x0 flipped on a whole cell keeps the split equitable
+            bits = bytearray(instance.x0.bits)
+            for v in rng.choice(tree_cells_of(instance)):
+                bits[v] ^= 1
+            instance = replace(instance, x0=StrategyVector(bits))
+        elif damage == "vertex":
+            instance = flip_x0(instance, rng.randrange(instance.graph.n))
+        elif damage == "edge":
+            instance = move_leaf(rng, instance)
+        states = replay(instance, params)
+        if damage == "state":  # one vertex of one later state
+            t = rng.randrange(1, len(states))
+            bits = bytearray(states[t].bits)
+            bits[rng.randrange(len(bits))] ^= 1
+            states[t] = StrategyVector(bits)
+        assert_matches_oracles(instance, params, states)
+
+    def test_tampered_fixtures(self):
+        flipped_leaf = build_tree(2, 6)
+        flipped_leaf = flip_x0(flipped_leaf, flipped_leaf.graph.n - 1)
+        severed = build_tree(2, 6)
+        severed = replace(severed, graph=Graph(severed.graph.n, [
+            e for e in severed.graph.edges() if e != (1, 2)]))
+        second_root = build_tree(2, 6)
+        bits = bytearray(second_root.x0.bits)
+        for v in (3, 9, 20, 40):
+            bits[v] ^= 1
+        second_root = replace(second_root, x0=StrategyVector(bits), roles=tuple(
+            Role("root") if v == 5 else role for v, role in enumerate(second_root.roles)))
+        inverted = build_tree(3, 7)
+        inverted = replace(inverted, x0=StrategyVector(1 - bit for bit in inverted.x0))
+        for instance in (flipped_leaf, severed, second_root, inverted):
+            assert_matches_oracles(instance, TREE_HD, replay(instance, TREE_HD))
+        for q, cycle in ((9, 6), (9, 4), (7, 1)):
+            instance = build_tree(2, q)
+            designed = replay(instance, TREE_HD)
+            states = [designed[t % cycle] for t in range(len(designed))]
+            assert_matches_oracles(instance, TREE_HD, states)
+
+    @pytest.mark.parametrize("r,q", [(2, 5), (2, 6), (2, 9), (2, 12), (3, 5), (3, 7)])
+    def test_clean_builds_take_the_cell_path(self, monkeypatch, r, q):
+        instance = build_tree(r, q)
+        states = replay(instance, TREE_HD)
+        log = analysis._ViolationLog()
+        cells = analysis._tree_cells(instance, analysis._tree_shape(instance, log), states)
+        assert log.records == []
+        assert cells is not None
+        assert len(cells.quotient.first) == (q * q - 3 * q + 4) // 2
+        partitions = []
+        tree_cells = analysis._tree_cells
+        monkeypatch.setattr(analysis, "_tree_cells", lambda *args, **named: (
+            partitions.append(named.get("discrete", False)) or tree_cells(*args, **named)))
+        assert verify_tree_invariants(instance, TREE_HD, states) == []
+        assert check_local_lemmas(instance, TREE_HD, states) == []
+        assert partitions == [False, False]

@@ -244,6 +244,7 @@ class TestWitnessPipeline:
         (HD, ["--period", "4"]),
         (TREE_HD, ["--tree", "--min-period", "6"]),
         ("1,2/5,9/10,1/2", ["--period", "16"]),  # SH, 3.7M edges: within MAX_EDGES
+        (TREE_HD, ["--tree", "--min-period", "36"]),  # r=2 q=21: within MAX_TREE_EDGES
     ])
     def test_witness_without_out_builds_no_graph(self, monkeypatch, capsys, params, select):
         code, out, _ = run_cli(capsys, "witness", "--params", params, *select)
@@ -280,6 +281,23 @@ class TestWitnessPipeline:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert f"{edges} edges, more than MAX_EDGES=10000000" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # r=2 q=22: 4,194,295 edges, within MAX_EDGES but not MAX_TREE_EDGES.
+        ["witness", "--params", TREE_HD, "--tree", "--min-period", "38"],
+        ["witness", "--params", TREE_HD, "--tree", "--min-period", "38", "--out", "OUT"],
+        ["sweep", "--params", TREE_HD, "--tree", "--periods", "38"],
+    ])
+    def test_oversized_tree_is_refused_before_any_build(self, tmp_path, monkeypatch,
+                                                        capsys, argv):
+        refuse_builds(monkeypatch)
+        out_dir = tmp_path / "out"
+        argv = [str(out_dir) if arg == "OUT" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: size budget: the tree witness {'r': 2, 'q': 22} has 4194295 "
+                       "edges, more than MAX_TREE_EDGES=2500000\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("params,select,raised", [

@@ -20,7 +20,6 @@ from evocycle import (
     build_fcsh,
     build_hdpd,
     build_tree,
-    is_fixed_point,
     mean_utility,
     step,
     trajectory,
@@ -64,8 +63,10 @@ class TestStep:
         params = GameParams(1, "1/2", 1, 0)
         x0 = StrategyVector.from_string("110")
         assert argmax_strategies(graph, params, x0, 1) == frozenset({0, 1})
-        assert step(graph, params, x0) == x0
-        assert is_fixed_point(graph, params, x0)
+        fixed = step(graph, params, x0)
+        assert fixed == x0
+        # stepped again, now from the counts the graph carries
+        assert step(graph, params, fixed) == fixed
 
     def test_matches_reference_oracle(self, rng):
         for _ in range(60):
@@ -142,8 +143,10 @@ class TestStep:
             params = random_admissible_params(rng)
             for bit in (0, 1):
                 state = StrategyVector([bit] * graph.n)
-                assert step(graph, params, state) == state
-                assert is_fixed_point(graph, params, state)
+                fixed = step(graph, params, state)
+                assert fixed == state
+                # stepped again, now from the counts the graph carries
+                assert step(graph, params, fixed) == fixed
 
     def test_state_must_fit_graph(self):
         graph = Graph(3, [(0, 1), (1, 2)])
