@@ -15,7 +15,10 @@ count), so when that run logs nothing the answer is [].  Otherwise, and
 whenever the cells cannot serve (damaged structure, a partition that is
 not equitable, a state that is not constant on cells), the same code runs
 on the discrete partition, one cell per vertex, and reports per vertex in
-vertex order.
+vertex order.  Callers that run both verifiers hand them one set of
+cells: the states projected once (_tree_cells), or a replay taken on the
+cells alone (_tree_replay), whose states are lifted to the vertices only
+when the cells find something.
 """
 
 from __future__ import annotations
@@ -105,24 +108,27 @@ def replay(
 def _open_log(
     instance: ConstructedInstance,
     kind: str,
-    states: Sequence[StrategyVector],
+    states: Optional[Sequence[StrategyVector]],
     period: Optional[Callable[[Mapping[str, int]], int]] = None,
+    cells: Optional[_Cells] = None,
 ) -> _ViolationLog:
     """An empty log, once instance has `kind` and states fit the verifier.
 
     With a period (a function of the structural params), states must be
     X(0) .. X(period) starting at x0; without one (the lemma scan), any
-    X(0) .. X(T) with T >= 1 will do.
+    X(0) .. X(T) with T >= 1 will do.  When states is None the cells'
+    states stand for them, and those start at x0 by construction.
     """
     if instance.kind != kind:
         raise ValueError(f"expected kind {kind!r}, got kind={instance.kind!r}")
+    count = len(cells.states if states is None else states)
     if period is None:
-        if len(states) < 2:
+        if count < 2:
             raise ValueError("need at least the two states X(0) and X(1)")
     else:
         length = period(instance.structural_params) + 1
-        if len(states) != length or states[0] != instance.x0:
-            raise ValueError(f"need X(0) .. X({length - 1}) from x0, got {len(states)} states")
+        if count != length or states is not None and states[0] != instance.x0:
+            raise ValueError(f"need X(0) .. X({length - 1}) from x0, got {count} states")
     return _ViolationLog()
 
 
@@ -270,65 +276,109 @@ def _tree_shape(
     return level, attach
 
 
+class _Vertices(NamedTuple):
+    """The discrete partition of a graph, one cell per vertex, read from
+    the graph's own sorted adjacency: what the tree checks read of a
+    Quotient, with every link count 1."""
+
+    linked: Sequence[Sequence[int]]
+    degree: list[int]
+
+    def cooperators(self, bits: bytes) -> list[int]:
+        return [sum(map(bits.__getitem__, around)) for around in self.linked]
+
+
 class _Cells(NamedTuple):
     """A tree on the cells of a partition: per cell its role kind, level
     and attach level, per state one bit per cell.  The quotient gives each
-    cell's linked cells, link counts and degree."""
+    cell's linked cells, its degree and its cooperating-neighbor counts."""
 
-    quotient: Quotient
+    quotient: Quotient | _Vertices
     kind: list[str]
     level: list[int]
     attach: list[int]
     states: list[bytes]
 
 
-def _tree_cells(
-    instance: ConstructedInstance,
-    shape: tuple[list[int], list[int]],
-    states: Sequence[StrategyVector],
-    discrete: bool = False,
-) -> Optional[_Cells]:
+def _keyed_cells(instance: ConstructedInstance) -> Optional[_Cells]:
     """The tree on its cells keyed by (role kind, level, attach level, x0
-    bit), or with discrete on one cell per vertex, where cell v is vertex
-    v and its linked cells are its sorted neighbors.  None when the keyed
-    partition is not equitable or some state is not constant on it."""
-    graph, level, attach = instance.graph, *shape
+    bit), with no states yet; None when its structure is damaged or that
+    partition is not equitable."""
+    structure = _ViolationLog()
+    shape = _tree_shape(instance, structure)
+    if shape is None or structure.records:
+        return None
+    level, attach = shape
     kind = [role.kind for role in instance.roles]
-    keys = range(graph.n) if discrete else list(zip(kind, level, attach, instance.x0.bits))
-    quotient = Quotient.of(graph, keys)
+    quotient = Quotient.of(instance.graph, list(zip(kind, level, attach, instance.x0.bits)))
     if quotient is None:
         return None
-    first = quotient.first
-    bits = [bytes(map(state.bits.__getitem__, first)) for state in states]
-    # Every state is constant on single-vertex cells.
-    if len(first) < graph.n and any(
-        quotient.lift(cell_bits) != state for cell_bits, state in zip(bits, states)
-    ):
+    kind, level, attach = ([values[v] for v in quotient.first] for values in (kind, level, attach))
+    return _Cells(quotient, kind, level, attach, [])
+
+
+def _tree_cells(
+    instance: ConstructedInstance, states: Sequence[StrategyVector]
+) -> Optional[_Cells]:
+    """The states on the tree's keyed cells, or None when those cannot
+    serve: damaged structure, a partition that is not equitable, or a
+    state that is not constant on cells."""
+    cells = _keyed_cells(instance)
+    if cells is None:
         return None
-    kind, level, attach = ([values[v] for v in first] for values in (kind, level, attach))
-    return _Cells(quotient, kind, level, attach, bits)
+    quotient = cells.quotient
+    bits = [bytes(map(state.bits.__getitem__, quotient.first)) for state in states]
+    if any(quotient.lift(cell_bits) != state for cell_bits, state in zip(bits, states)):
+        return None
+    return cells._replace(states=bits)
+
+
+def _tree_replay(instance: ConstructedInstance, params: GameParams) -> Optional[_Cells]:
+    """X(0) .. X(P) of a tree instance on its keyed cells, stepped by
+    Quotient.step from x0's cell bits, or None when those cells cannot
+    serve (damaged structure, a partition that is not equitable).  The
+    partition holds the x0 bit, so every state is constant on cells."""
+    cells = _keyed_cells(instance)
+    if cells is None:
+        return None
+    quotient = cells.quotient
+    bits = bytes(map(instance.x0.bits.__getitem__, quotient.first))
+    states = [bits]
+    for _ in range(instance.predicted_period):
+        bits = quotient.step(params, bits)
+        states.append(bits)
+    return cells._replace(states=states)
 
 
 def _per_cell(
     instance: ConstructedInstance,
-    shape: tuple[list[int], list[int]],
-    states: Sequence[StrategyVector],
+    states: Optional[Sequence[StrategyVector]],
+    cells: Optional[_Cells],
     log: _ViolationLog,
     check: Callable[[_ViolationLog, _Cells], None],
-    damaged: bool,
+    structure: _ViolationLog,
 ) -> list[InvariantViolation]:
-    """Run check on the tree's cells and return [] when it logs nothing
-    there.  Otherwise, or when the structure is damaged or the cells cannot
-    serve, run check into log on one cell per vertex and return its records.
-    """
-    if not damaged:
-        cells = _tree_cells(instance, shape, states)
-        if cells is not None:
-            trial = _ViolationLog()
-            check(trial, cells)
-            if not trial.records:
-                return []
-    check(log, _tree_cells(instance, shape, states, discrete=True))
+    """Run check on the tree's cells (those given, else the states on its
+    keyed cells) and return [] when it logs nothing there.  Otherwise, or
+    when the cells cannot serve, log the tree's structure into structure
+    and, if it has one root, run check into log on one cell per vertex,
+    over the states or else the cells' states lifted, and return log's
+    records."""
+    if cells is None:
+        cells = _tree_cells(instance, states)
+    if cells is not None:
+        trial = _ViolationLog()
+        check(trial, cells)
+        if not trial.records:
+            return []
+        if states is None:
+            states = list(map(cells.quotient.lift, cells.states))
+    shape = _tree_shape(instance, structure)
+    if shape is not None:
+        adj = instance.graph._adj
+        kind = [role.kind for role in instance.roles]
+        vertices = _Vertices(adj, list(map(len, adj)))
+        check(log, _Cells(vertices, kind, *shape, [state.bits for state in states]))
     return log.records
 
 
@@ -383,7 +433,10 @@ def _tree_checks(log: _ViolationLog, cells: _Cells, q: int) -> None:
 
 
 def verify_tree_invariants(
-    instance: ConstructedInstance, params: GameParams, states: Sequence[StrategyVector]
+    instance: ConstructedInstance,
+    params: GameParams,
+    states: Optional[Sequence[StrategyVector]],
+    cells: Optional[_Cells] = None,
 ) -> list[InvariantViolation]:
     """Check a build_tree instance against the breathing-ball pattern.
 
@@ -410,14 +463,12 @@ def verify_tree_invariants(
     Nothing stronger is asserted; outside the listed sets the dynamics is
     free to do what it likes (and does, near the leaves).  The checks run
     once per cell of the tree's equitable partition (see _per_cell).
+    `cells`, the states on those cells from _tree_cells or _tree_replay,
+    saves building them here; with them, states may be None.
     """
-    log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3))
-    q = instance.structural_params["q"]
-    shape = _tree_shape(instance, log)
-    if shape is None:
-        return log.records
-    check = partial(_tree_checks, q=q)
-    return _per_cell(instance, shape, states, log, check, damaged=bool(log.records))
+    log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3), cells)
+    check = partial(_tree_checks, q=instance.structural_params["q"])
+    return _per_cell(instance, states, cells, log, check, structure=log)
 
 
 def _lemma_checks(log: _ViolationLog, cells: _Cells, params: GameParams, r: int) -> None:
@@ -468,7 +519,10 @@ def _lemma_checks(log: _ViolationLog, cells: _Cells, params: GameParams, r: int)
 
 
 def check_local_lemmas(
-    instance: ConstructedInstance, params: GameParams, states: Sequence[StrategyVector]
+    instance: ConstructedInstance,
+    params: GameParams,
+    states: Optional[Sequence[StrategyVector]],
+    cells: Optional[_Cells] = None,
 ) -> list[InvariantViolation]:
     """Scan a tree trajectory for the four local update laws.
 
@@ -489,14 +543,11 @@ def check_local_lemmas(
       step.  Relies on the same inequality as lemma:retreat.
 
     Levels come from the roles and premises from each state's cooperating-
-    neighbor counts; verify_tree_invariants reports the tree's structure.
-    The checks run once per cell of the tree's equitable partition (see
-    _per_cell).
+    neighbor counts; verify_tree_invariants reports the tree's structure,
+    and with not exactly one root role this scan reports nothing.  The
+    checks run once per cell of the tree's equitable partition (see
+    _per_cell); `cells` is as for verify_tree_invariants.
     """
-    log = _open_log(instance, "tree", states)
-    structure = _ViolationLog()
-    shape = _tree_shape(instance, structure)
-    if shape is None:
-        return log.records  # verify_tree_invariants reports the damage
+    log = _open_log(instance, "tree", states, cells=cells)
     check = partial(_lemma_checks, params=params, r=instance.structural_params["r"])
-    return _per_cell(instance, shape, states, log, check, damaged=bool(structure.records))
+    return _per_cell(instance, states, cells, log, check, structure=_ViolationLog())

@@ -29,6 +29,9 @@ from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 from .analysis import (
     InvariantViolation,
+    _Cells,
+    _tree_cells,
+    _tree_replay,
     check_local_lemmas,
     replay,
     verify_fcsh_dynamics,
@@ -105,7 +108,8 @@ class _Family:
     solve: Callable[[GameParams, int, int], Certificate]  # params, period, budget
     build: Callable[[Mapping[str, int]], ConstructedInstance]  # structural integers
     check: Callable[[GameParams, Mapping[str, int]], Certificate]
-    verify: Callable[..., list[InvariantViolation]]  # instance, params, X(0)..X(P)
+    # instance, params, X(0)..X(P) (or None), the tree's cells (or None)
+    verify: Callable[..., list[InvariantViolation]]
     invariants: tuple[str, ...]  # listed by verify, so exit 0 states what was checked
     period: Callable[[Mapping[str, int]], int]  # from the structural integers
     vertices: Callable[[Mapping[str, int]], int]  # n, from the structural integers
@@ -120,6 +124,20 @@ def _tree_vertices(r: int, q: int) -> int:
     """1 + (1 + r + ... + r^(q-2)) + r(r^(q-2) - r^2), with the sum in closed form."""
     levels = q - 1 if r == 1 else (r ** (q - 1) - 1) // (r - 1)
     return 1 + levels + r ** (q - 1) - r ** 3
+
+
+def _verify_tree(
+    instance: ConstructedInstance,
+    params: GameParams,
+    states: Optional[Sequence[StrategyVector]],
+    cells: Optional[_Cells],
+) -> list[InvariantViolation]:
+    """Both tree verifiers on one set of cells: those given, else the
+    states projected onto the tree's keyed cells once for both."""
+    if cells is None:
+        cells = _tree_cells(instance, states)
+    return (verify_tree_invariants(instance, params, states, cells)
+            + check_local_lemmas(instance, params, states, cells))
 
 
 def _fcsh_cell(role: Role) -> Hashable:
@@ -141,7 +159,7 @@ _FCSH = _Family(
     solve=lambda params, p, budget: solve_fcsh(params, p, max_candidates=budget),
     build=lambda sp: build_fcsh(sp["p"], sp["q"], sp["r"], sp["s"]),
     check=lambda params, sp: check_fcsh(params, sp["p"], sp["q"], sp["r"], sp["s"]),
-    verify=lambda inst, params, states: verify_fcsh_dynamics(inst, params, states),
+    verify=lambda inst, params, states, _: verify_fcsh_dynamics(inst, params, states),
     invariants=("fcsh:frozen", "fcsh:chain", "fcsh:reset"),
     period=lambda sp: sp["p"],
     vertices=lambda sp: (2 * sp["p"] - 1) * sp["q"] + 1 + sp["q"] * sp["r"] * (2 * sp["s"] + 2),
@@ -158,7 +176,7 @@ _HDPD = _Family(
     solve=lambda params, p, budget: solve_hdpd(params, p, max_candidates=budget),
     build=lambda sp: build_hdpd(sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
     check=lambda params, sp: check_hdpd(params, sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
-    verify=lambda inst, params, states: verify_hdpd_dynamics(inst, params, states),
+    verify=lambda inst, params, states, _: verify_hdpd_dynamics(inst, params, states),
     invariants=("hdpd:chain", "hdpd:frozen", "hdpd:outer", "hdpd:reset"),
     period=lambda sp: sp["p"],
     vertices=lambda sp: (sp["p"] + 1) * sp["o"] + sp["q"] + sp["r"] + sp["s"] + 3,
@@ -175,10 +193,7 @@ _TREE = _Family(
     solve=lambda params, bound, budget: solve_tree(params, bound, max_candidates=budget),
     build=lambda sp: build_tree(sp["r"], sp["q"]),
     check=lambda params, sp: check_tree(params, sp["r"], sp["q"]),
-    verify=lambda inst, params, states: (
-        verify_tree_invariants(inst, params, states)
-        + check_local_lemmas(inst, params, states)
-    ),
+    verify=lambda inst, params, states, cells: _verify_tree(inst, params, states, cells),
     invariants=(
         "tree:x0",
         "tree:a",
@@ -418,9 +433,11 @@ def _verify_instance(
     family: _Family,
     instance: ConstructedInstance,
     params: GameParams,
-    states: Sequence[StrategyVector],
+    states: Optional[Sequence[StrategyVector]],
+    cells: Optional[_Cells] = None,
 ) -> tuple[list[str], list[str]]:
-    """Returns (violation lines, certificate problem lines) given X(0) .. X(P)."""
+    """Returns (violation lines, certificate problem lines) given X(0) .. X(P),
+    or for a tree its states on cells alone."""
     cert_problems: list[str] = []
     try:
         family.check(params, instance.structural_params)
@@ -430,7 +447,7 @@ def _verify_instance(
         f"violation t={v.time} {v.label} vertex={v.vertex} "
         f"expected={v.expected} observed={v.observed}"
         + (f" ({v.detail})" if v.detail else "")
-        for v in family.verify(instance, params, states)
+        for v in family.verify(instance, params, states, cells)
     ]
     return lines, cert_problems
 
@@ -438,8 +455,12 @@ def _verify_instance(
 def cmd_verify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     family, instance = _load_instance(args.instance)
-    states = replay(instance, params, _cells(family, instance))
-    lines, cert_problems = _verify_instance(family, instance, params, states)
+    # A tree whose keyed cells are equitable is replayed on them alone;
+    # any other instance, or a damaged tree, on the family cells or the
+    # whole graph.
+    cells = _tree_replay(instance, params) if family is _TREE else None
+    states = replay(instance, params, _cells(family, instance)) if cells is None else None
+    lines, cert_problems = _verify_instance(family, instance, params, states, cells)
     ok = not lines and not cert_problems
     families = family.invariants + ("certificate",)
     if args.format == "json":

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -20,9 +23,10 @@ from evocycle import (
     verify_hdpd_dynamics,
     verify_tree_invariants,
 )
-from evocycle import analysis
+from evocycle import analysis, cli, dynamics
 from evocycle.analysis import MAX_VIOLATION_RECORDS, InvariantViolation
 from evocycle.constructions import Role
+from evocycle.serialize import write_json
 from reference import params_to_pairs, ref_lt, ref_neighbors, ref_utility
 
 WORKED_HD = GameParams(1, "0.45", "1.24", 0)
@@ -540,15 +544,124 @@ class TestTreeVerifiersAgainstOracles:
     def test_clean_builds_take_the_cell_path(self, monkeypatch, r, q):
         instance = build_tree(r, q)
         states = replay(instance, TREE_HD)
-        log = analysis._ViolationLog()
-        cells = analysis._tree_cells(instance, analysis._tree_shape(instance, log), states)
-        assert log.records == []
+        cells = analysis._tree_cells(instance, states)
         assert cells is not None
         assert len(cells.quotient.first) == (q * q - 3 * q + 4) // 2
-        partitions = []
-        tree_cells = analysis._tree_cells
-        monkeypatch.setattr(analysis, "_tree_cells", lambda *args, **named: (
-            partitions.append(named.get("discrete", False)) or tree_cells(*args, **named)))
+        # The replay on cells alone reaches the projected states.
+        replayed = analysis._tree_replay(instance, TREE_HD)
+        assert replayed.quotient.first == cells.quotient.first
+        assert replayed[1:] == cells[1:]
+
+        def refuse(*args):
+            raise AssertionError("a per-vertex run was set up")
+
+        monkeypatch.setattr(analysis, "_Vertices", refuse)
+        builds = []
+        keyed_cells = analysis._keyed_cells
+        monkeypatch.setattr(analysis, "_keyed_cells", lambda instance: (
+            builds.append(instance) or keyed_cells(instance)))
         assert verify_tree_invariants(instance, TREE_HD, states) == []
         assert check_local_lemmas(instance, TREE_HD, states) == []
-        assert partitions == [False, False]
+        assert len(builds) == 2
+        assert verify_tree_invariants(instance, TREE_HD, None, cells) == []
+        assert check_local_lemmas(instance, TREE_HD, None, cells) == []
+        assert len(builds) == 2
+
+    def test_fallback_memory_stays_below_the_build(self, rng):
+        # The per-vertex run reads the graph's own adjacency: a copy of
+        # the discrete partition used to take more than the build.  One
+        # flipped x0 vertex leaves the keyed partition not equitable.
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        instance, build_peak = traced_peak(lambda: build_tree(2, 12))
+        instance = flip_x0(instance, rng.randrange(instance.graph.n))
+        states = replay(instance, TREE_HD)
+        records, peak = traced_peak(lambda: (
+            verify_tree_invariants(instance, TREE_HD, states),
+            check_local_lemmas(instance, TREE_HD, states)))
+        assert peak < build_peak
+        assert records == (naive_tree_invariants(instance, TREE_HD, states),
+                           naive_lemma_scan(instance, TREE_HD, states))
+        assert records[0]
+
+
+def tamper_tree(rng, instance, damage):
+    """A build_tree instance with one kind of damage."""
+    if damage == "cell":  # x0 flipped on a whole cell keeps the split equitable
+        bits = bytearray(instance.x0.bits)
+        for v in rng.choice(tree_cells_of(instance)):
+            bits[v] ^= 1
+        return replace(instance, x0=StrategyVector(bits))
+    if damage == "vertex":
+        return flip_x0(instance, rng.randrange(instance.graph.n))
+    if damage == "leaf":
+        return move_leaf(rng, instance)
+    if damage == "level":  # one cell's role level raised past the height:
+        # damaged structure on a partition that stays equitable
+        level = instance.structural_params["q"] + 5
+        cell = set(rng.choice(tree_cells_of(instance)[1:]))
+        return replace(instance, roles=tuple(
+            Role(role.kind, (level, *role.index[1:])) if w in cell else role
+            for w, role in enumerate(instance.roles)))
+    if damage == "root":  # a second root role: no levels to walk from
+        v = rng.randrange(1, instance.graph.n)
+        return replace(instance, roles=tuple(
+            Role("root") if w == v else role for w, role in enumerate(instance.roles)))
+    return instance
+
+
+def verify_file(path, params, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--params", params, "--instance", str(path), "--format", fmt])
+    return code, out.getvalue()
+
+
+class TestVerifyReplaysTreesOnCells:
+    @settings(max_examples=50)
+    @given(
+        st.sampled_from([(2, 5), (2, 6), (2, 7), (2, 8), (3, 5), (3, 6), (3, 7), (3, 8)]),
+        st.sampled_from(["1,0.6,2,0", "1,2/5,2,0", "1,0.7,2,0", "1,0.05,1.3,0"]),
+        st.sampled_from(["clean", "cell", "vertex", "leaf", "level", "root"]),
+        st.sampled_from(["text", "json"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_output_equals_the_whole_graph_path(self, tmp_path_factory, size, params,
+                                                damage, fmt, rng):
+        path = tmp_path_factory.mktemp("tree") / "instance.json"
+        write_json(path, tamper_tree(rng, build_tree(*size), damage))
+        on_cells = verify_file(path, params, fmt)
+        with pytest.MonkeyPatch.context() as patch:
+            # Neither a replay nor a projection on cells: every state is
+            # stepped on the whole graph and every check runs per vertex.
+            patch.setattr(cli, "_tree_replay", lambda *args: None)
+            patch.setattr(cli, "_tree_cells", lambda *args: None)
+            patch.setattr(analysis, "_tree_cells", lambda *args: None)
+            whole_graph = verify_file(path, params, fmt)
+        assert on_cells == whole_graph
+
+    def test_clean_tree_verify_takes_no_whole_graph_step(self, tmp_path, monkeypatch):
+        path = tmp_path / "instance.json"
+        write_json(path, build_tree(2, 7))
+        steps, builds = [], []
+        step, keyed_cells = dynamics.step, analysis._keyed_cells
+        monkeypatch.setattr(dynamics, "step", lambda *args: steps.append(1) or step(*args))
+        monkeypatch.setattr(analysis, "_keyed_cells", lambda instance: (
+            builds.append(1) or keyed_cells(instance)))
+        assert verify_file(path, "1,0.6,2,0", "text")[0] == 0
+        assert (steps, builds) == ([], [1])
+        # simulate --instance still steps trees on the whole graph.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--params", "1,0.6,2,0", "--instance", str(path)]) == 0
+        assert len(steps) > 0
+        assert builds == [1]
+        # A sweep row projects its states onto the cells once for both
+        # verifiers.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep", "--params", "1,0.6,2,0", "--tree", "--periods", "8"]) == 0
+        assert builds == [1, 1]
