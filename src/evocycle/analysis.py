@@ -92,14 +92,16 @@ def f_of_t(q: int, t: int) -> int:
 def replay(
     instance: ConstructedInstance,
     params: GameParams,
-    cells: Optional[Sequence[Hashable]] = None,
+    cells: Optional[Sequence[Hashable] | Quotient] = None,
 ) -> list[StrategyVector]:
     """X(0) .. X(P) of the instance, where P is its predicted period.
 
     The states come from the source `trajectory` draws on: with `cells`,
     one cell key per vertex, the steps are taken on the Quotient by those
     cells split by the x0 bit when that partition is equitable, and on
-    the whole graph otherwise; the states are the same.
+    the whole graph otherwise; the states are the same.  With a Quotient
+    for `cells` they are taken on it, and the instance's graph may be a
+    Layout.
     """
     states = _states(instance.graph, params, instance.x0, cells)
     return list(islice(states, instance.predicted_period + 1))
@@ -204,6 +206,7 @@ def verify_hdpd_dynamics(
     """
     log = _open_log(instance, "hdpd", states, lambda sp: sp["p"])
     p = len(states) - 1
+    vertices = range(len(instance.x0))
     by_layer = _clique_groups(instance, lambda layer: layer)
 
     for t in range(1, p):
@@ -213,7 +216,7 @@ def verify_hdpd_dynamics(
             for v in by_layer.get(n, ()):
                 lit.add(v)
                 _expect(log, state, t, "hdpd:chain", v, 1)
-        for v in range(instance.graph.n):
+        for v in vertices:
             if v not in lit:
                 _expect(log, state, t, "hdpd:frozen", v, previous[v])
     for t in range(p):
@@ -300,6 +303,12 @@ class _Cells(NamedTuple):
     states: list[bytes]
 
 
+# What a caller passes as `cells` once it has found that the tree's keyed
+# cells cannot serve, so that no verifier builds them again: the checks go
+# straight to the discrete partition.
+NO_CELLS = _Cells(_Vertices((), []), [], [], [], [])
+
+
 def _keyed_cells(instance: ConstructedInstance) -> Optional[_Cells]:
     """The tree on its cells keyed by (role kind, level, attach level, x0
     bit), with no states yet; None when its structure is damaged or that
@@ -360,13 +369,13 @@ def _per_cell(
 ) -> list[InvariantViolation]:
     """Run check on the tree's cells (those given, else the states on its
     keyed cells) and return [] when it logs nothing there.  Otherwise, or
-    when the cells cannot serve, log the tree's structure into structure
-    and, if it has one root, run check into log on one cell per vertex,
-    over the states or else the cells' states lifted, and return log's
-    records."""
+    when the cells cannot serve (NO_CELLS), log the tree's structure into
+    structure and, if it has one root, run check into log on one cell per
+    vertex, over the states or else the cells' states lifted, and return
+    log's records."""
     if cells is None:
-        cells = _tree_cells(instance, states)
-    if cells is not None:
+        cells = _tree_cells(instance, states) or NO_CELLS
+    if cells is not NO_CELLS:
         trial = _ViolationLog()
         check(trial, cells)
         if not trial.records:
@@ -464,7 +473,8 @@ def verify_tree_invariants(
     free to do what it likes (and does, near the leaves).  The checks run
     once per cell of the tree's equitable partition (see _per_cell).
     `cells`, the states on those cells from _tree_cells or _tree_replay,
-    saves building them here; with them, states may be None.
+    saves building them here; with them, states may be None.  NO_CELLS
+    says that they cannot serve, so the checks run per vertex at once.
     """
     log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3), cells)
     check = partial(_tree_checks, q=instance.structural_params["q"])

@@ -21,13 +21,13 @@ import gc
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 from .analysis import (
+    NO_CELLS,
     InvariantViolation,
     _Cells,
     _tree_cells,
@@ -44,11 +44,18 @@ from .constructions import (
     build_fcsh,
     build_hdpd,
     build_tree,
+    fcsh_layout,
+    fcsh_quotient,
+    hdpd_layout,
+    hdpd_quotient,
 )
-from .dynamics import TrajectoryBudgetError, trajectory
+from .dynamics import Quotient, TrajectoryBudgetError, trajectory
 from .game import (GameParams, Scenario, StrategyVector, _require_at_least, as_rational,
                    classify_scenario)
 from .serialize import (
+    MIN_EDGE_BYTES,
+    _declared_params,
+    _holds,
     certificate_to_dict,
     counts_to_csv,
     dumps,
@@ -118,6 +125,11 @@ class _Family:
     # The cell of a role in an equitable partition of the built graph, or
     # None where none is known; see _cells.
     cell: Optional[Callable[[Role], Hashable]]
+    # From the structural integers alone, or None for trees: the instance
+    # with its closed-form Layout for a graph, and the Quotient by the
+    # cells above split by x0, as Quotient.of would take it from the build.
+    layout: Optional[Callable[[Mapping[str, int]], ConstructedInstance]]
+    quotient: Optional[Callable[[Mapping[str, int]], Quotient]]
 
 
 def _tree_vertices(r: int, q: int) -> int:
@@ -133,9 +145,10 @@ def _verify_tree(
     cells: Optional[_Cells],
 ) -> list[InvariantViolation]:
     """Both tree verifiers on one set of cells: those given, else the
-    states projected onto the tree's keyed cells once for both."""
+    states projected onto the tree's keyed cells once for both, or
+    NO_CELLS when those cannot serve."""
     if cells is None:
-        cells = _tree_cells(instance, states)
+        cells = _tree_cells(instance, states) or NO_CELLS
     return (verify_tree_invariants(instance, params, states, cells)
             + check_local_lemmas(instance, params, states, cells))
 
@@ -169,6 +182,8 @@ _FCSH = _Family(
     ),
     roles={"K": 2, "g": 0, "H": 2, "I": 3, "J": 3, "F": 2},
     cell=_fcsh_cell,
+    layout=lambda sp: fcsh_layout(sp["p"], sp["q"], sp["r"], sp["s"]),
+    quotient=lambda sp: fcsh_quotient(sp["p"], sp["q"], sp["r"], sp["s"]),
 )
 _HDPD = _Family(
     kind="hdpd",
@@ -186,6 +201,8 @@ _HDPD = _Family(
     ),
     roles={"K": 2, "g_R": 0, "g_D": 0, "g_C": 0, "H": 1, "I": 1, "J": 1},
     cell=_hdpd_cell,
+    layout=lambda sp: hdpd_layout(sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
+    quotient=lambda sp: hdpd_quotient(sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
 )
 _TREE = _Family(
     kind="tree",
@@ -215,6 +232,8 @@ _TREE = _Family(
     edges=lambda sp: _tree_vertices(sp["r"], sp["q"]) - 1,
     roles={"root": 0, "special": 1, "ordinary": 2},
     cell=None,
+    layout=None,
+    quotient=None,
 )
 _FAMILIES = {family.kind: family for family in (_FCSH, _HDPD, _TREE)}
 
@@ -327,11 +346,46 @@ def parse_periods(text: str) -> list[int]:
     return list(periods)
 
 
-def _load_instance(path: str) -> tuple[_Family, ConstructedInstance]:
-    """A stored instance and its family, which every command that reads an
-    instance file checks first."""
+def _canonical(path: str) -> Optional[tuple[_Family, ConstructedInstance]]:
+    """The family and the closed-form instance (fcsh_layout, hdpd_layout)
+    of a canonical clique-chain file: one that holds, byte for byte, what
+    witness --out writes for the structural params it declares in its
+    tail.  Those must be exactly one chain family's, integers that its
+    builder accepts, for a witness within MAX_EDGES whose edges alone
+    would fill no more than the file.  None for any other file, among them
+    every tree, which is left once its params are read."""
+    try:
+        with open(path, "rb") as handle:
+            sp = _declared_params(handle) or {}
+            family = next((family for family in (_FCSH, _HDPD)
+                           if sp.keys() == set(family.params)), None)
+            if family is None or min(sp.values()) < 1:
+                return None
+            edges = family.edges(sp)
+            if edges > MAX_EDGES or edges * MIN_EDGE_BYTES > handle.seek(0, 2):
+                return None
+            instance = family.layout(sp)  # ValueError where the builder refuses sp
+            return (family, instance) if _holds(handle, instance) else None
+    except (OSError, ValueError):
+        return None
+
+
+def _load_instance(
+    path: str,
+) -> tuple[_Family, ConstructedInstance, Optional[Sequence[Hashable] | Quotient]]:
+    """A stored instance, its family, which every command that reads an
+    instance file checks first, and the cells to replay it on.  A
+    canonical clique-chain file comes with no Graph: its instance is the
+    closed-form one, replayed on the family's closed-form Quotient.  Any
+    other file is parsed and checked in full, with its family cells (None
+    for a tree)."""
+    canonical = _canonical(path)
+    if canonical is not None:
+        family, instance = canonical
+        return family, instance, family.quotient(instance.structural_params)
     instance = instance_from_dict(read_json(path))
-    return _family_of(instance), instance
+    family = _family_of(instance)
+    return family, instance, _cells(family, instance)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -368,9 +422,10 @@ def cmd_witness(args: argparse.Namespace) -> int:
     period = args.min_period if args.tree else args.period
     family, cert, sp = _solve(params, period, args.tree, args.max_candidates)
 
-    # Only the artifacts need the graph; the summary is closed-form.
+    # Only a tree's artifacts need its graph; a clique chain's are written
+    # from its closed form, and the summary is closed-form.
     if args.out is not None:
-        instance = family.build(sp)
+        instance = (family.layout or family.build)(sp)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "instance.json", instance)
@@ -404,8 +459,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.instance is None) == (args.graph is None):
         raise ValueError("give exactly one of --instance or --graph")
     if args.instance is not None:
-        family, instance = _load_instance(args.instance)
-        graph, x0, cells = instance.graph, instance.x0, _cells(family, instance)
+        _, instance, cells = _load_instance(args.instance)
+        graph, x0 = instance.graph, instance.x0
     else:
         if args.x0 is None:
             raise ValueError("--graph requires --x0 (e.g. CCD)")
@@ -454,13 +509,17 @@ def _verify_instance(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
-    family, instance = _load_instance(args.instance)
-    # A tree whose keyed cells are equitable is replayed on them alone;
-    # any other instance, or a damaged tree, on the family cells or the
+    family, instance, cells = _load_instance(args.instance)
+    # A tree whose keyed cells are equitable is replayed on them alone,
+    # and a damaged one on the whole graph, its verifiers told NO_CELLS;
+    # a clique chain on its closed-form quotient, its family cells or the
     # whole graph.
-    cells = _tree_replay(instance, params) if family is _TREE else None
-    states = replay(instance, params, _cells(family, instance)) if cells is None else None
-    lines, cert_problems = _verify_instance(family, instance, params, states, cells)
+    if family is _TREE:
+        tree_cells = _tree_replay(instance, params) or NO_CELLS
+        states = replay(instance, params) if tree_cells is NO_CELLS else None
+    else:
+        tree_cells, states = None, replay(instance, params, cells)
+    lines, cert_problems = _verify_instance(family, instance, params, states, tree_cells)
     ok = not lines and not cert_problems
     families = family.invariants + ("certificate",)
     if args.format == "json":
@@ -529,6 +588,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # more than there are tasks or cores.
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        # Imported here: the pool pulls in multiprocessing, about a tenth
+        # of a cold `import evocycle.cli`, which no other command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
@@ -541,7 +604,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    _, instance = _load_instance(args.instance)
+    _, instance, _ = _load_instance(args.instance)
     _emit(graph_to_dot(instance.graph, instance.x0), args.out)
     return EXIT_OK
 

@@ -21,15 +21,21 @@ documented per builder, so equal inputs give byte-identical instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping
 
+from .dynamics import Quotient
 from .game import Graph, StrategyVector, _require_at_least
 
 __all__ = [
     "Role",
+    "Layout",
     "ConstructedInstance",
+    "fcsh_layout",
+    "fcsh_quotient",
+    "hdpd_layout",
+    "hdpd_quotient",
     "build_fcsh",
     "build_hdpd",
     "build_tree",
@@ -49,34 +55,104 @@ class Role:
 
 
 @dataclass(frozen=True)
+class Layout:
+    """The graph of a clique-chain witness in closed form: its vertex
+    count, and for every vertex with a neighbour above it those
+    neighbours in ascending order, written as a few ranges from the
+    structural integers.  It is what build_fcsh and build_hdpd build
+    their Graph from, and what serialize writes a file or a DOT text
+    from; later_neighbors is called like Graph's method of that name."""
+
+    n: int
+    later_neighbors: Callable[[], Iterator[tuple[int, Iterable[int]]]]
+
+
+@dataclass(frozen=True)
 class ConstructedInstance:
-    """A built witness: graph, initial state, roles, and the target period."""
+    """A built witness: graph, initial state, roles, and the target period.
+
+    graph is a Graph, or for an instance taken from its structural
+    integers alone (fcsh_layout, hdpd_layout) their Layout, which has the
+    vertex count and the sorted neighbours but no adjacency to step on.
+    """
 
     kind: str
-    graph: Graph
+    graph: Graph | Layout
     x0: StrategyVector
     roles: tuple[Role, ...]
     structural_params: Mapping[str, int]
     predicted_period: int
 
 
-def _add(roles: list[Role], role: Role) -> int:
-    """Append a vertex carrying `role`; returns its index."""
-    roles.append(role)
-    return len(roles) - 1
+def _bits(n: int, cooperators: Iterable[range]) -> StrategyVector:
+    """The state on n vertices that cooperates exactly on the ranges."""
+    bits = bytearray(n)
+    for run in cooperators:
+        bits[run.start:run.stop] = b"\x01" * len(run)
+    return StrategyVector(bits)
 
 
-def _instance(kind: str, roles: list[Role], edges: list[tuple[int, int]],
-              cooperators: Iterable[int], structural_params: dict[str, int],
-              predicted_period: int) -> ConstructedInstance:
-    """Bundle a finished build; x0 cooperates exactly on `cooperators`."""
-    bits = bytearray(len(roles))
-    for v in cooperators:
-        bits[v] = 1
-    graph = Graph(len(roles), edges)
+def _built(instance: ConstructedInstance) -> ConstructedInstance:
+    """The instance with its Layout replaced by the Graph of the same edges."""
+    layout = instance.graph
+    graph = Graph(layout.n, ((v, w) for v, later in layout.later_neighbors() for w in later))
     assert graph.is_connected
-    return ConstructedInstance(kind, graph, StrategyVector(bits), tuple(roles),
-                               structural_params, predicted_period)
+    return replace(instance, graph=graph)
+
+
+def _require_period(p: int) -> None:
+    if p < 2:
+        raise ValueError("p must be at least 2; uniform fixed points cover period 1")
+
+
+def fcsh_layout(p: int, q: int, r: int, s: int) -> ConstructedInstance:
+    """The instance of build_fcsh(p, q, r, s) with its Layout for a graph.
+
+    Vertex v < (2p-1)q is K_n position l with divmod(v, q) = (n + p - 1,
+    l - 1), and the gadget (l, m) starts at (2p-1)q + 1 + ((l-1)r + m-1)
+    (2s + 2).  Above a chain vertex lie the rest of its clique, its rung
+    to K_(n+1), g for n = 0, and the r feelers of position l, which are
+    2s + 2 apart; above h its S1, above each S1 vertex all of S2, and
+    above the first S2 vertex its feeler.
+    """
+    _require_at_least(1, p=p, q=q, r=r, s=s)
+    _require_period(p)
+    chain_end = (2 * p - 1) * q  # also the hub g
+    width = 2 * s + 2  # one gadget: h, S1, S2, f
+    gadgets = chain_end + 1
+    n = gadgets + q * r * width
+
+    def later_neighbors() -> Iterator[tuple[int, Iterable[int]]]:
+        for v in range(chain_end):
+            clique, position = divmod(v, q)
+            runs: list[Iterable[int]] = [range(v + 1, (clique + 1) * q)]
+            if clique < 2 * p - 2:
+                runs.append((v + q,))
+            if clique == p - 1:
+                runs.append((chain_end,))
+            feeler = gadgets + position * r * width + width - 1
+            runs.append(range(feeler, feeler + r * width, width))
+            yield v, chain.from_iterable(runs)
+        for h in range(gadgets, n, width):
+            yield h, range(h + 1, h + s + 1)
+            side_2 = range(h + s + 1, h + 2 * s + 1)
+            for v in range(h + 1, h + s + 1):
+                yield v, side_2
+            yield h + s + 1, (h + 2 * s + 1,)
+
+    roles = [Role("K", (k, l)) for k in range(-(p - 1), p) for l in range(1, q + 1)]
+    roles.append(Role("g"))
+    for l in range(1, q + 1):
+        for m in range(1, r + 1):
+            roles.append(Role("H", (l, m)))
+            roles.extend(Role("I", (l, m, i)) for i in range(1, s + 1))
+            roles.extend(Role("J", (l, m, i)) for i in range(1, s + 1))
+            roles.append(Role("F", (l, m)))
+    # K_0 and g are one run; then each gadget's h and S1.
+    x0 = _bits(n, [range((p - 1) * q, p * q), range(chain_end, chain_end + 1),
+                   *(range(h, h + s + 1) for h in range(gadgets, n, width))])
+    return ConstructedInstance("fcsh", Layout(n, later_neighbors), x0, tuple(roles),
+                               {"p": p, "q": q, "r": r, "s": s}, p)
 
 
 def build_fcsh(p: int, q: int, r: int, s: int) -> ConstructedInstance:
@@ -95,46 +171,47 @@ def build_fcsh(p: int, q: int, r: int, s: int) -> ConstructedInstance:
 
     Layout. Chain vertices first, clique by clique for n ascending and l
     ascending within each clique; then g; then the gadgets in (l, m) order,
-    each as h, S1, S2, f.
+    each as h, S1, S2, f.  fcsh_layout writes it down.
 
     Initial state: the h and S1 vertices, all of K_0, and g cooperate;
     everything else defects. Designed minimal period: p (requires p >= 2;
     for period 1 any uniform state on any graph is already a fixed point).
     """
-    _require_at_least(1, p=p, q=q, r=r, s=s)
-    if p < 2:
-        raise ValueError("p must be at least 2; uniform fixed points cover period 1")
+    return _built(fcsh_layout(p, q, r, s))
 
-    roles = [Role("K", (n, l)) for n in range(-(p - 1), p) for l in range(1, q + 1)]
-    chain = {role.index: v for v, role in enumerate(roles)}
-    hub = _add(roles, Role("g"))
 
-    edges: list[tuple[int, int]] = []
-    for n in range(-(p - 1), p):
-        members = [chain[(n, l)] for l in range(1, q + 1)]
-        edges.extend(combinations(members, 2))
-    for n in range(-(p - 1), p - 1):
-        for l in range(1, q + 1):
-            edges.append((chain[(n, l)], chain[(n + 1, l)]))
-    for l in range(1, q + 1):
-        edges.append((hub, chain[(0, l)]))
+def hdpd_layout(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
+    """The instance of build_hdpd(p, o, q, r, s) with its Layout for a graph.
 
-    cooperators: list[int] = [hub]
-    cooperators.extend(chain[(0, l)] for l in range(1, q + 1))
-    for l in range(1, q + 1):
-        for m in range(1, r + 1):
-            h = _add(roles, Role("H", (l, m)))
-            s1 = [_add(roles, Role("I", (l, m, i))) for i in range(1, s + 1)]
-            s2 = [_add(roles, Role("J", (l, m, i))) for i in range(1, s + 1)]
-            f = _add(roles, Role("F", (l, m)))
-            edges.extend((h, v) for v in s1)
-            edges.extend((v, w) for v in s1 for w in s2)
-            edges.append((f, s2[0]))
-            edges.extend((f, chain[(n, l)]) for n in range(-(p - 1), p))
-            cooperators.append(h)
-            cooperators.extend(s1)
+    Vertex v < (p+1)o is K_n position m with divmod(v, o) = (n - 1, m - 1),
+    and g_R = (p+1)o.  Above a vertex of K_1 .. K_p lie the rest of its
+    clique, its rung to K_(n+1) and, from K_2 on, g_R; above g_R lie g_D
+    and H, above g_D all of I and J, and above g_C all of J.
+    """
+    _require_at_least(1, p=p, o=o, q=q, r=r, s=s)
+    _require_period(p)
+    g_r = (p + 1) * o
+    g_c, pendants = g_r + 2, g_r + 3
+    n = pendants + q + r + s
 
-    return _instance("fcsh", roles, edges, cooperators, {"p": p, "q": q, "r": r, "s": s}, p)
+    def later_neighbors() -> Iterator[tuple[int, Iterable[int]]]:
+        for v in range(p * o):  # K_(p+1) has no neighbour above it
+            layer = v // o
+            runs: list[Iterable[int]] = [range(v + 1, (layer + 1) * o), (v + o,)]
+            if layer:
+                runs.append((g_r,))
+            yield v, chain.from_iterable(runs)
+        yield g_r, chain((g_r + 1,), range(pendants, pendants + q))
+        yield g_r + 1, range(pendants + q, n)
+        yield g_c, range(n - s, n)
+
+    roles = [Role("K", (k, m)) for k in range(1, p + 2) for m in range(1, o + 1)]
+    roles += [Role("g_R"), Role("g_D"), Role("g_C")]
+    for kind, count in (("H", q), ("I", r), ("J", s)):
+        roles.extend(Role(kind, (i,)) for i in range(1, count + 1))
+    x0 = _bits(n, [range(o), range(g_c, g_c + 1), range(n - s, n)])
+    return ConstructedInstance("hdpd", Layout(n, later_neighbors), x0, tuple(roles),
+                               {"p": p, "o": o, "q": q, "r": r, "s": s}, p)
 
 
 def build_hdpd(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
@@ -152,44 +229,96 @@ def build_hdpd(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
     "H" (i), "I" (i), "J" (i).
 
     Layout. Chain vertices clique by clique for n = 1..p+1 and m ascending;
-    then g_R, g_D, g_C; then H, I, J.
+    then g_R, g_D, g_C; then H, I, J.  hdpd_layout writes it down.
 
     Initial state: K_1, the J vertices, and g_C cooperate (o + s + 1
     cooperators); everything else defects. Designed minimal period: p
     (requires p >= 2; uniform fixed points cover period 1).
     """
+    return _built(hdpd_layout(p, o, q, r, s))
+
+
+def _quotient(cell_of: list[int], first: Iterable[int],
+              links: Iterable[Mapping[int, int]]) -> Quotient:
+    """The Quotient with these cells, first members and, per cell, its
+    neighbour count in every other cell (a count of 0 is no link)."""
+    return Quotient(cell_of, tuple(first), tuple(
+        tuple(sorted((l, count) for l, count in cell.items() if count)) for cell in links))
+
+
+def fcsh_quotient(p: int, q: int, r: int, s: int) -> Quotient:
+    """Quotient.of(build_fcsh(p, q, r, s).graph, cells) for the cells K_n
+    and K_-n by |n|, g, h, S1, the S2 vertex a feeler touches, the other
+    S2 vertices, and f, split by x0 (on which they are constant), written
+    from the integers and numbered in order of first vertex as there."""
+    _require_at_least(1, p=p, q=q, r=r, s=s)
+    _require_period(p)
+    chain_end = (2 * p - 1) * q
+    g, h, side_1, feeler_side = p, p + 1, p + 2, p + 3
+    rest, f = (p + 4, p + 5) if s > 1 else (None, p + 4)
+
+    def clique(a: int) -> int:  # the cell of K_a and K_-a
+        return p - 1 - a
+
+    cell_of: list[int] = []
+    for k in range(-(p - 1), p):
+        cell_of += [clique(abs(k))] * q
+    cell_of.append(g)
+    cell_of += ([h] + [side_1] * s + [feeler_side] + [rest] * (s - 1) + [f]) * (q * r)
+    first = [*range(0, p * q, q), chain_end, chain_end + 1, chain_end + 2, chain_end + s + 2]
+    if rest is not None:
+        first.append(chain_end + s + 3)
+    first.append(chain_end + 2 * s + 2)
+    links: list[dict] = []
+    for a in range(p - 1, -1, -1):
+        cell = {clique(a): q - 1, f: r}
+        if a:
+            cell[clique(a - 1)] = 1
+            if a < p - 1:
+                cell[clique(a + 1)] = 1
+        else:  # both K_1 and K_-1 are rungs away, and g is adjacent
+            cell.update({clique(1): 2, g: 1})
+        links.append(cell)
+    links += [
+        {clique(0): q},  # g
+        {side_1: s},  # h
+        {h: 1, feeler_side: 1, rest: s - 1},  # S1
+        {side_1: s, f: 1},  # the S2 vertex its feeler touches
+        *([{side_1: s}] if rest is not None else []),  # the other S2 vertices
+        {clique(0): 1, **{clique(a): 2 for a in range(1, p)}, feeler_side: 1},  # f
+    ]
+    return _quotient(cell_of, first, links)
+
+
+def hdpd_quotient(p: int, o: int, q: int, r: int, s: int) -> Quotient:
+    """Quotient.of(build_hdpd(p, o, q, r, s).graph, cells) for the cells
+    K_1 .. K_(p+1), g_R, g_D, g_C, H, I and J, split by x0 (on which they
+    are constant), written from the integers and numbered in order of
+    first vertex as there."""
     _require_at_least(1, p=p, o=o, q=q, r=r, s=s)
-    if p < 2:
-        raise ValueError("p must be at least 2; uniform fixed points cover period 1")
-
-    roles = [Role("K", (n, m)) for n in range(1, p + 2) for m in range(1, o + 1)]
-    chain = {role.index: v for v, role in enumerate(roles)}
-    g_r = _add(roles, Role("g_R"))
-    g_d = _add(roles, Role("g_D"))
-    g_c = _add(roles, Role("g_C"))
-    pendants_h = [_add(roles, Role("H", (i,))) for i in range(1, q + 1)]
-    pendants_i = [_add(roles, Role("I", (i,))) for i in range(1, r + 1)]
-    bridge_j = [_add(roles, Role("J", (i,))) for i in range(1, s + 1)]
-
-    edges: list[tuple[int, int]] = []
-    for n in range(1, p + 1):  # K_(p+1) stays edgeless inside
-        members = [chain[(n, m)] for m in range(1, o + 1)]
-        edges.extend(combinations(members, 2))
-    for n in range(1, p + 1):
-        for m in range(1, o + 1):
-            edges.append((chain[(n, m)], chain[(n + 1, m)]))
-    for n in range(2, p + 1):
-        for m in range(1, o + 1):
-            edges.append((g_r, chain[(n, m)]))
-    edges.extend((g_r, v) for v in pendants_h)
-    edges.append((g_r, g_d))
-    edges.extend((g_d, v) for v in pendants_i)
-    edges.extend((g_d, v) for v in bridge_j)
-    edges.extend((g_c, v) for v in bridge_j)
-
-    cooperators = [chain[(1, m)] for m in range(1, o + 1)] + bridge_j + [g_c]
-    structural = {"p": p, "o": o, "q": q, "r": r, "s": s}
-    return _instance("hdpd", roles, edges, cooperators, structural, p)
+    _require_period(p)
+    g_r, g_d, g_c, h, i, j = range(p + 1, p + 7)
+    cell_of = [layer for layer in range(p + 1) for _ in range(o)]
+    cell_of += [g_r, g_d, g_c] + [h] * q + [i] * r + [j] * s
+    hubs = (p + 1) * o
+    first = [*range(0, hubs, o), *(hubs + k for k in (0, 1, 2, 3, 3 + q, 3 + q + r))]
+    links: list[dict] = []
+    for layer in range(p):  # K_(layer+1)
+        cell = {layer: o - 1, layer + 1: 1}
+        if layer:
+            cell[layer - 1] = 1
+            cell[g_r] = 1
+        links.append(cell)
+    links += [
+        {p - 1: 1},  # K_(p+1)
+        {**{layer: o for layer in range(1, p)}, g_d: 1, h: q},  # g_R
+        {g_r: 1, i: r, j: s},  # g_D
+        {j: s},  # g_C
+        {g_r: 1},  # H
+        {g_d: 1},  # I
+        {g_d: 1, g_c: 1},  # J
+    ]
+    return _quotient(cell_of, first, links)
 
 
 def build_tree(r: int, q: int) -> ConstructedInstance:
@@ -251,8 +380,7 @@ def build_tree(r: int, q: int) -> ConstructedInstance:
             for _ in range(r):
                 add_child(par, q, False)
 
-    n_vertices = len(levels)
-    cooperators = (v for v in range(n_vertices) if levels[v] <= q - 2)
-    instance = _instance("tree", roles, edges, cooperators, {"r": r, "q": q}, 2 * (q - 3))
-    assert instance.graph.edge_count == n_vertices - 1
-    return instance
+    graph = Graph(len(levels), edges)
+    assert graph.is_connected and graph.edge_count == graph.n - 1
+    x0 = StrategyVector(bytes(level <= q - 2 for level in levels))
+    return ConstructedInstance("tree", graph, x0, tuple(roles), {"r": r, "q": q}, 2 * (q - 3))

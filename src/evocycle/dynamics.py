@@ -258,14 +258,14 @@ def _states(
     graph: Graph,
     params: GameParams,
     x0: StrategyVector,
-    cells: Optional[Sequence[Hashable]],
+    cells: Optional[Sequence[Hashable] | Quotient],
 ) -> Iterator[StrategyVector]:
-    """X(0), X(1), ... from x0: on the Quotient by the cells split by the
-    x0 bit when that partition is equitable, else by `step` on the whole
-    graph, looked up in the module globals so that a wrapper patched over
-    the name sees every step."""
-    quotient = None
-    if cells is not None:
+    """X(0), X(1), ... from x0: on the Quotient given as cells, or on the
+    Quotient by the cells split by the x0 bit when that partition is
+    equitable, else by `step` on the whole graph, looked up in the module
+    globals so that a wrapper patched over the name sees every step."""
+    quotient = cells if isinstance(cells, Quotient) else None
+    if cells is not None and quotient is None:
         if len(cells) != graph.n:
             raise ValueError(f"{len(cells)} cell keys for a graph with n={graph.n}")
         quotient = Quotient.of(graph, list(zip(cells, x0.bits)))
@@ -286,7 +286,7 @@ def trajectory(
     params: GameParams,
     x0: StrategyVector,
     max_steps: int = 10_000,
-    cells: Optional[Sequence[Hashable]] = None,
+    cells: Optional[Sequence[Hashable] | Quotient] = None,
 ) -> TrajectoryReport:
     """Iterate the synchronous dynamics until a state repeats.
 
@@ -297,7 +297,9 @@ def trajectory(
     `cells` names a cell for every vertex.  They are split by the x0 bit,
     and when that partition is equitable the dynamics runs on its
     Quotient, one bit per cell, and its states are lifted; otherwise it
-    runs on the whole graph.  The report is the same.
+    runs on the whole graph.  The report is the same.  `cells` may also
+    be that Quotient itself, taken already (x0 must be constant on its
+    cells); then nothing of the graph is read but its vertex count n.
 
     Raises TrajectoryBudgetError when max_steps updates happen without a
     revisit. Warns NonGenericParamsWarning for tied payoffs.

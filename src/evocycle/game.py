@@ -9,6 +9,7 @@ point is deliberately kept out because the update rule branches on ties.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -199,10 +200,17 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge once, as (i, j) with i < j, in lexicographic order."""
+        for v, later in self.later_neighbors():
+            for w in later:
+                yield (v, w)
+
+    def later_neighbors(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(v, the neighbors w > v of v in ascending order) for every
+        vertex v that has one, in vertex order."""
         for v, nbrs in enumerate(self._adj):
-            for w in nbrs:
-                if w > v:
-                    yield (v, w)
+            later = nbrs[bisect_right(nbrs, v):]
+            if later:
+                yield v, later
 
     @property
     def is_connected(self) -> bool:

@@ -3,20 +3,25 @@ trajectory reports; CSV for cooperator counts; DOT for state snapshots.
 
 JSON always has the layout of dumps(), sorted keys and two-space indent,
 so writing, reading, and writing again is byte-identical.  write_json
-emits an instance in that layout straight from its graph and roles.
+emits an instance in that layout straight from its graph and roles, and
+the graph may be a Graph or a clique chain's closed-form Layout: either
+gives each vertex's sorted later neighbours, which is all one emitter
+reads.  A file in that layout can be recognised without parsing it: its
+structural params sit in its tail, and _holds compares it with the text
+an instance would be written as, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+import re
 from dataclasses import fields
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Optional
 
-from .constructions import ConstructedInstance, Role
+from .constructions import ConstructedInstance, Layout, Role
 from .dynamics import TrajectoryReport
 from .game import Graph, StrategyVector
 from .solver import Certificate
@@ -138,19 +143,16 @@ def counts_to_csv(series: Iterable[tuple[int, int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _edge_runs(graph: Graph, head: str, tail: str, sep: str) -> Iterator[str]:
+def _edge_runs(graph: Graph | Layout, head: str, tail: str, sep: str) -> Iterator[str]:
     """For each vertex v with a later neighbour, the text of its edges
     (v, w), w > v, each written as head % v, then w, then tail, joined by
-    sep: one str.join per vertex from the sorted adjacency."""
-    for v in range(graph.n):
-        nbrs = graph.neighbors(v)
-        later = nbrs[bisect_right(nbrs, v):]
-        if later:
-            first = head % v
-            yield first + (tail + sep + first).join(map(str, later)) + tail
+    sep: one str.join per vertex over its sorted later neighbours."""
+    for v, later in graph.later_neighbors():
+        first = head % v
+        yield first + (tail + sep + first).join(map(str, later)) + tail
 
 
-def graph_to_dot(graph: Graph, state: StrategyVector | None = None) -> str:
+def graph_to_dot(graph: Graph | Layout, state: StrategyVector | None = None) -> str:
     """DOT snapshot of graph G; cooperators are filled black, defectors white."""
     lines = ["graph G {", "  node [shape=circle, style=filled];"]
     for v in range(graph.n):
@@ -205,17 +207,70 @@ def _instance_chunks(instance: ConstructedInstance) -> Iterator[str]:
         structural, encode(instance.x0.to_string()))
 
 
-def write_json(path: str | Path, obj: Any) -> None:
-    """Write dumps(obj) chunk by chunk, never holding the whole text.  An
-    instance is written as dumps(instance_to_dict(obj)) with no per-edge or
-    per-role list, so memory stays within one vertex's edges."""
+def _json_chunks(obj: Any) -> Iterator[str]:
+    """The text of dumps(obj), chunk by chunk; an instance's as
+    dumps(instance_to_dict(obj)) with no per-edge or per-role list."""
     if isinstance(obj, ConstructedInstance):
-        chunks = _instance_chunks(obj)
+        yield from _instance_chunks(obj)
     else:
-        chunks = _ENCODER.iterencode(obj)
+        yield from _ENCODER.iterencode(obj)
+    yield "\n"
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write dumps(obj) chunk by chunk, never holding the whole text, so
+    an instance takes memory within one vertex's edges."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(chunks)
-        handle.write("\n")
+        handle.writelines(_json_chunks(obj))
+
+
+# Each edge of an instance file in the layout of write_json takes at least
+# this many bytes, "      [\n        0,\n        1\n      ]", and the file
+# ends in its structural params, one integer per line, and then x0, one
+# character per vertex.
+MIN_EDGE_BYTES = 36
+_PARAMS_KEY = b'\n  "structural_params": {'
+_PARAMS = re.compile(rb'\n  "structural_params": \{((?:\n    "[a-z]+": [0-9]{1,18},?)+)'
+                     rb'\n  \},\n  "x0": "')
+_PARAM = re.compile(rb'"([a-z]+)": ([0-9]+)')
+_BLOCK = 1 << 20
+
+
+def _declared_params(handle: BinaryIO) -> Optional[dict[str, int]]:
+    """The structural params in the tail of an instance file in the layout
+    of write_json, or None when its tail has none in that layout.  The
+    tail read is the file's size over MIN_EDGE_BYTES plus 4096 bytes:
+    room for the x0 of a connected graph whose edges fill the file.  No
+    JSON is parsed, only lines of the form "name": digits."""
+    size = handle.seek(0, 2)
+    tail_size = min(size, size // MIN_EDGE_BYTES + 4096)
+    handle.seek(size - tail_size)
+    tail = handle.read(tail_size)
+    found = _PARAMS.match(tail, tail.rfind(_PARAMS_KEY))
+    if found is None:
+        return None
+    return {name.decode(): int(value) for name, value in _PARAM.findall(found[1])}
+
+
+def _holds(handle: BinaryIO, obj: Any) -> bool:
+    """Whether the file holds exactly the bytes write_json writes for obj,
+    final newline included.  It is read from the start a block at a time
+    against the text as it is generated, and left at the first block that
+    differs."""
+    handle.seek(0)
+    pending: list[str] = []
+    size = 0
+    for chunk in _json_chunks(obj):
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            data = "".join(pending).encode("utf-8")
+            if handle.read(len(data)) != data:
+                return False
+            pending.clear()
+            size = 0
+    data = "".join(pending).encode("utf-8")
+    return handle.read(len(data) + 1) == data  # and nothing after it
 
 
 def read_json(path: str | Path) -> Any:

@@ -645,6 +645,25 @@ class TestVerifyReplaysTreesOnCells:
             whole_graph = verify_file(path, params, fmt)
         assert on_cells == whole_graph
 
+    @pytest.mark.parametrize("size", [(2, 9), (3, 7)])
+    def test_damaged_tree_verify_builds_the_keyed_cells_once(self, tmp_path, monkeypatch,
+                                                             size):
+        # The last x0 character flipped: the keyed partition is not
+        # equitable, so the replay takes the whole graph and both verifiers
+        # run per vertex.  The cells used to be built again for the
+        # projection of the states and once more in each verifier.
+        instance = build_tree(*size)
+        path = tmp_path / "instance.json"
+        write_json(path, flip_x0(instance, instance.graph.n - 1))
+        expected = verify_file(path, "1,0.6,2,0", "text")
+        builds, keyed_cells = [], analysis._keyed_cells
+        monkeypatch.setattr(analysis, "_keyed_cells", lambda instance: (
+            builds.append(1) or keyed_cells(instance)))
+        printed = verify_file(path, "1,0.6,2,0", "text")
+        assert printed == expected and printed[0] == 1
+        assert printed[1].splitlines()[-1].startswith("FAIL")
+        assert builds == [1]
+
     def test_clean_tree_verify_takes_no_whole_graph_step(self, tmp_path, monkeypatch):
         path = tmp_path / "instance.json"
         write_json(path, build_tree(2, 7))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import gc
 import io
@@ -571,7 +572,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(evocycle.cli, "ProcessPoolExecutor", RecordingPool)
+        # cli imports the pool from concurrent.futures when a sweep needs it.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(evocycle.cli.os, "cpu_count", lambda: 64)
         code, _, _ = run_cli(
             capsys, "sweep", "--params", HD, "--periods", "2..4", "--jobs", "1000",
@@ -698,14 +700,15 @@ class TestCollectorPause:
 
     def test_the_collector_is_off_while_a_command_works(self, tmp_path, monkeypatch,
                                                        capsys):
+        # witness --out writes a clique chain from its closed-form layout.
         seen = []
-        build = evocycle.cli.build_hdpd
+        lay_out = evocycle.cli.hdpd_layout
 
-        def recording_build(*args):
+        def recording_layout(*args):
             seen.append(gc.isenabled())
-            return build(*args)
+            return lay_out(*args)
 
-        monkeypatch.setattr(evocycle.cli, "build_hdpd", recording_build)
+        monkeypatch.setattr(evocycle.cli, "hdpd_layout", recording_layout)
         with collector(True):
             code, _, _ = run_cli(capsys, "witness", "--params", HD, "--period", "3",
                                  "--out", str(tmp_path))
