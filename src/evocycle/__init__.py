@@ -36,12 +36,10 @@ from .game import (
     Graph,
     Scenario,
     StrategyVector,
-    VertexClass,
     as_rational,
     classify_scenario,
     mean_utility,
     normalize_params,
-    vertex_class,
 )
 from .solver import (
     CertificateFailure,
@@ -68,12 +66,10 @@ __all__ = [
     "Scenario",
     "Graph",
     "StrategyVector",
-    "VertexClass",
     "as_rational",
     "classify_scenario",
     "normalize_params",
     "mean_utility",
-    "vertex_class",
     "argmax_strategies",
     "step",
     "trajectory",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
-from typing import Any, Callable, Hashable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .constructions import ConstructedInstance
 # step is not called here; perfbench/tracing.py wraps this name.
@@ -92,16 +92,14 @@ def f_of_t(q: int, t: int) -> int:
 def replay(
     instance: ConstructedInstance,
     params: GameParams,
-    cells: Optional[Sequence[Hashable] | Quotient] = None,
+    cells: Optional[Quotient] = None,
 ) -> list[StrategyVector]:
     """X(0) .. X(P) of the instance, where P is its predicted period.
 
-    The states come from the source `trajectory` draws on: with `cells`,
-    one cell key per vertex, the steps are taken on the Quotient by those
-    cells split by the x0 bit when that partition is equitable, and on
-    the whole graph otherwise; the states are the same.  With a Quotient
-    for `cells` they are taken on it, and the instance's graph may be a
-    Layout.
+    The states come from the source `trajectory` draws on: with a
+    Quotient for `cells` (x0 constant on its cells, else ValueError) the
+    steps are taken on it, and the instance's graph may be a Layout;
+    without, on the whole graph.  The states are the same.
     """
     states = _states(instance.graph, params, instance.x0, cells)
     return list(islice(states, instance.predicted_period + 1))

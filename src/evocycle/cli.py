@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
-from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .analysis import (
     NO_CELLS,
@@ -40,7 +40,6 @@ from .analysis import (
 )
 from .constructions import (
     ConstructedInstance,
-    Role,
     build_fcsh,
     build_hdpd,
     build_tree,
@@ -122,12 +121,9 @@ class _Family:
     vertices: Callable[[Mapping[str, int]], int]  # n, from the structural integers
     edges: Callable[[Mapping[str, int]], int]  # m, from the structural integers
     roles: Mapping[str, int]  # the number of coordinates of each role kind
-    # The cell of a role in an equitable partition of the built graph, or
-    # None where none is known; see _cells.
-    cell: Optional[Callable[[Role], Hashable]]
     # From the structural integers alone, or None for trees: the instance
-    # with its closed-form Layout for a graph, and the Quotient by the
-    # cells above split by x0, as Quotient.of would take it from the build.
+    # with its closed-form Layout for a graph, and its coarsest equitable
+    # partition refining x0, as the Quotient the chain replays on.
     layout: Optional[Callable[[Mapping[str, int]], ConstructedInstance]]
     quotient: Optional[Callable[[Mapping[str, int]], Quotient]]
 
@@ -153,19 +149,6 @@ def _verify_tree(
             + check_local_lemmas(instance, params, states, cells))
 
 
-def _fcsh_cell(role: Role) -> Hashable:
-    """One cell per |n| for the cliques K_n and K_-n; J splits into i = 1,
-    the vertex its feeler touches, and the rest; any other kind is one cell."""
-    if role.kind == "K":
-        return role.kind, tuple(map(abs, role.index[:1]))
-    return role.kind, role.kind == "J" and role.index[2:] == (1,)
-
-
-def _hdpd_cell(role: Role) -> Hashable:
-    """The cliques K_n by layer n; every other kind is one cell."""
-    return role.kind, role.index[:1] if role.kind == "K" else ()
-
-
 _FCSH = _Family(
     kind="fcsh",
     params=("p", "q", "r", "s"),
@@ -181,7 +164,6 @@ _FCSH = _Family(
         + sp["q"] * sp["r"] * (sp["s"] ** 2 + sp["s"] + 2 * sp["p"])
     ),
     roles={"K": 2, "g": 0, "H": 2, "I": 3, "J": 3, "F": 2},
-    cell=_fcsh_cell,
     layout=lambda sp: fcsh_layout(sp["p"], sp["q"], sp["r"], sp["s"]),
     quotient=lambda sp: fcsh_quotient(sp["p"], sp["q"], sp["r"], sp["s"]),
 )
@@ -200,7 +182,6 @@ _HDPD = _Family(
         + sp["q"] + sp["r"] + 2 * sp["s"] + 1
     ),
     roles={"K": 2, "g_R": 0, "g_D": 0, "g_C": 0, "H": 1, "I": 1, "J": 1},
-    cell=_hdpd_cell,
     layout=lambda sp: hdpd_layout(sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
     quotient=lambda sp: hdpd_quotient(sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
 )
@@ -231,7 +212,6 @@ _TREE = _Family(
     vertices=lambda sp: _tree_vertices(sp["r"], sp["q"]),
     edges=lambda sp: _tree_vertices(sp["r"], sp["q"]) - 1,
     roles={"root": 0, "special": 1, "ordinary": 2},
-    cell=None,
     layout=None,
     quotient=None,
 )
@@ -272,14 +252,6 @@ def _family_of(instance: ConstructedInstance) -> _Family:
                 f"no {family.kind} role has kind {role.kind!r}" if size is None
                 else f"a {family.kind} role {role.kind!r} has {size} coordinates"))
     return family
-
-
-def _cells(family: _Family, instance: ConstructedInstance) -> Optional[list[Hashable]]:
-    """The family's cell of every vertex, for the quotient replay;
-    trajectory and replay split it by x0 and check that it is equitable."""
-    if family.cell is None:
-        return None
-    return list(map(family.cell, instance.roles))
 
 
 def _solve(
@@ -370,22 +342,19 @@ def _canonical(path: str) -> Optional[tuple[_Family, ConstructedInstance]]:
         return None
 
 
-def _load_instance(
-    path: str,
-) -> tuple[_Family, ConstructedInstance, Optional[Sequence[Hashable] | Quotient]]:
+def _load_instance(path: str) -> tuple[_Family, ConstructedInstance, Optional[Quotient]]:
     """A stored instance, its family, which every command that reads an
-    instance file checks first, and the cells to replay it on.  A
+    instance file checks first, and the Quotient to replay it on.  A
     canonical clique-chain file comes with no Graph: its instance is the
     closed-form one, replayed on the family's closed-form Quotient.  Any
-    other file is parsed and checked in full, with its family cells (None
-    for a tree)."""
+    other file, a chain file re-dumped or damaged among them, is parsed
+    and checked in full, and replayed on the whole graph (None)."""
     canonical = _canonical(path)
     if canonical is not None:
         family, instance = canonical
         return family, instance, family.quotient(instance.structural_params)
     instance = instance_from_dict(read_json(path))
-    family = _family_of(instance)
-    return family, instance, _cells(family, instance)
+    return _family_of(instance), instance, None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -512,8 +481,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     family, instance, cells = _load_instance(args.instance)
     # A tree whose keyed cells are equitable is replayed on them alone,
     # and a damaged one on the whole graph, its verifiers told NO_CELLS;
-    # a clique chain on its closed-form quotient, its family cells or the
-    # whole graph.
+    # a canonical clique chain on its closed-form quotient, any other on
+    # the whole graph.
     if family is _TREE:
         tree_cells = _tree_replay(instance, params) or NO_CELLS
         states = replay(instance, params) if tree_cells is NO_CELLS else None
@@ -542,14 +511,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
-    """One sweep entry: solve, build, simulate, verify.  Module level so a
-    process pool can pickle it."""
+    """One sweep entry: solve, build, simulate, verify.  A clique chain is
+    laid out and replayed on its closed-form Quotient, with no Graph, as
+    witness --out writes it; a tree is built and stepped on the whole
+    graph.  Module level so a process pool can pickle it."""
     params, period, tree, max_candidates = task
     family, _, sp = _solve(params, period, tree, max_candidates)
-    instance = family.build(sp)
+    if family.layout is None:
+        instance, cells = family.build(sp), None
+    else:
+        instance, cells = family.layout(sp), family.quotient(sp)
     budget = max(64, 4 * instance.predicted_period + 16)
-    report = trajectory(instance.graph, params, instance.x0, max_steps=budget,
-                        cells=_cells(family, instance))
+    report = trajectory(instance.graph, params, instance.x0, max_steps=budget, cells=cells)
     # state_at folds times past the report into its cycle, so these are
     # exactly X(0) .. X(P) without simulating again.
     states = [report.state_at(t) for t in range(instance.predicted_period + 1)]

@@ -258,27 +258,29 @@ def _states(
     graph: Graph,
     params: GameParams,
     x0: StrategyVector,
-    cells: Optional[Sequence[Hashable] | Quotient],
+    cells: Optional[Quotient],
 ) -> Iterator[StrategyVector]:
-    """X(0), X(1), ... from x0: on the Quotient given as cells, or on the
-    Quotient by the cells split by the x0 bit when that partition is
-    equitable, else by `step` on the whole graph, looked up in the module
-    globals so that a wrapper patched over the name sees every step."""
-    quotient = cells if isinstance(cells, Quotient) else None
-    if cells is not None and quotient is None:
-        if len(cells) != graph.n:
-            raise ValueError(f"{len(cells)} cell keys for a graph with n={graph.n}")
-        quotient = Quotient.of(graph, list(zip(cells, x0.bits)))
-    if quotient is None:
+    """X(0), X(1), ... from x0: on the Quotient given as cells, else by
+    `step` on the whole graph, looked up in the module globals so that a
+    wrapper patched over the name sees every step.  A Quotient must cover
+    the graph's n vertices and lift x0's bits on its first vertices back
+    to x0, else ValueError: states stepped on it would not be x0's."""
+    if cells is None:
         state = x0
         while True:
             yield state
             state = step(graph, params, state)
-    else:
-        bits = bytes(map(x0.bits.__getitem__, quotient.first))
-        while True:
-            yield quotient.lift(bits)
-            bits = quotient.step(params, bits)
+    if len(cells.cell_of) != graph.n:
+        raise ValueError(f"a quotient of {len(cells.cell_of)} vertices "
+                         f"for a graph with n={graph.n}")
+    bits = bytes(map(x0.bits.__getitem__, cells.first))
+    state = cells.lift(bits)
+    if state != x0:
+        raise ValueError("x0 is not constant on the cells of the quotient")
+    while True:
+        yield state
+        bits = cells.step(params, bits)
+        state = cells.lift(bits)
 
 
 def trajectory(
@@ -286,7 +288,7 @@ def trajectory(
     params: GameParams,
     x0: StrategyVector,
     max_steps: int = 10_000,
-    cells: Optional[Sequence[Hashable] | Quotient] = None,
+    cells: Optional[Quotient] = None,
 ) -> TrajectoryReport:
     """Iterate the synchronous dynamics until a state repeats.
 
@@ -294,15 +296,16 @@ def trajectory(
     pins down both the minimal transient and the minimal period, and the
     states of the cycle are pairwise distinct.
 
-    `cells` names a cell for every vertex.  They are split by the x0 bit,
-    and when that partition is equitable the dynamics runs on its
-    Quotient, one bit per cell, and its states are lifted; otherwise it
-    runs on the whole graph.  The report is the same.  `cells` may also
-    be that Quotient itself, taken already (x0 must be constant on its
-    cells); then nothing of the graph is read but its vertex count n.
+    With a Quotient of the graph for `cells` (an equitable partition of
+    its n vertices on whose cells x0 is constant), the dynamics runs on
+    it, one bit per cell, and its states are lifted; nothing of the graph
+    is read but its vertex count n.  The report is the one the whole
+    graph gives.  Without `cells` it runs on the whole graph.
 
-    Raises TrajectoryBudgetError when max_steps updates happen without a
-    revisit. Warns NonGenericParamsWarning for tied payoffs.
+    Raises ValueError when the Quotient does not cover n vertices or x0
+    is not constant on its cells, and TrajectoryBudgetError when
+    max_steps updates happen without a revisit.  Warns
+    NonGenericParamsWarning for tied payoffs.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

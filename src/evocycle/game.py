@@ -27,9 +27,7 @@ __all__ = [
     "normalize_params",
     "Graph",
     "StrategyVector",
-    "VertexClass",
     "mean_utility",
-    "vertex_class",
 ]
 
 RationalLike = Union[Fraction, int, str]
@@ -314,15 +312,6 @@ class StrategyVector:
         return f"StrategyVector('{text}')"
 
 
-class VertexClass(Enum):
-    """Position of a vertex relative to the cooperating/defecting clusters."""
-
-    INNER_COOPERATOR = "IC"
-    BOUNDARY_COOPERATOR = "BC"
-    BOUNDARY_DEFECTOR = "BD"
-    INNER_DEFECTOR = "ID"
-
-
 def _check_state(graph: Graph, state: StrategyVector) -> None:
     if len(state) != graph.n:
         raise ValueError(f"state has {len(state)} entries, graph has {graph.n} vertices")
@@ -361,14 +350,3 @@ def mean_utility(
     nbrs = graph.neighbors(vertex)
     coop = sum(state[w] for w in nbrs)
     return _utility(params, state[vertex], coop, len(nbrs))
-
-
-def vertex_class(graph: Graph, state: StrategyVector, vertex: int) -> VertexClass:
-    """Inner vertices sit in a strategy-uniform closed neighborhood."""
-    _check_state(graph, state)
-    _check_vertex(graph, vertex)
-    own = state[vertex]
-    uniform = all(state[w] == own for w in graph.neighbors(vertex))
-    if own:
-        return VertexClass.INNER_COOPERATOR if uniform else VertexClass.BOUNDARY_COOPERATOR
-    return VertexClass.INNER_DEFECTOR if uniform else VertexClass.BOUNDARY_DEFECTOR

@@ -1,4 +1,4 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and partition helpers shared across the test modules."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -79,3 +79,23 @@ def connected_graphs_upto(n_max):
             if graph.is_connected:
                 out.append(graph)
     return out
+
+
+def canonical(keys):
+    """Cell numbers in order of first appearance: equal lists, equal partitions."""
+    ids = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def colour_refinement(graph, colours):
+    """The coarsest equitable partition refining `colours` (1-WL), numbered
+    by canonical."""
+    cells = canonical(colours)
+    while True:
+        refined = canonical(
+            (cells[v], tuple(sorted(cells[w] for w in graph.neighbors(v))))
+            for v in range(graph.n)
+        )
+        if max(refined) == max(cells):  # refinement only splits cells
+            return cells
+        cells = refined

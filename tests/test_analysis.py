@@ -25,7 +25,7 @@ from evocycle import (
 )
 from evocycle import analysis, cli, dynamics
 from evocycle.analysis import MAX_VIOLATION_RECORDS, InvariantViolation
-from evocycle.constructions import Role
+from evocycle.constructions import Role, fcsh_quotient
 from evocycle.serialize import write_json
 from reference import params_to_pairs, ref_lt, ref_neighbors, ref_utility
 
@@ -208,16 +208,22 @@ class TestKindDispatch:
         with pytest.raises(ValueError):
             verify_tree_invariants(tree, TREE_HD, tree_states + tree_states[1:2])
 
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_cell_keys_must_name_every_vertex(self, extra):
-        instance = build_hdpd(2, 3, 1, 1, 4)
-        n = instance.graph.n
-        cells = [0] * (n + extra)
-        message = f"{n + extra} cell keys for a graph with n={n}"
+    @pytest.mark.parametrize("s,flipped,message", [
+        (2, False, "a quotient of 52 vertices for a graph with n=64"),
+        (4, False, "a quotient of 76 vertices for a graph with n=64"),
+        (3, True, "x0 is not constant on the cells of the quotient"),
+    ], ids=["fewer-vertices", "more-vertices", "x0-not-constant"])
+    def test_quotient_must_fit_the_graph_and_x0(self, s, flipped, message):
+        # Stepped from x0's bits on its first vertices, such a quotient
+        # would start from a state other than x0, and report it silently.
+        instance = build_fcsh(3, 3, 2, 3)
+        if flipped:
+            instance = flip_x0(instance, 0)
+        quotient = fcsh_quotient(3, 3, 2, s)
         with pytest.raises(ValueError, match=message):
-            trajectory(instance.graph, WORKED_HD, instance.x0, cells=cells)
+            trajectory(instance.graph, WORKED_HD, instance.x0, cells=quotient)
         with pytest.raises(ValueError, match=message):
-            replay(instance, WORKED_HD, cells)
+            replay(instance, WORKED_HD, quotient)
 
 
 class TestLemmaScan:

@@ -3,7 +3,8 @@
 A file that holds exactly what witness --out writes for the fcsh or hdpd
 params it declares is simulated, verified and exported on the closed-form
 instance and quotient, with no JSON parse of its edges and no Graph.  Any
-other file takes the parse-and-check path.  Both must print the same
+other file takes the parse-and-check path.  A clique-chain sweep row is
+laid out and replayed on the closed forms as well.  Both must print the same
 stdout, stderr and exit code: here every command runs on canonical files
 and on single-byte damages of them, once as is and once with the
 canonical check switched off.
@@ -15,7 +16,7 @@ import io
 import pytest
 
 from evocycle import Graph
-from evocycle import cli
+from evocycle import analysis, cli, dynamics
 from evocycle.cli import _canonical, main
 
 # Certified params and period per family (the golden witnesses), and
@@ -146,6 +147,19 @@ def test_canonical_commands_build_no_graph(tmp_path, monkeypatch, kind):
     path.write_bytes(path.read_bytes() + b"\n")
     assert quiet(["verify", "--params", params, "--instance", str(path)])[0] == 0
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_chain_sweep_builds_no_graph_and_takes_no_step(monkeypatch, kind, fmt):
+    made, steps = count_graphs(monkeypatch), []
+    for module in (dynamics, analysis):
+        monkeypatch.setattr(module, "step", lambda *args: steps.append(args))
+    params, period = WITNESS[kind]
+    code, out, _ = quiet(["sweep", "--params", params, "--periods", f"2..{period}",
+                          "--jobs", "1", "--format", fmt])
+    assert code == 0 and out  # exit 0: every row reached its period and verified
+    assert made == [] and steps == []
 
 
 def test_a_tree_file_is_left_after_its_params(tmp_path, monkeypatch):

@@ -9,13 +9,11 @@ from evocycle import (
     Graph,
     Scenario,
     StrategyVector,
-    VertexClass,
     argmax_strategies,
     as_rational,
     classify_scenario,
     mean_utility,
     normalize_params,
-    vertex_class,
 )
 from genutil import random_connected_graph, random_scenario_params, random_state
 
@@ -237,32 +235,6 @@ class TestMeanUtility:
             assert total == pairwise
 
 
-class TestVertexClass:
-    def test_path_classes(self):
-        graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        state = StrategyVector.from_string("1100")
-        assert vertex_class(graph, state, 0) is VertexClass.INNER_COOPERATOR
-        assert vertex_class(graph, state, 1) is VertexClass.BOUNDARY_COOPERATOR
-        assert vertex_class(graph, state, 2) is VertexClass.BOUNDARY_DEFECTOR
-        assert vertex_class(graph, state, 3) is VertexClass.INNER_DEFECTOR
-
-    def test_classes_partition_consistently(self, rng):
-        for _ in range(20):
-            graph = random_connected_graph(rng, rng.randint(2, 8))
-            state = random_state(rng, graph.n)
-            for v in range(graph.n):
-                cls = vertex_class(graph, state, v)
-                cooperating = bool(state[v])
-                uniform = all(state[w] == state[v] for w in graph.neighbors(v))
-                expected = {
-                    (True, True): VertexClass.INNER_COOPERATOR,
-                    (True, False): VertexClass.BOUNDARY_COOPERATOR,
-                    (False, False): VertexClass.BOUNDARY_DEFECTOR,
-                    (False, True): VertexClass.INNER_DEFECTOR,
-                }[(cooperating, uniform)]
-                assert cls is expected
-
-
 @pytest.mark.parametrize("vertex", [-1, 3])
 def test_vertex_outside_the_graph_is_refused(vertex):
     # A negative vertex must not be read as a Python index (-1 as vertex 2).
@@ -271,7 +243,6 @@ def test_vertex_outside_the_graph_is_refused(vertex):
     params = GameParams(1, "-0.45", "1.35", 0)
     calls = (
         lambda: mean_utility(graph, params, state, vertex),
-        lambda: vertex_class(graph, state, vertex),
         lambda: argmax_strategies(graph, params, state, vertex),
     )
     for call in calls:

@@ -1,11 +1,13 @@
 """The closed forms of the clique-chain families against their builders.
 
 fcsh_layout and hdpd_layout write an instance down from its structural
-integers, and fcsh_quotient and hdpd_quotient the quotient by its family
-cells split by x0.  On small grids each must equal what is read off the
-built graph, which is computed here from the adjacency alone: the sorted
-later neighbours of every vertex, the roles and x0, Quotient.of's link
-tables (up to the numbering of the cells), and the JSON and DOT texts.
+integers, and fcsh_quotient and hdpd_quotient its quotient, the clique
+chains' one source of replay cells.  On small grids each must equal what
+is read off the built graph, which is computed here from the adjacency
+alone: the sorted later neighbours of every vertex, the roles and x0,
+the coarsest equitable partition refining x0 (colour refinement, in
+tests/genutil.py) with Quotient.of's link tables on it (up to the
+numbering of the cells), and the JSON and DOT texts.
 """
 
 import pytest
@@ -13,9 +15,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evocycle import Quotient
-from evocycle.cli import _FCSH, _HDPD, _cells
+from evocycle.cli import _FCSH, _HDPD
 from evocycle.constructions import fcsh_layout, fcsh_quotient, hdpd_layout, hdpd_quotient
 from evocycle.serialize import dumps, graph_to_dot, instance_to_dict, write_json
+from genutil import colour_refinement
 
 SIZES = st.one_of(
     st.tuples(st.just(_FCSH), st.tuples(st.integers(2, 6), st.integers(1, 4),
@@ -60,7 +63,7 @@ def test_closed_form_equals_the_build(tmp_path_factory, case):
     assert (laid_out.kind, laid_out.structural_params, laid_out.predicted_period) == (
         built.kind, built.structural_params, built.predicted_period)
 
-    cells = list(zip(_cells(family, built), built.x0.bits))
+    cells = colour_refinement(graph, built.x0.bits)
     assert_same_up_to_relabelling(family.quotient(sp), Quotient.of(graph, cells))
 
     path = tmp_path_factory.mktemp("layout") / "instance.json"

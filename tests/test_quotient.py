@@ -1,12 +1,15 @@
 """The quotient replay of clique-chain witnesses against the full graph.
 
-The family cells of evocycle.cli are checked against colour refinement
-(1-WL), written here independently of the package: on small builds they
-must be equitable and constant on x0, and on certified witnesses they must
-be the coarsest equitable refinement of the x0 colouring.  Trajectories
-and replays on the quotient must equal those on the whole graph and the
-oracle in tests/reference.py, and every witness of the two families must
-actually take the quotient, so that the fast path cannot be lost unseen.
+The closed-form quotients of the two families (fcsh_quotient,
+hdpd_quotient), their one source of replay cells, are checked against
+colour refinement (1-WL), written in tests/genutil.py independently of
+the package: on small builds their cells must be equitable and constant
+on x0, and on certified witnesses the coarsest equitable refinement of
+the x0 colouring.  Trajectories and replays on a quotient must equal
+those on the whole graph and the oracle in tests/reference.py, on the
+closed form and on a start's own split of its cells, tampered files
+included, and every canonical witness must actually take the quotient,
+so that the fast path cannot be lost unseen.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import evocycle.analysis
+import evocycle.cli
 import evocycle.dynamics
 from evocycle import (
     GameParams,
@@ -35,9 +39,8 @@ from evocycle import (
     trajectory,
 )
 from evocycle.analysis import replay
-from evocycle.cli import _FAMILIES, _cells, _solve, main, parse_params
-from evocycle.serialize import instance_from_dict
-from genutil import random_admissible_params, random_state
+from evocycle.cli import _FAMILIES, _solve, main, parse_params
+from genutil import canonical, colour_refinement, random_admissible_params, random_state
 from reference import params_to_pairs, ref_step
 
 FCSH_GRID = [build_fcsh(*sizes) for sizes in product((2, 3, 4), (1, 3), (1, 2), (1, 3))]
@@ -52,37 +55,20 @@ GOLDEN = {"fcsh": ("1,1/2,4/5,0", "3"), "hdpd": ("1,0.45,1.24,0", "4")}
 ORACLE_MAX_N = 60
 
 
-def family_cells(instance):
-    return _cells(_FAMILIES[instance.kind], instance)
-
-
-def canonical(keys):
-    """Cell numbers in order of first appearance: equal lists, equal partitions."""
-    ids = {}
-    return [ids.setdefault(key, len(ids)) for key in keys]
-
-
-def colour_refinement(graph, colours):
-    """The coarsest equitable partition refining `colours` (1-WL)."""
-    cells = canonical(colours)
-    while True:
-        refined = canonical(
-            (cells[v], tuple(sorted(cells[w] for w in graph.neighbors(v))))
-            for v in range(graph.n)
-        )
-        if max(refined) == max(cells):  # refinement only splits cells
-            return cells
-        cells = refined
+def closed_form(instance):
+    """The family's closed-form Quotient for the instance's structural integers."""
+    return _FAMILIES[instance.kind].quotient(instance.structural_params)
 
 
 @pytest.mark.parametrize("instance", GRID, ids=lambda i: f"{i.kind}{i.structural_params}")
 def test_family_cells_are_equitable_and_constant_on_x0(instance):
-    cells = canonical(family_cells(instance))
+    cell_of = closed_form(instance).cell_of
+    cells = canonical(cell_of)
     # Equitable: colour refinement splits no cell.
     assert colour_refinement(instance.graph, cells) == cells
     bit = {}
     assert all(bit.setdefault(c, b) == b for c, b in zip(cells, instance.x0.bits))
-    assert Quotient.of(instance.graph, family_cells(instance)) is not None
+    assert Quotient.of(instance.graph, cell_of) is not None
 
 
 def certified_witnesses():
@@ -96,7 +82,7 @@ def certified_witnesses():
 @pytest.mark.parametrize("family,sp", certified_witnesses())
 def test_family_cells_are_the_coarsest_equitable_refinement(family, sp):
     instance = family.build(sp)
-    cells = canonical(family_cells(instance))
+    cells = canonical(family.quotient(sp).cell_of)
     assert cells == colour_refinement(instance.graph, instance.x0.bits)
     extra = 6 if family.kind == "fcsh" else 7
     assert max(cells) + 1 == sp["p"] + extra
@@ -113,13 +99,12 @@ def test_cell_keys_must_cover_the_graph():
 def test_more_than_256_cells():
     # hdpd p=250 has p + 7 = 257 cells, more than one byte can number.
     instance = build_hdpd(250, 1, 1, 1, 1)
-    cells = family_cells(instance)
-    quotient = Quotient.of(instance.graph, cells)
+    quotient = Quotient.of(instance.graph, closed_form(instance).cell_of)
     assert quotient is not None and len(quotient.links) == 257
     params = parse_params("1,-9/20,27/20,0")
-    fast = trajectory(instance.graph, params, instance.x0, cells=cells)
+    fast = trajectory(instance.graph, params, instance.x0, cells=quotient)
     assert fast == trajectory(instance.graph, params, instance.x0)
-    assert replay(instance, params, cells) == replay(instance, params)
+    assert replay(instance, params, quotient) == replay(instance, params)
 
 
 def witness_file(tmp_path, kind):
@@ -154,8 +139,8 @@ class TestFastPathGuard:
     @pytest.mark.parametrize("kind", ["fcsh", "hdpd"])
     def test_golden_witnesses_take_the_quotient(self, tmp_path, monkeypatch, kind):
         params, path = witness_file(tmp_path, kind)
-        instance = instance_from_dict(json.loads(path.read_text()))
-        assert Quotient.of(instance.graph, family_cells(instance)) is not None
+        instance = _FAMILIES[kind].build(json.loads(path.read_text())["structural_params"])
+        assert Quotient.of(instance.graph, closed_form(instance).cell_of) is not None
         calls = count_steps(monkeypatch)
         for command in ("simulate", "verify"):
             assert quiet([command, "--params", params, "--instance", str(path)])[0] == 0
@@ -173,23 +158,24 @@ class TestFastPathGuard:
     def test_cells_without_the_x0_split_take_the_quotient(self, monkeypatch, instance,
                                                          flipped):
         # A start that differs from x0 on whole cells of a finer equitable
-        # partition is not constant on the family cells, but its own split
-        # of them is equitable.
-        cells = [_FAMILIES[instance.kind].cell(role) for role in instance.roles]
+        # partition is not constant on the closed-form cells, but its own
+        # split of them is equitable, and its Quotient serves.
+        cells = closed_form(instance).cell_of
         start = StrategyVector(
             bit ^ flipped(role) for bit, role in zip(instance.x0.bits, instance.roles)
         )
         split = canonical(zip(cells, start.bits))
         assert split != canonical(cells)
         assert colour_refinement(instance.graph, split) == split
+        quotient = Quotient.of(instance.graph, split)
         moved = replace(instance, x0=start)
         for text in GOLDEN.values():
             params = parse_params(text[0])
             full = run(instance.graph, params, start, 64)
             full_replay = replay(moved, params)
             calls = count_steps(monkeypatch)
-            assert run(instance.graph, params, start, 64, cells) == full
-            assert replay(moved, params, cells) == full_replay
+            assert run(instance.graph, params, start, 64, quotient) == full
+            assert replay(moved, params, quotient) == full_replay
             assert calls == []
             monkeypatch.undo()
 
@@ -198,11 +184,9 @@ class TestFastPathGuard:
         data = json.loads(path.read_text())
         data["graph"]["edges"].pop()
         path.write_text(json.dumps(data))
-        instance = instance_from_dict(data)
-        assert Quotient.of(instance.graph, family_cells(instance)) is None
         calls = count_steps(monkeypatch)
         assert quiet(["verify", "--params", params, "--instance", str(path)])[0] == 1
-        assert len(calls) == instance.predicted_period
+        assert len(calls) == data["predicted_period"]
 
 
 # Payoffs from a small grid (ties and non-admissible quadruples are common)
@@ -231,15 +215,16 @@ class TestDifferential:
            st.none() | st.randoms(use_true_random=False))
     def test_quotient_trajectory_equals_the_full_one(self, sizes, params, max_steps, rng):
         instance = sizes[0](*sizes[1:])
-        graph, cells = instance.graph, family_cells(instance)
+        graph, cells = instance.graph, closed_form(instance).cell_of
         # The split of the cells by a random start is rarely equitable, and
-        # the run must then take the whole graph.
+        # the run must then take the whole graph; x0's split always is.
         x0 = instance.x0 if rng is None else random_state(rng, graph.n)
-        assert Quotient.of(graph, cells) is not None
+        quotient = Quotient.of(graph, list(zip(cells, x0.bits)))
+        assert rng is not None or quotient is not None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonGenericParamsWarning)
             full = run(graph, params, x0, max_steps)
-            fast = run(graph, params, x0, max_steps, cells)
+            fast = run(graph, params, x0, max_steps, quotient)
         assert fast == full
         states = full if isinstance(full, tuple) else full.states
         if graph.n <= ORACLE_MAX_N:
@@ -249,7 +234,7 @@ class TestDifferential:
                 following.append(list(states[full.transient].bits))
             for before, after in zip(states, following):
                 assert ref_step(graph.n, edges, list(before.bits), pairs) == after
-        assert replay(instance, params, cells) == replay(instance, params)
+        assert replay(instance, params, closed_form(instance)) == replay(instance, params)
 
 
 def tampered(data, how):
@@ -279,10 +264,20 @@ def tampered(data, how):
 @pytest.mark.parametrize("how", ["x0-flip", "x0-flip-last", "edge-added",
                                  "edge-removed", "roles-swapped"])
 def test_tampered_files_give_the_full_path_bytes(tmp_path, monkeypatch, kind, how):
+    # A tampered file replays on the whole graph; where the closed-form
+    # cells split by its x0 are still equitable, a replay on their
+    # Quotient must print the same bytes.
     params, path = witness_file(tmp_path, kind)
     path.write_text(json.dumps(tampered(json.loads(path.read_text()), how)))
     commands = [[command, "--params", params, "--instance", str(path), "--format", fmt]
                 for command in ("simulate", "verify") for fmt in ("text", "json")]
-    fast = [quiet(argv) for argv in commands]
-    monkeypatch.setattr(Quotient, "of", classmethod(lambda cls, graph, cells: None))
-    assert [quiet(argv) for argv in commands] == fast
+    full = [quiet(argv) for argv in commands]
+    load = evocycle.cli._load_instance
+
+    def split(path):
+        family, instance, _ = load(path)
+        cells = zip(closed_form(instance).cell_of, instance.x0.bits)
+        return family, instance, Quotient.of(instance.graph, list(cells))
+
+    monkeypatch.setattr(evocycle.cli, "_load_instance", split)
+    assert [quiet(argv) for argv in commands] == full

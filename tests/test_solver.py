@@ -21,7 +21,7 @@ from evocycle import (
     solve_tree,
     trajectory,
 )
-from evocycle.cli import _FAMILIES, _cells
+from evocycle.cli import _FAMILIES
 from evocycle.game import _utility
 from evocycle.solver import (
     _fcsh_residuals,
@@ -446,8 +446,8 @@ def test_fcsh_picks_meet_the_margins_and_replay_to_period_p(params, p):
     assert (c + (m - 1) * d) / m < ((2 * p - 3) * c + 3 * d) / (2 * p)
     assert check_fcsh(params, p, cert.q, cert.r, cert.s) == cert
     instance = build_fcsh(p, cert.q, cert.r, cert.s)
-    cells = _cells(_FAMILIES["fcsh"], instance)
-    # the replay below takes the quotient, split by x0 as trajectory splits it
-    assert Quotient.of(instance.graph, list(zip(cells, instance.x0.bits))) is not None
-    report = trajectory(instance.graph, params, instance.x0, cells=cells)
+    # the replay below takes the quotient of the build by the closed-form cells
+    quotient = Quotient.of(instance.graph, _FAMILIES["fcsh"].quotient(sp).cell_of)
+    assert quotient is not None
+    report = trajectory(instance.graph, params, instance.x0, cells=quotient)
     assert (report.transient, report.minimal_period) == (0, p)
