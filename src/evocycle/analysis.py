@@ -19,6 +19,14 @@ vertex order.  Callers that run both verifiers hand them one set of
 cells: the states projected once (_tree_cells), or a replay taken on the
 cells alone (_tree_replay), whose states are lifted to the vertices only
 when the cells find something.
+
+The two clique-chain verifiers do the same on a chain's closed-form
+quotient when they are handed the states on its cells, replayed there
+alone (_chain_replay) or taken back from a trajectory on them
+(_chain_states): each cell's members share their role kind and the clique
+coordinate the checks read, so the checks run once per cell, and on any
+finding they run again per vertex, on the states lifted if need be.
+Without such cells they run per vertex.
 """
 
 from __future__ import annotations
@@ -150,19 +158,148 @@ def _closes(log: _ViolationLog, label: str, states: Sequence[Sequence[int]]) -> 
     return final == start
 
 
+class _Vertices(NamedTuple):
+    """The discrete partition of a graph, one cell per vertex, read from
+    the graph's own sorted adjacency: what the tree checks read of a
+    Quotient, with every link count 1."""
+
+    linked: Sequence[Sequence[int]]
+    degree: list[int]
+
+    def cooperators(self, bits: bytes) -> list[int]:
+        return [sum(map(bits.__getitem__, around)) for around in self.linked]
+
+
+class _Cells(NamedTuple):
+    """A witness on the cells of a partition: per cell its role kind, level
+    and attach level, per state one bit per cell.  For a tree the quotient
+    gives each cell's linked cells, its degree and its cooperating-neighbor
+    counts.  For a clique chain the level is the clique index n of a role
+    "K" (n, .), 0 for other kinds, attach is empty, and the quotient is
+    the closed-form one the states lift through, or None on vertices."""
+
+    quotient: Optional[Quotient | _Vertices]
+    kind: list[str]
+    level: list[int]
+    attach: list[int]
+    states: list[bytes]
+
+
+# What a caller passes as `cells` once it has found that the tree's keyed
+# cells cannot serve, so that no verifier builds them again: the checks go
+# straight to the discrete partition.
+NO_CELLS = _Cells(_Vertices((), []), [], [], [], [])
+
+
+def _per_cell(
+    states: Optional[Sequence[StrategyVector]],
+    cells: Optional[_Cells],
+    log: _ViolationLog,
+    check: Callable[[_ViolationLog, _Cells], None],
+    vertices: Callable[[list[bytes]], Optional[_Cells]],
+) -> list[InvariantViolation]:
+    """Run check on the cells, unless they are None or NO_CELLS, and
+    return [] when it logs nothing there.  Otherwise run it into log on
+    vertices(one bits string per state), the witness on one cell per
+    vertex, over the states or else the cells' states lifted, and return
+    log's records; nothing runs where vertices gives None."""
+    if cells is not None and cells is not NO_CELLS:
+        trial = _ViolationLog()
+        check(trial, cells)
+        if not trial.records:
+            return []
+        if states is None:
+            states = list(map(cells.quotient.lift, cells.states))
+    on_vertices = vertices([state.bits for state in states])
+    if on_vertices is not None:
+        check(log, on_vertices)
+    return log.records
+
+
+def _replayed(cells: _Cells, x0: StrategyVector, params: GameParams, period: int) -> _Cells:
+    """The cells with states X(0) .. X(period), stepped by Quotient.step
+    from x0's bits on the quotient's first vertices."""
+    quotient = cells.quotient
+    bits = bytes(map(x0.bits.__getitem__, quotient.first))
+    states = [bits]
+    for _ in range(period):
+        bits = quotient.step(params, bits)
+        states.append(bits)
+    return cells._replace(states=states)
+
+
+def _chain_units(
+    instance: ConstructedInstance, quotient: Optional[Quotient], states: Sequence[bytes] = ()
+) -> _Cells:
+    """A clique chain with the states on the cells of quotient, or on its
+    vertices when that is None: each unit takes the role of its first
+    vertex."""
+    vertices = range(len(instance.x0)) if quotient is None else quotient.first
+    roles = instance.roles_at(vertices)
+    clique = [role.index[0] if role.kind == "K" else 0 for role in roles]
+    return _Cells(quotient, [role.kind for role in roles], clique, [], list(states))
+
+
+def _chain_states(
+    instance: ConstructedInstance, quotient: Quotient, states: Sequence[StrategyVector]
+) -> _Cells:
+    """X(0) .. X(P) of a clique chain, stepped on its closed-form quotient
+    and lifted (as trajectory does given it), taken back onto the cells:
+    each state's bits at the cells' first vertices.  The lifts are not
+    checked again: that would cost as much as making them."""
+    bits = [bytes(map(state.bits.__getitem__, quotient.first)) for state in states]
+    return _chain_units(instance, quotient, bits)
+
+
+def _chain_replay(
+    instance: ConstructedInstance, params: GameParams, quotient: Quotient
+) -> _Cells:
+    """X(0) .. X(P) of a clique chain on its closed-form quotient, stepped
+    by Quotient.step from x0's cell bits and never lifted.  The quotient
+    must be the instance's own (fcsh_quotient, hdpd_quotient), on whose
+    cells x0 and the roles the checks read are constant."""
+    return _replayed(_chain_units(instance, quotient), instance.x0, params,
+                     instance.predicted_period)
+
+
 def _clique_groups(
-    instance: ConstructedInstance, key: Callable[[int], int]
+    kind: Sequence[str], clique: Sequence[int], key: Callable[[int], int]
 ) -> dict[int, list[int]]:
-    """Vertices of the "K" cliques, grouped by key(first role index)."""
+    """The units of the "K" cliques, grouped by key(clique index)."""
     groups: dict[int, list[int]] = {}
-    for v, role in enumerate(instance.roles):
-        if role.kind == "K":
-            groups.setdefault(key(role.index[0]), []).append(v)
+    for k, (role_kind, n) in enumerate(zip(kind, clique)):
+        if role_kind == "K":
+            groups.setdefault(key(n), []).append(k)
     return groups
 
 
+def _fcsh_checks(log: _ViolationLog, cells: _Cells) -> None:
+    """The checks of verify_fcsh_dynamics, on cells or vertices."""
+    _, kind, clique, _, states = cells
+    p = len(states) - 1
+    x0 = states[0]
+    frozen = [
+        k for k, (role_kind, n) in enumerate(zip(kind, clique))
+        if role_kind in ("H", "I", "J", "F", "g") or (role_kind == "K" and n == 0)
+    ]
+    by_distance = _clique_groups(kind, clique, abs)
+
+    for t in range(p):
+        state = states[t]
+        for k in frozen:
+            _expect(log, state, t, "fcsh:frozen", k, x0[k])
+        for n in range(1, p):
+            expected = 1 if n <= t else 0
+            for k in by_distance.get(n, ()):
+                _expect(log, state, t, "fcsh:chain", k, expected)
+    _closes(log, "fcsh:reset", states)
+
+
 def verify_fcsh_dynamics(
-    instance: ConstructedInstance, params: GameParams, states: Sequence[StrategyVector]
+    instance: ConstructedInstance,
+    params: GameParams,
+    states: Optional[Sequence[StrategyVector]],
+    cells: Optional[_Cells] = None,
 ) -> list[InvariantViolation]:
     """Check a build_fcsh instance against its designed trajectory.
 
@@ -170,58 +307,54 @@ def verify_fcsh_dynamics(
     center cliques stay frozen at the initial state; the chain lights up
     outward, cliques at distance <= t cooperating and the rest defecting;
     and X(p) returns to X(0).
+
+    `cells`, the states on the closed-form quotient from _chain_replay
+    or _chain_states, runs the checks once per cell (with a replay states
+    may be None); without it they run per vertex.  The records are the
+    per-vertex ones either way.
     """
-    log = _open_log(instance, "fcsh", states, lambda sp: sp["p"])
+    log = _open_log(instance, "fcsh", states, lambda sp: sp["p"], cells)
+    return _per_cell(states, cells, log, _fcsh_checks, partial(_chain_units, instance, None))
+
+
+def _hdpd_checks(log: _ViolationLog, cells: _Cells) -> None:
+    """The checks of verify_hdpd_dynamics, on cells or vertices."""
+    _, kind, clique, _, states = cells
     p = len(states) - 1
-    x0 = instance.x0
-    frozen = [
-        v
-        for v, role in enumerate(instance.roles)
-        if role.kind in ("H", "I", "J", "F", "g") or (role.kind == "K" and role.index[0] == 0)
-    ]
-    by_distance = _clique_groups(instance, abs)
-
-    for t in range(p):
-        state = states[t]
-        for v in frozen:
-            _expect(log, state, t, "fcsh:frozen", v, x0[v])
-        for n in range(1, p):
-            expected = 1 if n <= t else 0
-            for v in by_distance.get(n, ()):
-                _expect(log, state, t, "fcsh:chain", v, expected)
-    _closes(log, "fcsh:reset", states)
-    return log.records
-
-
-def verify_hdpd_dynamics(
-    instance: ConstructedInstance, params: GameParams, states: Sequence[StrategyVector]
-) -> list[InvariantViolation]:
-    """Check a build_hdpd instance against its designed trajectory.
-
-    Over one period: cliques K_1 .. K_(t+1) cooperate at step t while every
-    other vertex keeps its previous strategy; the edgeless outer layer
-    K_(p+1) defects throughout; and X(p) returns to X(0).
-    """
-    log = _open_log(instance, "hdpd", states, lambda sp: sp["p"])
-    p = len(states) - 1
-    vertices = range(len(instance.x0))
-    by_layer = _clique_groups(instance, lambda layer: layer)
+    units = range(len(kind))
+    by_layer = _clique_groups(kind, clique, lambda layer: layer)
 
     for t in range(1, p):
         state, previous = states[t], states[t - 1]
         lit: set[int] = set()
         for n in range(1, t + 2):
-            for v in by_layer.get(n, ()):
-                lit.add(v)
-                _expect(log, state, t, "hdpd:chain", v, 1)
-        for v in vertices:
-            if v not in lit:
-                _expect(log, state, t, "hdpd:frozen", v, previous[v])
+            for k in by_layer.get(n, ()):
+                lit.add(k)
+                _expect(log, state, t, "hdpd:chain", k, 1)
+        for k in units:
+            if k not in lit:
+                _expect(log, state, t, "hdpd:frozen", k, previous[k])
     for t in range(p):
-        for v in by_layer.get(p + 1, ()):
-            _expect(log, states[t], t, "hdpd:outer", v, 0)
+        for k in by_layer.get(p + 1, ()):
+            _expect(log, states[t], t, "hdpd:outer", k, 0)
     _closes(log, "hdpd:reset", states)
-    return log.records
+
+
+def verify_hdpd_dynamics(
+    instance: ConstructedInstance,
+    params: GameParams,
+    states: Optional[Sequence[StrategyVector]],
+    cells: Optional[_Cells] = None,
+) -> list[InvariantViolation]:
+    """Check a build_hdpd instance against its designed trajectory.
+
+    Over one period: cliques K_1 .. K_(t+1) cooperate at step t while every
+    other vertex keeps its previous strategy; the edgeless outer layer
+    K_(p+1) defects throughout; and X(p) returns to X(0).  `cells` is as
+    for verify_fcsh_dynamics.
+    """
+    log = _open_log(instance, "hdpd", states, lambda sp: sp["p"], cells)
+    return _per_cell(states, cells, log, _hdpd_checks, partial(_chain_units, instance, None))
 
 
 def _tree_shape(
@@ -277,36 +410,6 @@ def _tree_shape(
     return level, attach
 
 
-class _Vertices(NamedTuple):
-    """The discrete partition of a graph, one cell per vertex, read from
-    the graph's own sorted adjacency: what the tree checks read of a
-    Quotient, with every link count 1."""
-
-    linked: Sequence[Sequence[int]]
-    degree: list[int]
-
-    def cooperators(self, bits: bytes) -> list[int]:
-        return [sum(map(bits.__getitem__, around)) for around in self.linked]
-
-
-class _Cells(NamedTuple):
-    """A tree on the cells of a partition: per cell its role kind, level
-    and attach level, per state one bit per cell.  The quotient gives each
-    cell's linked cells, its degree and its cooperating-neighbor counts."""
-
-    quotient: Quotient | _Vertices
-    kind: list[str]
-    level: list[int]
-    attach: list[int]
-    states: list[bytes]
-
-
-# What a caller passes as `cells` once it has found that the tree's keyed
-# cells cannot serve, so that no verifier builds them again: the checks go
-# straight to the discrete partition.
-NO_CELLS = _Cells(_Vertices((), []), [], [], [], [])
-
-
 def _keyed_cells(instance: ConstructedInstance) -> Optional[_Cells]:
     """The tree on its cells keyed by (role kind, level, attach level, x0
     bit), with no states yet; None when its structure is damaged or that
@@ -346,47 +449,21 @@ def _tree_replay(instance: ConstructedInstance, params: GameParams) -> Optional[
     serve (damaged structure, a partition that is not equitable).  The
     partition holds the x0 bit, so every state is constant on cells."""
     cells = _keyed_cells(instance)
-    if cells is None:
-        return None
-    quotient = cells.quotient
-    bits = bytes(map(instance.x0.bits.__getitem__, quotient.first))
-    states = [bits]
-    for _ in range(instance.predicted_period):
-        bits = quotient.step(params, bits)
-        states.append(bits)
-    return cells._replace(states=states)
+    return None if cells is None else _replayed(cells, instance.x0, params,
+                                                instance.predicted_period)
 
 
-def _per_cell(
-    instance: ConstructedInstance,
-    states: Optional[Sequence[StrategyVector]],
-    cells: Optional[_Cells],
-    log: _ViolationLog,
-    check: Callable[[_ViolationLog, _Cells], None],
-    structure: _ViolationLog,
-) -> list[InvariantViolation]:
-    """Run check on the tree's cells (those given, else the states on its
-    keyed cells) and return [] when it logs nothing there.  Otherwise, or
-    when the cells cannot serve (NO_CELLS), log the tree's structure into
-    structure and, if it has one root, run check into log on one cell per
-    vertex, over the states or else the cells' states lifted, and return
-    log's records."""
-    if cells is None:
-        cells = _tree_cells(instance, states) or NO_CELLS
-    if cells is not NO_CELLS:
-        trial = _ViolationLog()
-        check(trial, cells)
-        if not trial.records:
-            return []
-        if states is None:
-            states = list(map(cells.quotient.lift, cells.states))
+def _tree_on_vertices(
+    instance: ConstructedInstance, structure: _ViolationLog, states: list[bytes]
+) -> Optional[_Cells]:
+    """The tree with the states on one cell per vertex, its structure
+    logged into structure; None when it has not exactly one root."""
     shape = _tree_shape(instance, structure)
-    if shape is not None:
-        adj = instance.graph._adj
-        kind = [role.kind for role in instance.roles]
-        vertices = _Vertices(adj, list(map(len, adj)))
-        check(log, _Cells(vertices, kind, *shape, [state.bits for state in states]))
-    return log.records
+    if shape is None:
+        return None
+    adj = instance.graph._adj
+    kind = [role.kind for role in instance.roles]
+    return _Cells(_Vertices(adj, list(map(len, adj))), kind, *shape, states)
 
 
 def _tree_checks(log: _ViolationLog, cells: _Cells, q: int) -> None:
@@ -476,7 +553,9 @@ def verify_tree_invariants(
     """
     log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3), cells)
     check = partial(_tree_checks, q=instance.structural_params["q"])
-    return _per_cell(instance, states, cells, log, check, structure=log)
+    if cells is None:
+        cells = _tree_cells(instance, states) or NO_CELLS
+    return _per_cell(states, cells, log, check, partial(_tree_on_vertices, instance, log))
 
 
 def _lemma_checks(log: _ViolationLog, cells: _Cells, params: GameParams, r: int) -> None:
@@ -558,4 +637,8 @@ def check_local_lemmas(
     """
     log = _open_log(instance, "tree", states, cells=cells)
     check = partial(_lemma_checks, params=params, r=instance.structural_params["r"])
-    return _per_cell(instance, states, cells, log, check, structure=_ViolationLog())
+    if cells is None:
+        cells = _tree_cells(instance, states) or NO_CELLS
+    # The structure is verify_tree_invariants' to report.
+    vertices = partial(_tree_on_vertices, instance, _ViolationLog())
+    return _per_cell(states, cells, log, check, vertices)

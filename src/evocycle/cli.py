@@ -30,6 +30,8 @@ from .analysis import (
     NO_CELLS,
     InvariantViolation,
     _Cells,
+    _chain_replay,
+    _chain_states,
     _tree_cells,
     _tree_replay,
     check_local_lemmas,
@@ -64,6 +66,7 @@ from .serialize import (
     instance_to_dict,  # not called here; perfbench/tracing.py wraps this name
     read_json,
     report_to_dict,
+    write_dot,
     write_json,
 )
 from .solver import (
@@ -114,7 +117,7 @@ class _Family:
     solve: Callable[[GameParams, int, int], Certificate]  # params, period, budget
     build: Callable[[Mapping[str, int]], ConstructedInstance]  # structural integers
     check: Callable[[GameParams, Mapping[str, int]], Certificate]
-    # instance, params, X(0)..X(P) (or None), the tree's cells (or None)
+    # instance, params, X(0)..X(P) (or None), its cells with their states (or None)
     verify: Callable[..., list[InvariantViolation]]
     invariants: tuple[str, ...]  # listed by verify, so exit 0 states what was checked
     period: Callable[[Mapping[str, int]], int]  # from the structural integers
@@ -155,7 +158,7 @@ _FCSH = _Family(
     solve=lambda params, p, budget: solve_fcsh(params, p, max_candidates=budget),
     build=lambda sp: build_fcsh(sp["p"], sp["q"], sp["r"], sp["s"]),
     check=lambda params, sp: check_fcsh(params, sp["p"], sp["q"], sp["r"], sp["s"]),
-    verify=lambda inst, params, states, _: verify_fcsh_dynamics(inst, params, states),
+    verify=lambda inst, params, states, cells: verify_fcsh_dynamics(inst, params, states, cells),
     invariants=("fcsh:frozen", "fcsh:chain", "fcsh:reset"),
     period=lambda sp: sp["p"],
     vertices=lambda sp: (2 * sp["p"] - 1) * sp["q"] + 1 + sp["q"] * sp["r"] * (2 * sp["s"] + 2),
@@ -173,7 +176,7 @@ _HDPD = _Family(
     solve=lambda params, p, budget: solve_hdpd(params, p, max_candidates=budget),
     build=lambda sp: build_hdpd(sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
     check=lambda params, sp: check_hdpd(params, sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
-    verify=lambda inst, params, states, _: verify_hdpd_dynamics(inst, params, states),
+    verify=lambda inst, params, states, cells: verify_hdpd_dynamics(inst, params, states, cells),
     invariants=("hdpd:chain", "hdpd:frozen", "hdpd:outer", "hdpd:reset"),
     period=lambda sp: sp["p"],
     vertices=lambda sp: (sp["p"] + 1) * sp["o"] + sp["q"] + sp["r"] + sp["s"] + 3,
@@ -357,13 +360,6 @@ def _load_instance(path: str) -> tuple[_Family, ConstructedInstance, Optional[Qu
     return _family_of(instance), instance, None
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     scenario = classify_scenario(params)
@@ -399,9 +395,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "instance.json", instance)
         write_json(out_dir / "certificate.json", certificate_to_dict(cert))
-        (out_dir / "instance.dot").write_text(
-            graph_to_dot(instance.graph, instance.x0), encoding="utf-8"
-        )
+        write_dot(out_dir / "instance.dot", instance.graph, instance.x0)
 
     summary = {
         "kind": family.kind,
@@ -461,7 +455,7 @@ def _verify_instance(
     cells: Optional[_Cells] = None,
 ) -> tuple[list[str], list[str]]:
     """Returns (violation lines, certificate problem lines) given X(0) .. X(P),
-    or for a tree its states on cells alone."""
+    or its states on cells alone."""
     cert_problems: list[str] = []
     try:
         family.check(params, instance.structural_params)
@@ -478,17 +472,19 @@ def _verify_instance(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
-    family, instance, cells = _load_instance(args.instance)
+    family, instance, quotient = _load_instance(args.instance)
     # A tree whose keyed cells are equitable is replayed on them alone,
     # and a damaged one on the whole graph, its verifiers told NO_CELLS;
-    # a canonical clique chain on its closed-form quotient, any other on
-    # the whole graph.
+    # a canonical clique chain on its closed-form quotient alone, any
+    # other on the whole graph.
     if family is _TREE:
-        tree_cells = _tree_replay(instance, params) or NO_CELLS
-        states = replay(instance, params) if tree_cells is NO_CELLS else None
+        cells = _tree_replay(instance, params) or NO_CELLS
+        states = replay(instance, params) if cells is NO_CELLS else None
+    elif quotient is not None:
+        cells, states = _chain_replay(instance, params, quotient), None
     else:
-        tree_cells, states = None, replay(instance, params, cells)
-    lines, cert_problems = _verify_instance(family, instance, params, states, tree_cells)
+        cells, states = None, replay(instance, params)
+    lines, cert_problems = _verify_instance(family, instance, params, states, cells)
     ok = not lines and not cert_problems
     families = family.invariants + ("certificate",)
     if args.format == "json":
@@ -513,20 +509,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
     """One sweep entry: solve, build, simulate, verify.  A clique chain is
     laid out and replayed on its closed-form Quotient, with no Graph, as
-    witness --out writes it; a tree is built and stepped on the whole
-    graph.  Module level so a process pool can pickle it."""
+    witness --out writes it, and its states are verified on those cells;
+    a tree is built and stepped on the whole graph.  Module level so a
+    process pool can pickle it."""
     params, period, tree, max_candidates = task
     family, _, sp = _solve(params, period, tree, max_candidates)
     if family.layout is None:
-        instance, cells = family.build(sp), None
+        instance, quotient = family.build(sp), None
     else:
-        instance, cells = family.layout(sp), family.quotient(sp)
+        instance, quotient = family.layout(sp), family.quotient(sp)
     budget = max(64, 4 * instance.predicted_period + 16)
-    report = trajectory(instance.graph, params, instance.x0, max_steps=budget, cells=cells)
+    report = trajectory(instance.graph, params, instance.x0, max_steps=budget, cells=quotient)
     # state_at folds times past the report into its cycle, so these are
     # exactly X(0) .. X(P) without simulating again.
     states = [report.state_at(t) for t in range(instance.predicted_period + 1)]
-    lines, cert_problems = _verify_instance(family, instance, params, states)
+    cells = None if quotient is None else _chain_states(instance, quotient, states)
+    lines, cert_problems = _verify_instance(family, instance, params, states, cells)
     row: dict[str, Any] = {"requested": period, "kind": instance.kind}
     row.update(instance.structural_params)
     row["n"] = instance.graph.n
@@ -570,15 +568,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         rows = [_sweep_row(task) for task in tasks]
     text = dumps(rows) if args.format == "json" else _sweep_csv(rows)
-    _emit(text, args.out)
-    if args.out is not None:
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"written: {args.out}")
     return EXIT_OK if all(row["ok"] for row in rows) else EXIT_VIOLATIONS
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     _, instance, _ = _load_instance(args.instance)
-    _emit(graph_to_dot(instance.graph, instance.x0), args.out)
+    if args.out is None:
+        sys.stdout.write(graph_to_dot(instance.graph, instance.x0))
+    else:
+        write_dot(args.out, instance.graph, instance.x0)
     return EXIT_OK
 
 

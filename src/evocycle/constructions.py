@@ -17,19 +17,23 @@ Each builder returns a ConstructedInstance bundling the graph, the initial
 state, a role for every vertex, the structural integers, and the period the
 instance is designed to realize. Vertex layouts are deterministic and
 documented per builder, so equal inputs give byte-identical instances.
+The clique chains are also written down from their structural integers
+alone (fcsh_layout, hdpd_layout): edges and roles as a few runs each, and
+their replay cells (fcsh_quotient, hdpd_quotient).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .dynamics import Quotient
 from .game import Graph, StrategyVector, _require_at_least
 
 __all__ = [
     "Role",
+    "RoleRun",
     "Layout",
     "ConstructedInstance",
     "fcsh_layout",
@@ -54,17 +58,25 @@ class Role:
     index: tuple[int, ...] = ()
 
 
+# The roles of consecutive vertices as (kind, fixed, last): one role per i
+# in the range last, of that kind with index (*fixed, i), or, when last is
+# None, the one role of that kind with index fixed.
+RoleRun = tuple[str, tuple[int, ...], Optional[range]]
+
+
 @dataclass(frozen=True)
 class Layout:
-    """The graph of a clique-chain witness in closed form: its vertex
-    count, and for every vertex with a neighbour above it those
+    """The graph of a clique-chain witness in closed form, with its roles:
+    its vertex count; for every vertex with a neighbour above it those
     neighbours in ascending order, written as a few ranges from the
-    structural integers.  It is what build_fcsh and build_hdpd build
-    their Graph from, and what serialize writes a file or a DOT text
-    from; later_neighbors is called like Graph's method of that name."""
+    structural integers; and the roles of all vertices in order, as runs.
+    It is what build_fcsh and build_hdpd build their Graph from, and what
+    serialize writes a file or a DOT text from; later_neighbors is called
+    like Graph's method of that name."""
 
     n: int
     later_neighbors: Callable[[], Iterator[tuple[int, Iterable[int]]]]
+    role_runs: Callable[[], Iterator[RoleRun]]
 
 
 @dataclass(frozen=True)
@@ -74,14 +86,47 @@ class ConstructedInstance:
     graph is a Graph, or for an instance taken from its structural
     integers alone (fcsh_layout, hdpd_layout) their Layout, which has the
     vertex count and the sorted neighbours but no adjacency to step on.
+    roles holds one Role per vertex of a Graph, and is None for a Layout,
+    whose role_runs give them; role_runs, roles_at and role_tuple read
+    either.
     """
 
     kind: str
     graph: Graph | Layout
     x0: StrategyVector
-    roles: tuple[Role, ...]
+    roles: Optional[tuple[Role, ...]]
     structural_params: Mapping[str, int]
     predicted_period: int
+
+    def role_runs(self) -> Iterator[RoleRun]:
+        """The roles in vertex order as runs: the Layout's, else one run
+        per role."""
+        if self.roles is None:
+            return self.graph.role_runs()
+        return ((role.kind, role.index, None) for role in self.roles)
+
+    def roles_at(self, vertices: Iterable[int]) -> list[Role]:
+        """The roles of the vertices, given in ascending order; a Layout's
+        are read off its runs, and only those asked for are made."""
+        if self.roles is not None:
+            return [self.roles[v] for v in vertices]
+        found: list[Role] = []
+        wanted = iter(vertices)
+        v = next(wanted, None)
+        start = 0
+        for kind, fixed, last in self.graph.role_runs():
+            stop = start + (1 if last is None else len(last))
+            while v is not None and v < stop:
+                found.append(Role(kind, fixed if last is None else (*fixed, last[v - start])))
+                v = next(wanted, None)
+            start = stop
+        return found
+
+    def role_tuple(self) -> tuple[Role, ...]:
+        """The role of every vertex, expanded from a Layout's runs."""
+        if self.roles is not None:
+            return self.roles
+        return tuple(self.roles_at(range(self.graph.n)))
 
 
 def _bits(n: int, cooperators: Iterable[range]) -> StrategyVector:
@@ -93,11 +138,12 @@ def _bits(n: int, cooperators: Iterable[range]) -> StrategyVector:
 
 
 def _built(instance: ConstructedInstance) -> ConstructedInstance:
-    """The instance with its Layout replaced by the Graph of the same edges."""
+    """The instance with its Layout replaced by the Graph of the same
+    edges, and its role runs by the tuple of their roles."""
     layout = instance.graph
     graph = Graph(layout.n, ((v, w) for v, later in layout.later_neighbors() for w in later))
     assert graph.is_connected
-    return replace(instance, graph=graph)
+    return replace(instance, graph=graph, roles=instance.role_tuple())
 
 
 def _require_period(p: int) -> None:
@@ -113,7 +159,8 @@ def fcsh_layout(p: int, q: int, r: int, s: int) -> ConstructedInstance:
     (2s + 2).  Above a chain vertex lie the rest of its clique, its rung
     to K_(n+1), g for n = 0, and the r feelers of position l, which are
     2s + 2 apart; above h its S1, above each S1 vertex all of S2, and
-    above the first S2 vertex its feeler.
+    above the first S2 vertex its feeler.  The roles run over l in each
+    clique and over i in each gadget side.
     """
     _require_at_least(1, p=p, q=q, r=r, s=s)
     _require_period(p)
@@ -140,18 +187,22 @@ def fcsh_layout(p: int, q: int, r: int, s: int) -> ConstructedInstance:
                 yield v, side_2
             yield h + s + 1, (h + 2 * s + 1,)
 
-    roles = [Role("K", (k, l)) for k in range(-(p - 1), p) for l in range(1, q + 1)]
-    roles.append(Role("g"))
-    for l in range(1, q + 1):
-        for m in range(1, r + 1):
-            roles.append(Role("H", (l, m)))
-            roles.extend(Role("I", (l, m, i)) for i in range(1, s + 1))
-            roles.extend(Role("J", (l, m, i)) for i in range(1, s + 1))
-            roles.append(Role("F", (l, m)))
+    def role_runs() -> Iterator[RoleRun]:
+        for k in range(-(p - 1), p):
+            yield "K", (k,), range(1, q + 1)
+        yield "g", (), None
+        side = range(1, s + 1)
+        for l in range(1, q + 1):
+            for m in range(1, r + 1):
+                yield "H", (l, m), None
+                yield "I", (l, m), side
+                yield "J", (l, m), side
+                yield "F", (l, m), None
+
     # K_0 and g are one run; then each gadget's h and S1.
     x0 = _bits(n, [range((p - 1) * q, p * q), range(chain_end, chain_end + 1),
                    *(range(h, h + s + 1) for h in range(gadgets, n, width))])
-    return ConstructedInstance("fcsh", Layout(n, later_neighbors), x0, tuple(roles),
+    return ConstructedInstance("fcsh", Layout(n, later_neighbors, role_runs), x0, None,
                                {"p": p, "q": q, "r": r, "s": s}, p)
 
 
@@ -186,7 +237,8 @@ def hdpd_layout(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
     Vertex v < (p+1)o is K_n position m with divmod(v, o) = (n - 1, m - 1),
     and g_R = (p+1)o.  Above a vertex of K_1 .. K_p lie the rest of its
     clique, its rung to K_(n+1) and, from K_2 on, g_R; above g_R lie g_D
-    and H, above g_D all of I and J, and above g_C all of J.
+    and H, above g_D all of I and J, and above g_C all of J.  The roles
+    run over m in each clique and over i in H, I and J.
     """
     _require_at_least(1, p=p, o=o, q=q, r=r, s=s)
     _require_period(p)
@@ -205,12 +257,16 @@ def hdpd_layout(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
         yield g_r + 1, range(pendants + q, n)
         yield g_c, range(n - s, n)
 
-    roles = [Role("K", (k, m)) for k in range(1, p + 2) for m in range(1, o + 1)]
-    roles += [Role("g_R"), Role("g_D"), Role("g_C")]
-    for kind, count in (("H", q), ("I", r), ("J", s)):
-        roles.extend(Role(kind, (i,)) for i in range(1, count + 1))
+    def role_runs() -> Iterator[RoleRun]:
+        for k in range(1, p + 2):
+            yield "K", (k,), range(1, o + 1)
+        for hub in ("g_R", "g_D", "g_C"):
+            yield hub, (), None
+        for kind, count in (("H", q), ("I", r), ("J", s)):
+            yield kind, (), range(1, count + 1)
+
     x0 = _bits(n, [range(o), range(g_c, g_c + 1), range(n - s, n)])
-    return ConstructedInstance("hdpd", Layout(n, later_neighbors), x0, tuple(roles),
+    return ConstructedInstance("hdpd", Layout(n, later_neighbors, role_runs), x0, None,
                                {"p": p, "o": o, "q": q, "r": r, "s": s}, p)
 
 

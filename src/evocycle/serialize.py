@@ -5,10 +5,13 @@ JSON always has the layout of dumps(), sorted keys and two-space indent,
 so writing, reading, and writing again is byte-identical.  write_json
 emits an instance in that layout straight from its graph and roles, and
 the graph may be a Graph or a clique chain's closed-form Layout: either
-gives each vertex's sorted later neighbours, which is all one emitter
-reads.  A file in that layout can be recognised without parsing it: its
-structural params sit in its tail, and _holds compares it with the text
-an instance would be written as, byte for byte.
+gives each vertex's sorted later neighbours and the instance its roles as
+runs, which is all one emitter reads.  write_json and write_dot write
+their text chunk by chunk, a vertex's edges or a run of roles or of
+equal node lines at a time, and never hold the whole of it.  A file in
+the JSON layout can be recognised without parsing it: its structural
+params sit in its tail, and _holds compares it with the text an instance
+would be written as, byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Optional
 
-from .constructions import ConstructedInstance, Layout, Role
+from .constructions import ConstructedInstance, Layout, Role, RoleRun
 from .dynamics import TrajectoryReport
 from .game import Graph, StrategyVector
 from .solver import Certificate
@@ -37,6 +40,7 @@ __all__ = [
     "counts_to_csv",
     "graph_to_dot",
     "dumps",
+    "write_dot",
     "write_json",
     "read_json",
 ]
@@ -86,7 +90,7 @@ def instance_to_dict(instance: ConstructedInstance) -> dict[str, Any]:
         "kind": instance.kind,
         "graph": graph_to_dict(instance.graph),
         "x0": instance.x0.to_string(),
-        "roles": [[role.kind, *role.index] for role in instance.roles],
+        "roles": [[role.kind, *role.index] for role in instance.role_tuple()],
         "structural_params": dict(instance.structural_params),
         "predicted_period": instance.predicted_period,
     }
@@ -152,17 +156,35 @@ def _edge_runs(graph: Graph | Layout, head: str, tail: str, sep: str) -> Iterato
         yield first + (tail + sep + first).join(map(str, later)) + tail
 
 
+# The node line of a defector and of a cooperator, after its number.
+_NODE_TAILS = (' [fillcolor="white"];\n', ' [fillcolor="black", fontcolor="white"];\n')
+# The most node lines one DOT chunk holds.
+_NODE_RUN = 1 << 12
+
+
+def _dot_chunks(graph: Graph | Layout, state: StrategyVector | None) -> Iterator[str]:
+    """The text of graph_to_dot(graph, state), chunk by chunk: the node
+    lines a run of vertices with one strategy at a time, at most
+    _NODE_RUN of them, and then the edge lines a vertex at a time."""
+    yield "graph G {\n  node [shape=circle, style=filled];\n"
+    n = graph.n
+    bits = bytes(n) if state is None else state.bits
+    v = 0
+    while v < n:
+        bit = bits[v]
+        stop = min(n, v + _NODE_RUN)
+        end = bits.find(b"\x00" if bit else b"\x01", v, stop)
+        end = stop if end < 0 else end
+        tail = _NODE_TAILS[bit]
+        yield "  " + (tail + "  ").join(map(str, range(v, end))) + tail
+        v = end
+    yield from _edge_runs(graph, "  %d -- ", ";\n", "")
+    yield "}\n"
+
+
 def graph_to_dot(graph: Graph | Layout, state: StrategyVector | None = None) -> str:
     """DOT snapshot of graph G; cooperators are filled black, defectors white."""
-    lines = ["graph G {", "  node [shape=circle, style=filled];"]
-    for v in range(graph.n):
-        if state is None or state[v] == 0:
-            lines.append(f'  {v} [fillcolor="white"];')
-        else:
-            lines.append(f'  {v} [fillcolor="black", fontcolor="white"];')
-    lines.extend(_edge_runs(graph, "  %d -- ", ";", "\n"))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_chunks(graph, state))
 
 
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
@@ -183,10 +205,23 @@ def _array(items: Iterable[str], indent: str) -> Iterator[str]:
     yield "\n" + indent + "]"
 
 
+def _role_text(runs: Iterable[RoleRun]) -> Iterator[str]:
+    """The roles array's elements, one str.join per run of roles."""
+    kind_text: dict[str, str] = {}
+    for kind, fixed, last in runs:
+        text = kind_text.get(kind) or kind_text.setdefault(kind, _ENCODER.encode(kind))
+        head = "    [\n      " + ",\n      ".join([text, *map(str, fixed)])
+        if last is None:
+            yield head + "\n    ]"
+        else:
+            head += ",\n      "
+            yield head + ("\n    ],\n" + head).join(map(str, last)) + "\n    ]"
+
+
 def _instance_chunks(instance: ConstructedInstance) -> Iterator[str]:
     """The text of dumps(instance_to_dict(instance)) without that dict: the
-    edges one vertex at a time from the sorted adjacency, the roles one at
-    a time, and every other field through the shared encoder.  The keys
+    edges one vertex at a time from the sorted adjacency, the roles one run
+    at a time, and every other field through the shared encoder.  The keys
     are written in sorted order."""
     encode = _ENCODER.encode
     graph = instance.graph
@@ -195,12 +230,7 @@ def _instance_chunks(instance: ConstructedInstance) -> Iterator[str]:
         _edge_runs(graph, "      [\n        %d,\n        ", "\n      ]", ",\n"), "    ")
     yield ',\n    "n": %s\n  },\n  "kind": %s,\n  "predicted_period": %s,\n  "roles": ' % (
         encode(graph.n), encode(instance.kind), encode(instance.predicted_period))
-    kind_text = {kind: encode(kind) for kind in {role.kind for role in instance.roles}}
-    yield from _array(
-        ("    [\n      " + ",\n      ".join([kind_text[role.kind], *map(str, role.index)])
-         + "\n    ]" for role in instance.roles),
-        "  ",
-    )
+    yield from _array(_role_text(instance.role_runs()), "  ")
     # JSON text has no raw newline inside a string, so this indents it exactly.
     structural = encode(dict(instance.structural_params)).replace("\n", "\n  ")
     yield ',\n  "structural_params": %s,\n  "x0": %s\n}' % (
@@ -219,9 +249,17 @@ def _json_chunks(obj: Any) -> Iterator[str]:
 
 def write_json(path: str | Path, obj: Any) -> None:
     """Write dumps(obj) chunk by chunk, never holding the whole text, so
-    an instance takes memory within one vertex's edges."""
+    an instance takes memory within one vertex's edges or one role run."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(_json_chunks(obj))
+
+
+def write_dot(
+    path: str | Path, graph: Graph | Layout, state: StrategyVector | None = None
+) -> None:
+    """Write graph_to_dot(graph, state) chunk by chunk, as write_json does."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_dot_chunks(graph, state))
 
 
 # Each edge of an instance file in the layout of write_json takes at least
@@ -233,7 +271,9 @@ _PARAMS_KEY = b'\n  "structural_params": {'
 _PARAMS = re.compile(rb'\n  "structural_params": \{((?:\n    "[a-z]+": [0-9]{1,18},?)+)'
                      rb'\n  \},\n  "x0": "')
 _PARAM = re.compile(rb'"([a-z]+)": ([0-9]+)')
-_BLOCK = 1 << 20
+# _holds compares a file with the text it generates this many characters
+# at a time (and one chunk more): the one buffer a canonical check holds.
+_BLOCK = 1 << 16
 
 
 def _declared_params(handle: BinaryIO) -> Optional[dict[str, int]]:

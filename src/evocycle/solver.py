@@ -11,7 +11,6 @@ result.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -40,8 +39,6 @@ __all__ = [
     "solve_tree",
     "DEFAULT_MAX_CANDIDATES",
 ]
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_CANDIDATES = 10**6
 
@@ -226,7 +223,12 @@ def solve_fcsh(
             )
         if found:
             break
-        logger.info("no feasible r for m=%d with %s, p=%d; escalating m", m, params, p)
+        # Imported here: logging pulls in traceback, string and textwrap,
+        # a tenth of a cold `import evocycle.cli`, for the rare escalation.
+        import logging
+
+        logging.getLogger(__name__).info(
+            "no feasible r for m=%d with %s, p=%d; escalating m", m, params, p)
 
     s = max(
         1,
@@ -371,6 +373,12 @@ def solve_hdpd(
     u_top = ((o+1)a + b)/(o+2). The interval is (T+1)(a-b)/((o+2)(c-d))
     wide, which grows with T, so some T holds an r.
 
+    In the normalized frame the q interval at o is c*o*(o - o_min)/(o + 2b)
+    wide, with o_min = 2(p-2) - 2b(p-1) >= -2b, so no o <= o_min has a q.
+    When the first o above o_min lies beyond max_candidates, the scan
+    would only exhaust its budget at o = max_candidates + 1, and
+    SearchBudgetError says so before any o is scanned.
+
     The returned certificate is produced by check_hdpd on the final tuple.
     Candidates are counted as one per o, one for the kept q, and one per
     r passed over or taken at each T (all of 1..T-1 where none fits);
@@ -381,6 +389,9 @@ def solve_hdpd(
     _require_at_least(1, max_candidates=max_candidates)
     a, _, c, d = params.as_tuple()
     norm = normalize_params(params)
+    if _next_int_above(2 * (p - 2) - 2 * norm.b * (p - 1)) > max_candidates:
+        raise SearchBudgetError(f"no certified tuple within {max_candidates} candidates "
+                                f"(o={max_candidates + 1})")
 
     spent = 0
 

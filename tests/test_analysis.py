@@ -690,3 +690,79 @@ class TestVerifyReplaysTreesOnCells:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sweep", "--params", "1,0.6,2,0", "--tree", "--periods", "8"]) == 0
         assert builds == [1, 1]
+
+
+# Small clique-chain sizes per family, and payoffs: the golden fcsh and
+# hdpd ones, two more certified quadruples, and uncertified ones.
+CHAIN_SIZES = st.one_of(
+    st.tuples(st.just("fcsh"), st.tuples(st.integers(2, 5), st.integers(1, 3),
+                                         st.integers(1, 2), st.integers(1, 3))),
+    st.tuples(st.just("hdpd"), st.tuples(st.integers(2, 6), st.integers(1, 3),
+                                         st.integers(1, 2), st.integers(1, 2),
+                                         st.integers(1, 3))),
+)
+CHAIN_PAYOFFS = ("1,1/2,4/5,0", "1,0.45,1.24,0", "1,2/5,9/10,1/2", "1,-9/20,27/20,0",
+                 "2,-1,3,0", "1,1/3,3/2,1/3")
+CHAIN_VERIFIERS = {"fcsh": verify_fcsh_dynamics, "hdpd": verify_hdpd_dynamics}
+
+
+class TestChainVerifiersOnCells:
+    @settings(max_examples=80)
+    @given(CHAIN_SIZES, st.sampled_from(CHAIN_PAYOFFS),
+           st.sampled_from(["clean", "cell", "lone vertex", "vertex"]),
+           st.randoms(use_true_random=False))
+    def test_cells_give_the_per_vertex_records(self, case, payoffs, flip, rng):
+        kind, sizes = case
+        family = cli._FAMILIES[kind]
+        sp = dict(zip(family.params, sizes))
+        built, laid_out, quotient = family.build(sp), family.layout(sp), family.quotient(sp)
+        params, verify = cli.parse_params(payoffs), CHAIN_VERIFIERS[kind]
+        cells = analysis._chain_replay(laid_out, params, quotient)
+        states = list(map(quotient.lift, cells.states))
+        assert states == replay(built, params)
+        # A sweep row takes its trajectory's lifted states back onto the cells.
+        assert analysis._chain_states(laid_out, quotient, states) == cells
+        cell_of, n = quotient.cell_of, built.graph.n
+        on_cells = True
+        if flip != "clean":  # a whole cell, or one vertex, flipped in a state after X(0)
+            t = rng.randrange(1, len(states))
+            if flip == "cell":
+                k = rng.randrange(len(quotient.first))
+                flipped = [v for v in range(n) if cell_of[v] == k]
+            else:  # a lone vertex is the only member of its cell (g, g_R, ...)
+                flipped = [rng.choice([v for v in range(n) if flip == "vertex"
+                                       or cell_of.count(cell_of[v]) == 1])]
+                k = cell_of[flipped[0]]
+                on_cells = cell_of.count(k) == 1
+            bits = bytearray(states[t].bits)
+            for v in flipped:
+                bits[v] ^= 1
+            states[t] = StrategyVector(bits)
+            cell_bits = bytearray(cells.states[t])
+            cell_bits[k] ^= 1
+            cells.states[t] = bytes(cell_bits)
+        expected = verify(built, params, states)  # per vertex, roles from the tuple
+        # Per vertex with the roles read off the layout's runs, then on cells.
+        assert verify(laid_out, params, states) == expected
+        if on_cells:
+            assert verify(laid_out, params, None, cells) == expected
+            assert verify(laid_out, params, states, cells) == expected
+
+    @pytest.mark.parametrize("kind,payoffs,period", [
+        ("fcsh", "1,1/2,4/5,0", "3"), ("hdpd", "1,0.45,1.24,0", "4"),
+        ("fcsh", "1,2/5,9/10,1/2", "5")])
+    def test_clean_canonical_verify_checks_cells_only(self, tmp_path, monkeypatch, kind,
+                                                      payoffs, period):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["witness", "--params", payoffs, "--period", period,
+                             "--out", str(tmp_path)]) == 0
+        lifts, per_vertex = [], []
+        lift, chain_units = dynamics.Quotient.lift, analysis._chain_units
+        monkeypatch.setattr(dynamics.Quotient, "lift",
+                            lambda self, bits: lifts.append(1) or lift(self, bits))
+        monkeypatch.setattr(analysis, "_chain_units", lambda instance, quotient, *states: (
+            per_vertex.append(quotient is None) or chain_units(instance, quotient, *states)))
+        code, out = verify_file(tmp_path / "instance.json", payoffs, "text")
+        assert code == 0 and out.endswith("OK\n")
+        # The replay is never lifted and no check runs per vertex.
+        assert lifts == [] and per_vertex == [False]

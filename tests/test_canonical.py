@@ -12,6 +12,7 @@ canonical check switched off.
 
 import contextlib
 import io
+import tracemalloc
 
 import pytest
 
@@ -211,3 +212,31 @@ def test_params_the_builder_refuses_are_not_canonical(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "hdpd_layout", recording)
     assert _canonical(str(path)) is None
     assert refused == [(1, 1, 1, 1, 1)]
+
+
+def traced_peak(argv):
+    """The exit code of the command and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return quiet(argv)[0], tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("period", ["4", "8"])
+def test_chain_commands_take_memory_in_n_not_m(tmp_path, period):
+    # SH p=4 has n = 4,676 and m = 22,275, p=8 n = 30,746 and m = 276,540.
+    # Every command holds at most a few bytes per vertex, one block of
+    # the file and one chunk of text: per-vertex roles, per-edge DOT lines
+    # or the whole DOT text took 25 MB at p=8, 92 bytes per edge.
+    params = "1,2/5,9/10,1/2"
+    family, _, sp = cli._solve(cli.parse_params(params), int(period), False, 10**6)
+    bound = 32 * family.vertices(sp) + (1 << 19)
+    out, path = tmp_path / "out", str(tmp_path / "out" / "instance.json")
+    given = ["--params", params, "--instance", path]
+    for argv in (["witness", "--params", params, "--period", period, "--out", str(out)],
+                 ["simulate", *given], ["verify", *given],
+                 ["export-dot", "--instance", path, "--out", str(tmp_path / "export.dot")]):
+        code, peak = traced_peak(argv)
+        assert code == 0 and peak < bound, (argv[0], peak, bound)
+    assert (tmp_path / "export.dot").read_bytes() == (out / "instance.dot").read_bytes()

@@ -1,11 +1,17 @@
+import logging
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import count
 from math import floor
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import evocycle.solver
 from evocycle import (
     CertificateFailure,
     GameParams,
@@ -22,7 +28,7 @@ from evocycle import (
     trajectory,
 )
 from evocycle.cli import _FAMILIES
-from evocycle.game import _utility
+from evocycle.game import _utility, normalize_params
 from evocycle.solver import (
     _fcsh_residuals,
     _hdpd_residuals,
@@ -32,6 +38,7 @@ from evocycle.solver import (
 )
 from genutil import scenario_params
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 WORKED_HD = GameParams(1, "0.45", "1.24", 0)
 FC_EXAMPLE = GameParams(1, "1/2", "4/5", 0)
 TREE_HD = GameParams(1, "0.6", 2, 0)
@@ -78,6 +85,22 @@ class TestFcshSolver:
     def test_budget_exhaustion(self):
         with pytest.raises(SearchBudgetError):
             solve_fcsh(FC_EXAMPLE, 2, max_candidates=3)
+
+    def test_escalation_is_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="evocycle.solver"):
+            solve_fcsh(FC_EXAMPLE, 2)
+        # One INFO record per escalated m, from m = 6 up to the pick's q + r = 14.
+        logged = [(record.name, record.levelno, record.getMessage()) for record in caplog.records]
+        assert logged == [
+            ("evocycle.solver", logging.INFO,
+             f"no feasible r for m={m} with {FC_EXAMPLE}, p=2; escalating m") for m in range(6, 14)]
+
+    def test_importing_the_cli_does_not_import_logging(self):
+        # The solver imports logging only when it escalates.
+        code = "import sys, evocycle.cli; print('logging' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert done.stdout == "False\n"
 
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError, match="max_candidates must be an integer >= 1"):
@@ -386,6 +409,56 @@ def test_fcsh_picks_match_the_scan(params, p):
 @given(params=quadruples("HD", "PD"), p=st.integers(2, 12))
 def test_hdpd_picks_match_the_scan(params, p):
     assert_matches_scan("hdpd", params, p)
+
+
+def assert_same_outcome(family, params, p, budget):
+    """The solver and the scan, both given budget, pick the same tuple or
+    fail with the same message."""
+    solve, scan = SOLVERS[family]
+    try:
+        cert = scan(params, p, budget)[0]
+    except SearchBudgetError as want:
+        with pytest.raises(SearchBudgetError) as got:
+            solve(params, p, max_candidates=budget)
+        assert str(got.value) == str(want)
+    else:
+        assert solve(params, p, max_candidates=budget) == cert
+
+
+@pytest.mark.parametrize("quadruple", ["1,0.45,1.24,0", "1,9/20,31/25,0", "1,-9/20,27/20,0"])
+@pytest.mark.parametrize("p", [10**3, 10**6, 10**11])
+@pytest.mark.parametrize("budget", [1, 40, 2_500])
+def test_hdpd_budget_at_long_periods_matches_the_scan(quadruple, p, budget):
+    # The solver refuses at once when no o within budget can have a q;
+    # the scan spends its whole budget to say the same.  At p = 1000 the
+    # first possible o, about 1100 for the HD and 2900 for the PD
+    # quadruple, lies within or beyond the largest budget.
+    assert_same_outcome("hdpd", GameParams(*quadruple.split(",")), p, budget)
+
+
+def test_hdpd_refuses_an_unreachable_budget_before_any_o(monkeypatch):
+    # At p = 10^11 the first o with a q lies near 10^11: the scan used to
+    # spend its million candidates (84 s) before saying so.
+    scanned = []
+    monkeypatch.setattr(evocycle.solver, "_hdpd_q_interval", lambda *args: scanned.append(args))
+    with pytest.raises(SearchBudgetError, match=r"within 1000000 candidates \(o=1000001\)$"):
+        solve_hdpd(GameParams(1, "9/20", "31/25", 0), 10**11)
+    assert scanned == []
+
+
+@settings(max_examples=150)
+@given(params=quadruples("HD", "PD"), p=st.integers(2, 10**6), data=st.data())
+def test_no_o_up_to_o_min_has_an_integer_q(params, p, data):
+    # solve_hdpd's budget check rests on the interval width
+    # c*o*(o - o_min)/(o + 2b), normalized, with o_min = 2(p-2) - 2b(p-1).
+    norm = normalize_params(params)
+    o_min = 2 * (p - 2) - 2 * norm.b * (p - 1)
+    assume(o_min >= 1)
+    o = data.draw(st.integers(1, floor(o_min)))
+    lower, upper = hdpd_q_bounds(params, p, o)
+    if lower is not None:
+        assert upper - lower == norm.c * o * (o - o_min) / (o + 2 * norm.b)
+        assert floor(lower) + 1 >= upper
 
 
 @settings(max_examples=60)
