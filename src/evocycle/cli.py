@@ -57,6 +57,7 @@ from .serialize import (
     MIN_EDGE_BYTES,
     _declared_params,
     _holds,
+    _require_regular,
     certificate_to_dict,
     counts_to_csv,
     dumps,
@@ -352,6 +353,7 @@ def _load_instance(path: str) -> tuple[_Family, ConstructedInstance, Optional[Qu
     closed-form one, replayed on the family's closed-form Quotient.  Any
     other file, a chain file re-dumped or damaged among them, is parsed
     and checked in full, and replayed on the whole graph (None)."""
+    _require_regular(path)
     canonical = _canonical(path)
     if canonical is not None:
         family, instance = canonical

@@ -6,12 +6,12 @@ so writing, reading, and writing again is byte-identical.  write_json
 emits an instance in that layout straight from its graph and roles, and
 the graph may be a Graph or a clique chain's closed-form Layout: either
 gives each vertex's sorted later neighbours and the instance its roles as
-runs, which is all one emitter reads.  write_json and write_dot write
-their text chunk by chunk, a vertex's edges or a run of roles or of
-equal node lines at a time, and never hold the whole of it.  A file in
-the JSON layout can be recognised without parsing it: its structural
-params sit in its tail, and _holds compares it with the text an instance
-would be written as, byte for byte.
+runs, which is all one emitter reads.  Its text is made a vertex's edges
+or a run of roles or of node lines at a time, and write_json and
+write_dot write it in blocks (_blocks), never holding the whole of it.
+A file in the JSON layout can be recognised without parsing it: its
+structural params sit in its tail, and _holds compares it with the same
+blocks, byte for byte.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import fields
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from stat import S_ISREG
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Optional
 
 from .constructions import ConstructedInstance, Layout, Role, RoleRun
@@ -96,15 +97,29 @@ def instance_to_dict(instance: ConstructedInstance) -> dict[str, Any]:
     }
 
 
+def _roles_from_list(entries: Any) -> tuple[Role, ...]:
+    """The Role of each entry [kind, *coordinates], one object per distinct
+    entry.  All types are checked in bulk, as graph_from_dict checks edges,
+    before any entry is a key where True == 1 == 1.0; where that check
+    fails, the per-entry checks run to word the refusal."""
+    if (type(entries) is list and set(map(type, entries)) <= {list}
+            and set(map(type, chain.from_iterable(entries))) <= {str, int}):
+        keys = dict.fromkeys(map(tuple, entries))
+        if all(key and type(key[0]) is str and str not in map(type, key[1:]) for key in keys):
+            interned = {key: Role(key[0], key[1:]) for key in keys}
+            return tuple(map(interned.__getitem__, map(tuple, entries)))
+    return tuple(
+        Role(_require_str(entry[0], "role kind"),
+             tuple(_require_int(x, "role coordinate") for x in entry[1:]))
+        for entry in entries
+    )
+
+
 def instance_from_dict(data: Mapping[str, Any]) -> ConstructedInstance:
     try:
         graph = graph_from_dict(data["graph"])
         x0 = StrategyVector.from_string(data["x0"])
-        roles = tuple(
-            Role(_require_str(entry[0], "role kind"),
-                 tuple(_require_int(x, "role coordinate") for x in entry[1:]))
-            for entry in data["roles"]
-        )
+        roles = _roles_from_list(data["roles"])
         structural = {k: _require_int(v, k) for k, v in data["structural_params"].items()}
         instance = ConstructedInstance(
             kind=_require_str(data["kind"], "kind"),
@@ -150,10 +165,14 @@ def counts_to_csv(series: Iterable[tuple[int, int]]) -> str:
 def _edge_runs(graph: Graph | Layout, head: str, tail: str, sep: str) -> Iterator[str]:
     """For each vertex v with a later neighbour, the text of its edges
     (v, w), w > v, each written as head % v, then w, then tail, joined by
-    sep: one str.join per vertex over its sorted later neighbours."""
+    sep: one str.join per vertex over its sorted later neighbours' text,
+    made once for consecutive vertices given one sequence (a gadget's S1)."""
+    shared = texts = None
     for v, later in graph.later_neighbors():
+        if later is not shared:
+            shared, texts = later, list(map(str, later))
         first = head % v
-        yield first + (tail + sep + first).join(map(str, later)) + tail
+        yield first + (tail + sep + first).join(texts) + tail
 
 
 # The node line of a defector and of a cooperator, after its number.
@@ -247,19 +266,43 @@ def _json_chunks(obj: Any) -> Iterator[str]:
     yield "\n"
 
 
+# write_json and write_dot write, and _holds compares, text this many
+# bytes at a time: the one buffer, besides one chunk, that any of them holds.
+_BLOCK = 1 << 14
+
+
+def _blocks(chunks: Iterable[str]) -> Iterator[bytes]:
+    """The UTF-8 bytes of the chunks joined, in blocks of _BLOCK bytes and
+    then one shorter block, which may be empty."""
+    pending: list[str] = []
+    rest, size = b"", 0  # size is at most the bytes of rest and pending
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            data = rest + "".join(pending).encode("utf-8")
+            end = len(data) - len(data) % _BLOCK
+            for start in range(0, end, _BLOCK):
+                yield data[start:start + _BLOCK]
+            rest = data[end:]
+            pending.clear()
+            size = len(rest)
+    yield rest + "".join(pending).encode("utf-8")
+
+
 def write_json(path: str | Path, obj: Any) -> None:
-    """Write dumps(obj) chunk by chunk, never holding the whole text, so
-    an instance takes memory within one vertex's edges or one role run."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_json_chunks(obj))
+    """Write dumps(obj) a block at a time, never holding the whole text,
+    so an instance takes memory within one vertex's edges or one role run."""
+    with open(path, "wb") as handle:
+        handle.writelines(_blocks(_json_chunks(obj)))
 
 
 def write_dot(
     path: str | Path, graph: Graph | Layout, state: StrategyVector | None = None
 ) -> None:
-    """Write graph_to_dot(graph, state) chunk by chunk, as write_json does."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_dot_chunks(graph, state))
+    """Write graph_to_dot(graph, state) a block at a time, as write_json does."""
+    with open(path, "wb") as handle:
+        handle.writelines(_blocks(_dot_chunks(graph, state)))
 
 
 # Each edge of an instance file in the layout of write_json takes at least
@@ -271,9 +314,6 @@ _PARAMS_KEY = b'\n  "structural_params": {'
 _PARAMS = re.compile(rb'\n  "structural_params": \{((?:\n    "[a-z]+": [0-9]{1,18},?)+)'
                      rb'\n  \},\n  "x0": "')
 _PARAM = re.compile(rb'"([a-z]+)": ([0-9]+)')
-# _holds compares a file with the text it generates this many characters
-# at a time (and one chunk more): the one buffer a canonical check holds.
-_BLOCK = 1 << 16
 
 
 def _declared_params(handle: BinaryIO) -> Optional[dict[str, int]]:
@@ -294,24 +334,20 @@ def _declared_params(handle: BinaryIO) -> Optional[dict[str, int]]:
 
 def _holds(handle: BinaryIO, obj: Any) -> bool:
     """Whether the file holds exactly the bytes write_json writes for obj,
-    final newline included.  It is read from the start a block at a time
-    against the text as it is generated, and left at the first block that
-    differs."""
+    final newline included.  It is read from the start against the blocks
+    write_json would write, and left at the first block that differs."""
     handle.seek(0)
-    pending: list[str] = []
-    size = 0
-    for chunk in _json_chunks(obj):
-        pending.append(chunk)
-        size += len(chunk)
-        if size >= _BLOCK:
-            data = "".join(pending).encode("utf-8")
-            if handle.read(len(data)) != data:
-                return False
-            pending.clear()
-            size = 0
-    data = "".join(pending).encode("utf-8")
-    return handle.read(len(data) + 1) == data  # and nothing after it
+    return (all(handle.read(len(block)) == block for block in _blocks(_json_chunks(obj)))
+            and not handle.read(1))  # and nothing after it
+
+
+def _require_regular(path: str | Path) -> None:
+    """Refuse a path that is not a regular file before anything opens it:
+    /dev/zero is read without end, and opening a FIFO can block forever."""
+    if not S_ISREG(Path(path).stat().st_mode):
+        raise ValueError(f"{path} is not a regular file")
 
 
 def read_json(path: str | Path) -> Any:
+    _require_regular(path)
     return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -4,9 +4,11 @@ import gc
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +419,35 @@ class TestWitnessPipeline:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("select", [["--params", HD, "--period", "4"],
+                                        ["--params", TREE_HD, "--tree", "--min-period", "8"]],
+                             ids=["chain", "tree"])
+    @pytest.mark.parametrize("at,value,refusal", [
+        (-1, True, "role coordinate must be an integer, got True"),
+        (-1, 1.0, "role coordinate must be an integer, got 1.0"),
+        (-1, "1", "role coordinate must be an integer, got '1'"),
+        (-1, None, "role coordinate must be an integer, got None"),
+        (-1, [1], "role coordinate must be an integer, got [1]"),
+        (0, 7, "role kind must be a string, got 7"),
+        (0, None, "role kind must be a string, got None"),
+    ], ids=["true", "1.0", "string", "null", "list", "kind-7", "kind-null"])
+    def test_roles_of_the_wrong_json_type_are_refused(self, tmp_path, capsys, select, at,
+                                                      value, refusal):
+        # Roles are interned on load, keyed by tuples in which True == 1 ==
+        # 1.0; the damaged role is the last whose last coordinate is 1, so
+        # on a tree true and 1.0 make it equal to roles that stay intact.
+        run_cli(capsys, "witness", *select, "--out", str(tmp_path))
+        path = tmp_path / "instance.json"
+        data = json.loads(path.read_text())
+        roles = data["roles"]
+        vertex = max(v for v, role in enumerate(roles) if role[-1] == 1)
+        roles[vertex][at] = value
+        path.write_text(json.dumps(data))
+        for command in ("simulate", "verify", "export-dot"):
+            given = [] if command == "export-dot" else select[:2]
+            code, out, err = run_cli(capsys, command, *given, "--instance", str(path))
+            assert (code, out, err) == (2, "", f"error: not an instance object: {refusal}\n")
+
     def test_period_one_is_refused_with_explanation(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--params", HD, "--period", "1")
         assert code == 2
@@ -662,6 +693,46 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "HD"
+
+
+def _bounded_cli(*argv):
+    """python -m evocycle argv in a child limited to 400 MB of address
+    space and 30 s, so that a command reading without end fails the test
+    instead of exhausting memory or hanging."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "evocycle", *argv], capture_output=True,
+                          text=True, timeout=30, preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero") or not hasattr(os, "mkfifo"),
+                    reason="needs /dev/zero and FIFOs")
+class TestNonRegularFiles:
+    """A device was read until memory ran out (a MemoryError traceback
+    under an address-space limit), and opening a FIFO blocked forever."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--params", HD, "--instance", "/dev/zero"],
+        ["verify", "--params", HD, "--instance", "/dev/zero"],
+        ["export-dot", "--instance", "/dev/zero"],
+        ["simulate", "--params", HD, "--graph", "/dev/zero", "--x0", "CD"],
+    ], ids=["simulate", "verify", "export-dot", "simulate-graph"])
+    def test_a_device_is_refused(self, argv):
+        done = _bounded_cli(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: /dev/zero is not a regular file\n")
+
+    def test_a_fifo_is_refused_without_opening_it(self, tmp_path):
+        fifo = tmp_path / "instance.json"
+        os.mkfifo(fifo)
+        done = _bounded_cli("simulate", "--params", HD, "--instance", str(fifo))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: {fifo} is not a regular file\n")
 
 
 

@@ -16,7 +16,10 @@ from evocycle import (
     check_tree,
     trajectory,
 )
+from evocycle.constructions import fcsh_layout, hdpd_layout
 from evocycle.serialize import (
+    _BLOCK,
+    _holds,
     counts_to_csv,
     certificate_to_dict,
     dumps,
@@ -28,6 +31,7 @@ from evocycle.serialize import (
     rational_to_str,
     read_json,
     report_to_dict,
+    write_dot,
     write_json,
 )
 
@@ -104,6 +108,12 @@ class TestRoundTrips:
             tracemalloc.stop()
         assert peak < 8 * instance.graph.edge_count
 
+    def test_a_parsed_tree_holds_one_role_object_per_distinct_role(self):
+        tree = build_tree(2, 12)
+        roles = instance_from_dict(instance_to_dict(tree)).roles
+        assert roles == tree.roles
+        assert len({id(role) for role in roles}) == len(set(roles)) < 100
+
     @pytest.mark.parametrize("key,value", [("x0", 5), ("structural_params", [1])])
     def test_instance_rejects_fields_of_the_wrong_json_type(self, key, value):
         # Both used to escape as AttributeError, a traceback from the CLI.
@@ -122,6 +132,56 @@ class TestRoundTrips:
         data["roles"] = data["roles"][:-1]
         with pytest.raises(ValueError):
             instance_from_dict(data)
+
+
+# Built witnesses, each with its closed-form Layout twin where it has one.
+BLOCK_INSTANCES = st.one_of(
+    st.tuples(st.integers(2, 5), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4))
+    .map(lambda a: (build_fcsh(*a), fcsh_layout(*a))),
+    st.tuples(st.integers(2, 6), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+              st.integers(1, 4))
+    .map(lambda a: (build_hdpd(*a), hdpd_layout(*a))),
+    st.builds(build_tree, st.integers(2, 3), st.integers(5, 8)).map(lambda t: (t, t)),
+)
+
+
+class TestBlockWriter:
+    """write_json and write_dot write, and _holds compares, _BLOCK bytes at
+    a time; the bytes are those of the whole text, wherever blocks end."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(BLOCK_INSTANCES)
+    def test_blocks_join_to_the_reference_text(self, tmp_path_factory, instances):
+        built, twin = instances
+        json_text = dumps(instance_to_dict(built)).encode("utf-8")
+        dot_text = graph_to_dot(built.graph, built.x0).encode("utf-8")
+        directory = tmp_path_factory.mktemp("blocks")
+        for instance in (built, twin):
+            write_json(directory / "instance.json", instance)
+            assert (directory / "instance.json").read_bytes() == json_text
+            write_dot(directory / "instance.dot", instance.graph, instance.x0)
+            assert (directory / "instance.dot").read_bytes() == dot_text
+            with open(directory / "instance.json", "rb") as handle:
+                assert _holds(handle, instance)
+
+    @pytest.mark.parametrize("instance", [fcsh_layout(3, 5, 4, 6), build_tree(2, 9)],
+                             ids=["fcsh", "tree"])
+    def test_holds_refuses_one_byte_changed_added_or_dropped(self, tmp_path, instance):
+        path = tmp_path / "instance.json"
+        write_json(path, instance)
+        data = path.read_bytes()
+        assert len(data) > 2 * _BLOCK
+
+        def holds(content):
+            path.write_bytes(content)
+            with open(path, "rb") as handle:
+                return _holds(handle, instance)
+
+        assert holds(data)
+        assert not holds(data + b"\n")
+        assert not holds(data[:-1])
+        for at in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, len(data) - 1):
+            assert not holds(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]), at
 
 
 class TestSnapshots:
