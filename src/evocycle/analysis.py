@@ -7,26 +7,19 @@ means the run matched the design exactly. Violations are data, not errors:
 tampered instances or uncertified parameters produce records, never
 exceptions.
 
-The two tree verifiers decide each check once per cell of an equitable
-partition: vertices keyed by (role kind, level, attach level, x0 bit).
-All members of a cell share every fact a check reads (their bit, level,
-attach level and degree, their linked cells and cooperating-neighbor
-count), so when that run logs nothing the answer is [].  Otherwise, and
-whenever the cells cannot serve (damaged structure, a partition that is
-not equitable, a state that is not constant on cells), the same code runs
-on the discrete partition, one cell per vertex, and reports per vertex in
-vertex order.  Callers that run both verifiers hand them one set of
-cells: the states projected once (_tree_cells), or a replay taken on the
-cells alone (_tree_replay), whose states are lifted to the vertices only
-when the cells find something.
-
-The two clique-chain verifiers do the same on a chain's closed-form
-quotient when they are handed the states on its cells, replayed there
-alone (_chain_replay) or taken back from a trajectory on them
-(_chain_states): each cell's members share their role kind and the clique
-coordinate the checks read, so the checks run once per cell, and on any
-finding they run again per vertex, on the states lifted if need be.
-Without such cells they run per vertex.
+The verifiers take cells only from their caller, with the states on
+them: the command line picks them once per instance, the tree's keyed
+cells or a clique chain's closed-form quotient, and either replays on
+them alone (_replayed) or reads a trajectory on them back at their first
+vertices.  On cells each check is decided once per cell.  The two tree
+verifiers use an equitable partition keyed by (role kind, level, attach
+level, x0 bit): all members of a cell share every fact a check reads
+(their bit, level, attach level and degree, their linked cells and
+cooperating-neighbor count).  A clique chain's cell members share their
+role kind and the clique coordinate the checks read.  When the run on
+cells logs nothing the answer is []; on any finding, and always without
+cells, the same code runs on one cell per vertex, on the states lifted
+if need be, and reports per vertex in vertex order.
 """
 
 from __future__ import annotations
@@ -185,12 +178,6 @@ class _Cells(NamedTuple):
     states: list[bytes]
 
 
-# What a caller passes as `cells` once it has found that the tree's keyed
-# cells cannot serve, so that no verifier builds them again: the checks go
-# straight to the discrete partition.
-NO_CELLS = _Cells(_Vertices((), []), [], [], [], [])
-
-
 def _per_cell(
     states: Optional[Sequence[StrategyVector]],
     cells: Optional[_Cells],
@@ -198,12 +185,12 @@ def _per_cell(
     check: Callable[[_ViolationLog, _Cells], None],
     vertices: Callable[[list[bytes]], Optional[_Cells]],
 ) -> list[InvariantViolation]:
-    """Run check on the cells, unless they are None or NO_CELLS, and
-    return [] when it logs nothing there.  Otherwise run it into log on
-    vertices(one bits string per state), the witness on one cell per
-    vertex, over the states or else the cells' states lifted, and return
-    log's records; nothing runs where vertices gives None."""
-    if cells is not None and cells is not NO_CELLS:
+    """Run check on the cells, unless they are None, and return [] when
+    it logs nothing there.  Otherwise run it into log on vertices(one
+    bits string per state), the witness on one cell per vertex, over the
+    states or else the cells' states lifted, and return log's records;
+    nothing runs where vertices gives None."""
+    if cells is not None:
         trial = _ViolationLog()
         check(trial, cells)
         if not trial.records:
@@ -238,28 +225,6 @@ def _chain_units(
     roles = instance.roles_at(vertices)
     clique = [role.index[0] if role.kind == "K" else 0 for role in roles]
     return _Cells(quotient, [role.kind for role in roles], clique, [], list(states))
-
-
-def _chain_states(
-    instance: ConstructedInstance, quotient: Quotient, states: Sequence[StrategyVector]
-) -> _Cells:
-    """X(0) .. X(P) of a clique chain, stepped on its closed-form quotient
-    and lifted (as trajectory does given it), taken back onto the cells:
-    each state's bits at the cells' first vertices.  The lifts are not
-    checked again: that would cost as much as making them."""
-    bits = [bytes(map(state.bits.__getitem__, quotient.first)) for state in states]
-    return _chain_units(instance, quotient, bits)
-
-
-def _chain_replay(
-    instance: ConstructedInstance, params: GameParams, quotient: Quotient
-) -> _Cells:
-    """X(0) .. X(P) of a clique chain on its closed-form quotient, stepped
-    by Quotient.step from x0's cell bits and never lifted.  The quotient
-    must be the instance's own (fcsh_quotient, hdpd_quotient), on whose
-    cells x0 and the roles the checks read are constant."""
-    return _replayed(_chain_units(instance, quotient), instance.x0, params,
-                     instance.predicted_period)
 
 
 def _clique_groups(
@@ -308,10 +273,10 @@ def verify_fcsh_dynamics(
     outward, cliques at distance <= t cooperating and the rest defecting;
     and X(p) returns to X(0).
 
-    `cells`, the states on the closed-form quotient from _chain_replay
-    or _chain_states, runs the checks once per cell (with a replay states
-    may be None); without it they run per vertex.  The records are the
-    per-vertex ones either way.
+    `cells`, the states on the closed-form quotient (_chain_units, with
+    states from _replayed or read back from a trajectory on it), runs the
+    checks once per cell; with them, states may be None.  Without it they
+    run per vertex.  The records are the per-vertex ones either way.
     """
     log = _open_log(instance, "fcsh", states, lambda sp: sp["p"], cells)
     return _per_cell(states, cells, log, _fcsh_checks, partial(_chain_units, instance, None))
@@ -427,32 +392,6 @@ def _keyed_cells(instance: ConstructedInstance) -> Optional[_Cells]:
     return _Cells(quotient, kind, level, attach, [])
 
 
-def _tree_cells(
-    instance: ConstructedInstance, states: Sequence[StrategyVector]
-) -> Optional[_Cells]:
-    """The states on the tree's keyed cells, or None when those cannot
-    serve: damaged structure, a partition that is not equitable, or a
-    state that is not constant on cells."""
-    cells = _keyed_cells(instance)
-    if cells is None:
-        return None
-    quotient = cells.quotient
-    bits = [bytes(map(state.bits.__getitem__, quotient.first)) for state in states]
-    if any(quotient.lift(cell_bits) != state for cell_bits, state in zip(bits, states)):
-        return None
-    return cells._replace(states=bits)
-
-
-def _tree_replay(instance: ConstructedInstance, params: GameParams) -> Optional[_Cells]:
-    """X(0) .. X(P) of a tree instance on its keyed cells, stepped by
-    Quotient.step from x0's cell bits, or None when those cells cannot
-    serve (damaged structure, a partition that is not equitable).  The
-    partition holds the x0 bit, so every state is constant on cells."""
-    cells = _keyed_cells(instance)
-    return None if cells is None else _replayed(cells, instance.x0, params,
-                                                instance.predicted_period)
-
-
 def _tree_on_vertices(
     instance: ConstructedInstance, structure: _ViolationLog, states: list[bytes]
 ) -> Optional[_Cells]:
@@ -545,16 +484,14 @@ def verify_tree_invariants(
 
     Only this verifier reports tree:structure violations.
     Nothing stronger is asserted; outside the listed sets the dynamics is
-    free to do what it likes (and does, near the leaves).  The checks run
-    once per cell of the tree's equitable partition (see _per_cell).
-    `cells`, the states on those cells from _tree_cells or _tree_replay,
-    saves building them here; with them, states may be None.  NO_CELLS
-    says that they cannot serve, so the checks run per vertex at once.
+    free to do what it likes (and does, near the leaves).  `cells`, the
+    states on the tree's keyed cells (_keyed_cells, with states from
+    _replayed or read back from a trajectory on them), runs the checks
+    once per cell (see _per_cell); with them, states may be None.
+    Without it they run per vertex.
     """
     log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3), cells)
     check = partial(_tree_checks, q=instance.structural_params["q"])
-    if cells is None:
-        cells = _tree_cells(instance, states) or NO_CELLS
     return _per_cell(states, cells, log, check, partial(_tree_on_vertices, instance, log))
 
 
@@ -631,14 +568,11 @@ def check_local_lemmas(
 
     Levels come from the roles and premises from each state's cooperating-
     neighbor counts; verify_tree_invariants reports the tree's structure,
-    and with not exactly one root role this scan reports nothing.  The
-    checks run once per cell of the tree's equitable partition (see
-    _per_cell); `cells` is as for verify_tree_invariants.
+    and with not exactly one root role this scan reports nothing.
+    `cells` is as for verify_tree_invariants.
     """
     log = _open_log(instance, "tree", states, cells=cells)
     check = partial(_lemma_checks, params=params, r=instance.structural_params["r"])
-    if cells is None:
-        cells = _tree_cells(instance, states) or NO_CELLS
     # The structure is verify_tree_invariants' to report.
     vertices = partial(_tree_on_vertices, instance, _ViolationLog())
     return _per_cell(states, cells, log, check, vertices)

@@ -27,13 +27,11 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .analysis import (
-    NO_CELLS,
     InvariantViolation,
     _Cells,
-    _chain_replay,
-    _chain_states,
-    _tree_cells,
-    _tree_replay,
+    _chain_units,
+    _keyed_cells,
+    _replayed,
     check_local_lemmas,
     replay,
     verify_fcsh_dynamics,
@@ -138,21 +136,6 @@ def _tree_vertices(r: int, q: int) -> int:
     return 1 + levels + r ** (q - 1) - r ** 3
 
 
-def _verify_tree(
-    instance: ConstructedInstance,
-    params: GameParams,
-    states: Optional[Sequence[StrategyVector]],
-    cells: Optional[_Cells],
-) -> list[InvariantViolation]:
-    """Both tree verifiers on one set of cells: those given, else the
-    states projected onto the tree's keyed cells once for both, or
-    NO_CELLS when those cannot serve."""
-    if cells is None:
-        cells = _tree_cells(instance, states) or NO_CELLS
-    return (verify_tree_invariants(instance, params, states, cells)
-            + check_local_lemmas(instance, params, states, cells))
-
-
 _FCSH = _Family(
     kind="fcsh",
     params=("p", "q", "r", "s"),
@@ -195,7 +178,8 @@ _TREE = _Family(
     solve=lambda params, bound, budget: solve_tree(params, bound, max_candidates=budget),
     build=lambda sp: build_tree(sp["r"], sp["q"]),
     check=lambda params, sp: check_tree(params, sp["r"], sp["q"]),
-    verify=lambda inst, params, states, cells: _verify_tree(inst, params, states, cells),
+    verify=lambda inst, params, states, cells: (verify_tree_invariants(inst, params, states, cells)
+                                                + check_local_lemmas(inst, params, states, cells)),
     invariants=(
         "tree:x0",
         "tree:a",
@@ -362,6 +346,18 @@ def _load_instance(path: str) -> tuple[_Family, ConstructedInstance, Optional[Qu
     return _family_of(instance), instance, None
 
 
+def _cells_of(
+    family: _Family, instance: ConstructedInstance, quotient: Optional[Quotient]
+) -> Optional[_Cells]:
+    """The cells, with no states yet, that verify and sweep replay the
+    instance on and verify it on: a tree's keyed cells, a clique chain's
+    units on its closed-form quotient, or None for the whole graph (a
+    damaged tree, a chain file that is not canonical)."""
+    if family is _TREE:
+        return _keyed_cells(instance)
+    return None if quotient is None else _chain_units(instance, quotient)
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     scenario = classify_scenario(params)
@@ -475,17 +471,12 @@ def _verify_instance(
 def cmd_verify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     family, instance, quotient = _load_instance(args.instance)
-    # A tree whose keyed cells are equitable is replayed on them alone,
-    # and a damaged one on the whole graph, its verifiers told NO_CELLS;
-    # a canonical clique chain on its closed-form quotient alone, any
-    # other on the whole graph.
-    if family is _TREE:
-        cells = _tree_replay(instance, params) or NO_CELLS
-        states = replay(instance, params) if cells is NO_CELLS else None
-    elif quotient is not None:
-        cells, states = _chain_replay(instance, params, quotient), None
-    else:
-        cells, states = None, replay(instance, params)
+    cells = _cells_of(family, instance, quotient)
+    if cells is None:
+        states = replay(instance, params)
+    else:  # replayed on the cells alone, and lifted only if they find something
+        cells = _replayed(cells, instance.x0, params, instance.predicted_period)
+        states = None
     lines, cert_problems = _verify_instance(family, instance, params, states, cells)
     ok = not lines and not cert_problems
     families = family.invariants + ("certificate",)
@@ -510,22 +501,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
     """One sweep entry: solve, build, simulate, verify.  A clique chain is
-    laid out and replayed on its closed-form Quotient, with no Graph, as
-    witness --out writes it, and its states are verified on those cells;
-    a tree is built and stepped on the whole graph.  Module level so a
-    process pool can pickle it."""
+    laid out with no Graph, as witness --out writes it, and a tree is
+    built; each is stepped on the cells _cells_of picks, and its states
+    are verified on them.  Module level so a process pool can pickle it."""
     params, period, tree, max_candidates = task
     family, _, sp = _solve(params, period, tree, max_candidates)
-    if family.layout is None:
-        instance, quotient = family.build(sp), None
-    else:
-        instance, quotient = family.layout(sp), family.quotient(sp)
+    instance = (family.layout or family.build)(sp)
+    cells = _cells_of(family, instance, family.quotient and family.quotient(sp))
     budget = max(64, 4 * instance.predicted_period + 16)
-    report = trajectory(instance.graph, params, instance.x0, max_steps=budget, cells=quotient)
+    report = trajectory(instance.graph, params, instance.x0, max_steps=budget,
+                        cells=None if cells is None else cells.quotient)
     # state_at folds times past the report into its cycle, so these are
     # exactly X(0) .. X(P) without simulating again.
     states = [report.state_at(t) for t in range(instance.predicted_period + 1)]
-    cells = None if quotient is None else _chain_states(instance, quotient, states)
+    if cells is not None:  # read back at the cells' first vertices, not checked again
+        first = cells.quotient.first
+        cells = cells._replace(states=[bytes(map(state.bits.__getitem__, first))
+                                       for state in states])
     lines, cert_problems = _verify_instance(family, instance, params, states, cells)
     row: dict[str, Any] = {"requested": period, "kind": instance.kind}
     row.update(instance.structural_params)

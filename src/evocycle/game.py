@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress, islice
 from operator import eq
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "RationalLike",
@@ -226,12 +226,6 @@ class Graph:
                         queue.append(w)
             self._connected = total == self.n
         return self._connected
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image of the graph under the vertex relabeling v -> perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of the vertices")
-        return Graph(self.n, ((perm[i], perm[j]) for i, j in self.edges()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -20,6 +20,13 @@ def random_connected_graph(rng, n):
     return Graph(n, sorted(edges))
 
 
+def relabel(graph, perm):
+    """Image of the graph under the vertex relabeling v -> perm[v]."""
+    if sorted(perm) != list(range(graph.n)):
+        raise ValueError("perm is not a permutation of the vertices")
+    return Graph(graph.n, ((perm[i], perm[j]) for i, j in graph.edges()))
+
+
 def random_rationals(rng, count, max_den=12, lo=-3, hi=3):
     """Strictly increasing rationals, denominators bounded by max_den."""
     values = set()

@@ -550,28 +550,41 @@ class TestTreeVerifiersAgainstOracles:
     def test_clean_builds_take_the_cell_path(self, monkeypatch, r, q):
         instance = build_tree(r, q)
         states = replay(instance, TREE_HD)
-        cells = analysis._tree_cells(instance, states)
-        assert cells is not None
-        assert len(cells.quotient.first) == (q * q - 3 * q + 4) // 2
-        # The replay on cells alone reaches the projected states.
-        replayed = analysis._tree_replay(instance, TREE_HD)
-        assert replayed.quotient.first == cells.quotient.first
-        assert replayed[1:] == cells[1:]
+        keyed = cli._cells_of(cli._TREE, instance, None)
+        quotient = keyed.quotient
+        assert len(quotient.first) == (q * q - 3 * q + 4) // 2
+        # The replay on cells alone lifts to the whole-graph states, and
+        # those read back at the cells' first vertices give its states.
+        cells = analysis._replayed(keyed, instance.x0, TREE_HD, instance.predicted_period)
+        assert list(map(quotient.lift, cells.states)) == states
+        assert [bytes(map(state.bits.__getitem__, quotient.first))
+                for state in states] == cells.states
 
         def refuse(*args):
             raise AssertionError("a per-vertex run was set up")
 
         monkeypatch.setattr(analysis, "_Vertices", refuse)
-        builds = []
-        keyed_cells = analysis._keyed_cells
-        monkeypatch.setattr(analysis, "_keyed_cells", lambda instance: (
-            builds.append(instance) or keyed_cells(instance)))
-        assert verify_tree_invariants(instance, TREE_HD, states) == []
-        assert check_local_lemmas(instance, TREE_HD, states) == []
-        assert len(builds) == 2
-        assert verify_tree_invariants(instance, TREE_HD, None, cells) == []
-        assert check_local_lemmas(instance, TREE_HD, None, cells) == []
-        assert len(builds) == 2
+        for given_states in (None, states):  # a verify replay, a sweep row
+            assert verify_tree_invariants(instance, TREE_HD, given_states, cells) == []
+            assert check_local_lemmas(instance, TREE_HD, given_states, cells) == []
+
+    @settings(max_examples=40)
+    @given(
+        st.sampled_from([(2, 5), (2, 6), (2, 7), (2, 8), (3, 5), (3, 6)]),
+        st.sampled_from(TREE_PARAMS),
+        st.sampled_from(["clean", "cell", "vertex", "leaf", "level", "root"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_states_alone_run_per_vertex(self, size, params, damage, rng):
+        instance = tamper_tree(rng, build_tree(*size), damage)
+        states = replay(instance, params)
+
+        def refuse(instance):
+            raise AssertionError("keyed cells were built")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_keyed_cells", refuse)
+            assert_matches_oracles(instance, params, states)
 
     def test_fallback_memory_stays_below_the_build(self, rng):
         # The per-vertex run reads the graph's own adjacency: a copy of
@@ -643,11 +656,9 @@ class TestVerifyReplaysTreesOnCells:
         write_json(path, tamper_tree(rng, build_tree(*size), damage))
         on_cells = verify_file(path, params, fmt)
         with pytest.MonkeyPatch.context() as patch:
-            # Neither a replay nor a projection on cells: every state is
-            # stepped on the whole graph and every check runs per vertex.
-            patch.setattr(cli, "_tree_replay", lambda *args: None)
-            patch.setattr(cli, "_tree_cells", lambda *args: None)
-            patch.setattr(analysis, "_tree_cells", lambda *args: None)
+            # No cells: every state is stepped on the whole graph and every
+            # check runs per vertex.
+            patch.setattr(cli, "_cells_of", lambda *args: None)
             whole_graph = verify_file(path, params, fmt)
         assert on_cells == whole_graph
 
@@ -656,15 +667,12 @@ class TestVerifyReplaysTreesOnCells:
                                                              size):
         # The last x0 character flipped: the keyed partition is not
         # equitable, so the replay takes the whole graph and both verifiers
-        # run per vertex.  The cells used to be built again for the
-        # projection of the states and once more in each verifier.
+        # run per vertex, neither building the cells again.
         instance = build_tree(*size)
         path = tmp_path / "instance.json"
         write_json(path, flip_x0(instance, instance.graph.n - 1))
         expected = verify_file(path, "1,0.6,2,0", "text")
-        builds, keyed_cells = [], analysis._keyed_cells
-        monkeypatch.setattr(analysis, "_keyed_cells", lambda instance: (
-            builds.append(1) or keyed_cells(instance)))
+        _, builds = count_steps_and_builds(monkeypatch)
         printed = verify_file(path, "1,0.6,2,0", "text")
         assert printed == expected and printed[0] == 1
         assert printed[1].splitlines()[-1].startswith("FAIL")
@@ -673,11 +681,7 @@ class TestVerifyReplaysTreesOnCells:
     def test_clean_tree_verify_takes_no_whole_graph_step(self, tmp_path, monkeypatch):
         path = tmp_path / "instance.json"
         write_json(path, build_tree(2, 7))
-        steps, builds = [], []
-        step, keyed_cells = dynamics.step, analysis._keyed_cells
-        monkeypatch.setattr(dynamics, "step", lambda *args: steps.append(1) or step(*args))
-        monkeypatch.setattr(analysis, "_keyed_cells", lambda instance: (
-            builds.append(1) or keyed_cells(instance)))
+        steps, builds = count_steps_and_builds(monkeypatch)
         assert verify_file(path, "1,0.6,2,0", "text")[0] == 0
         assert (steps, builds) == ([], [1])
         # simulate --instance still steps trees on the whole graph.
@@ -685,11 +689,43 @@ class TestVerifyReplaysTreesOnCells:
             assert cli.main(["simulate", "--params", "1,0.6,2,0", "--instance", str(path)]) == 0
         assert len(steps) > 0
         assert builds == [1]
-        # A sweep row projects its states onto the cells once for both
-        # verifiers.
-        with contextlib.redirect_stdout(io.StringIO()):
+
+    def test_tree_sweep_row_steps_on_the_keyed_cells(self, monkeypatch):
+        steps, builds = count_steps_and_builds(monkeypatch)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             assert cli.main(["sweep", "--params", "1,0.6,2,0", "--tree", "--periods", "8"]) == 0
-        assert builds == [1, 1]
+        assert out.getvalue().splitlines()[1] == "8,tree,120,,,7,2,,0,8,0,True"
+        assert (steps, builds) == ([], [1])
+
+    @pytest.mark.parametrize("params,periods", [
+        ("1,0.6,2,0", "2..12"), ("1,2/5,2,0", "4,7,9"),
+        ("1,0.05,1.3,0", "5,7")])  # period 7: r=7, q=7, n=136,915
+    def test_tree_sweep_equals_the_whole_graph_path(self, params, periods):
+        def sweep(fmt):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["sweep", "--params", params, "--tree", "--periods", periods,
+                                 "--jobs", "1", "--format", fmt])
+            return code, out.getvalue()
+
+        on_cells = [sweep(fmt) for fmt in ("csv", "json")]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_cells_of", lambda *args: None)
+            whole_graph = [sweep(fmt) for fmt in ("csv", "json")]
+        assert on_cells == whole_graph
+        assert on_cells[0][0] == 0
+
+
+def count_steps_and_builds(monkeypatch):
+    """Lists that grow by one per whole-graph step and per keyed-cell build."""
+    steps, builds = [], []
+    step, keyed_cells = dynamics.step, analysis._keyed_cells
+    monkeypatch.setattr(dynamics, "step", lambda *args: steps.append(1) or step(*args))
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "_keyed_cells", lambda instance: (
+            builds.append(1) or keyed_cells(instance)))
+    return steps, builds
 
 
 # Small clique-chain sizes per family, and payoffs: the golden fcsh and
@@ -717,11 +753,14 @@ class TestChainVerifiersOnCells:
         sp = dict(zip(family.params, sizes))
         built, laid_out, quotient = family.build(sp), family.layout(sp), family.quotient(sp)
         params, verify = cli.parse_params(payoffs), CHAIN_VERIFIERS[kind]
-        cells = analysis._chain_replay(laid_out, params, quotient)
+        cells = analysis._replayed(cli._cells_of(family, laid_out, quotient), laid_out.x0,
+                                   params, laid_out.predicted_period)
         states = list(map(quotient.lift, cells.states))
         assert states == replay(built, params)
-        # A sweep row takes its trajectory's lifted states back onto the cells.
-        assert analysis._chain_states(laid_out, quotient, states) == cells
+        # A sweep row reads its trajectory's lifted states back at the
+        # cells' first vertices.
+        assert [bytes(map(state.bits.__getitem__, quotient.first))
+                for state in states] == cells.states
         cell_of, n = quotient.cell_of, built.graph.n
         on_cells = True
         if flip != "clean":  # a whole cell, or one vertex, flipped in a state after X(0)
@@ -760,8 +799,9 @@ class TestChainVerifiersOnCells:
         lift, chain_units = dynamics.Quotient.lift, analysis._chain_units
         monkeypatch.setattr(dynamics.Quotient, "lift",
                             lambda self, bits: lifts.append(1) or lift(self, bits))
-        monkeypatch.setattr(analysis, "_chain_units", lambda instance, quotient, *states: (
-            per_vertex.append(quotient is None) or chain_units(instance, quotient, *states)))
+        for module in (cli, analysis):
+            monkeypatch.setattr(module, "_chain_units", lambda instance, quotient, *states: (
+                per_vertex.append(quotient is None) or chain_units(instance, quotient, *states)))
         code, out = verify_file(tmp_path / "instance.json", payoffs, "text")
         assert code == 0 and out.endswith("OK\n")
         # The replay is never lifted and no check runs per vertex.

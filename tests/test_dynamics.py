@@ -29,6 +29,7 @@ from genutil import (
     random_admissible_params,
     random_connected_graph,
     random_state,
+    relabel,
 )
 from reference import (
     params_to_pairs,
@@ -127,7 +128,7 @@ class TestStep:
             state = random_state(rng, graph.n)
             perm = list(range(graph.n))
             rng.shuffle(perm)
-            relabeled = graph.relabel(perm)
+            relabeled = relabel(graph, perm)
             moved = StrategyVector(
                 state[perm.index(v)] for v in range(graph.n)
             )

@@ -15,7 +15,7 @@ from evocycle import (
     mean_utility,
     normalize_params,
 )
-from genutil import random_connected_graph, random_scenario_params, random_state
+from genutil import random_connected_graph, random_scenario_params, random_state, relabel
 
 
 class TestAsRational:
@@ -161,7 +161,7 @@ class TestGraph:
             graph = random_connected_graph(rng, rng.randint(2, 8))
             perm = list(range(graph.n))
             rng.shuffle(perm)
-            relabeled = graph.relabel(perm)
+            relabeled = relabel(graph, perm)
             assert sorted(graph.degree(v) for v in range(graph.n)) == sorted(
                 relabeled.degree(v) for v in range(graph.n)
             )
