@@ -8,18 +8,18 @@ tampered instances or uncertified parameters produce records, never
 exceptions.
 
 The verifiers take cells only from their caller, with the states on
-them: the command line picks them once per instance, the tree's keyed
-cells or a clique chain's closed-form quotient, and either replays on
-them alone (_replayed) or reads a trajectory on them back at their first
-vertices.  On cells each check is decided once per cell.  The two tree
-verifiers use an equitable partition keyed by (role kind, level, attach
-level, x0 bit): all members of a cell share every fact a check reads
-(their bit, level, attach level and degree, their linked cells and
-cooperating-neighbor count).  A clique chain's cell members share their
-role kind and the clique coordinate the checks read.  When the run on
-cells logs nothing the answer is []; on any finding, and always without
-cells, the same code runs on one cell per vertex, on the states lifted
-if need be, and reports per vertex in vertex order.
+them: the command line picks them once per instance, the cells of its
+family's closed-form quotient, and either replays on them alone
+(_replayed) or reads a trajectory on them back at their first vertices.
+On cells each check is decided once per cell.  A tree's cells are keyed
+by (role kind, level, attach level), on which x0 is constant: all members
+of a cell share every fact a check reads (their bit, level, attach level
+and degree, their linked cells and cooperating-neighbor count).  A clique
+chain's cell members share their role kind and the clique coordinate the
+checks read.  When the run on cells logs nothing the answer is []; on
+any finding, and always without cells, the same code runs on one cell
+per vertex, on the states lifted if need be and on a Graph built from a
+Layout, and reports per vertex in vertex order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cache, partial
 from itertools import islice
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .constructions import ConstructedInstance
+from .constructions import ConstructedInstance, _built
 # step is not called here; perfbench/tracing.py wraps this name.
 from .dynamics import Quotient, _minimal_period, _states, step
 from .game import GameParams, StrategyVector, _utility
@@ -375,34 +375,51 @@ def _tree_shape(
     return level, attach
 
 
-def _keyed_cells(instance: ConstructedInstance) -> Optional[_Cells]:
-    """The tree on its cells keyed by (role kind, level, attach level, x0
-    bit), with no states yet; None when its structure is damaged or that
-    partition is not equitable."""
-    structure = _ViolationLog()
-    shape = _tree_shape(instance, structure)
-    if shape is None or structure.records:
-        return None
-    level, attach = shape
-    kind = [role.kind for role in instance.roles]
-    quotient = Quotient.of(instance.graph, list(zip(kind, level, attach, instance.x0.bits)))
-    if quotient is None:
-        return None
-    kind, level, attach = ([values[v] for v in quotient.first] for values in (kind, level, attach))
+def _tree_units(instance: ConstructedInstance, quotient: Quotient) -> _Cells:
+    """A tree on the cells of its closed-form quotient, with no states yet:
+    each cell takes the role kind and level of its first vertex, and an
+    ordinary cell the attach level that its parent cell, the one linked
+    cell a level up, passes down.  The cells are numbered level by level,
+    so every parent comes before its children."""
+    roles = instance.roles_at(quotient.first)
+    kind = [role.kind for role in roles]
+    level = [role.index[0] if role.index else 0 for role in roles]
+    attach: list[int] = []
+    for k, around in enumerate(quotient.linked):
+        if kind[k] != "ordinary":
+            attach.append(-1)
+            continue
+        parent = next(l for l in around if level[l] == level[k] - 1)
+        attach.append(level[parent] if kind[parent] == "special" else attach[parent])
     return _Cells(quotient, kind, level, attach, [])
 
 
-def _tree_on_vertices(
-    instance: ConstructedInstance, structure: _ViolationLog, states: list[bytes]
-) -> Optional[_Cells]:
-    """The tree with the states on one cell per vertex, its structure
-    logged into structure; None when it has not exactly one root."""
-    shape = _tree_shape(instance, structure)
-    if shape is None:
-        return None
-    adj = instance.graph._adj
-    kind = [role.kind for role in instance.roles]
-    return _Cells(_Vertices(adj, list(map(len, adj))), kind, *shape, states)
+class _TreeWalk:
+    """A tree on one cell per vertex, for the per-vertex runs of both tree
+    verifiers: its shape is walked (_tree_shape) once, when a run first
+    needs it, on the instance's Graph, or for a Layout on the Graph built
+    from it."""
+
+    def __init__(self, instance: ConstructedInstance) -> None:
+        self.instance = instance
+        self.walked: Optional[tuple[list[InvariantViolation], Optional[_Cells]]] = None
+
+    def __call__(self, structure: _ViolationLog, states: list[bytes]) -> Optional[_Cells]:
+        """The tree with the states on its vertices, its tree:structure
+        records added to structure; None when it has not exactly one root."""
+        if self.walked is None:
+            instance = self.instance
+            if instance.roles is None:
+                instance = _built(instance)
+            log = _ViolationLog()
+            shape = _tree_shape(instance, log)
+            adj = instance.graph._adj
+            kind = [role.kind for role in instance.roles]
+            self.walked = log.records, None if shape is None else _Cells(
+                _Vertices(adj, list(map(len, adj))), kind, *shape, [])
+        records, cells = self.walked
+        structure.records += records
+        return None if cells is None else cells._replace(states=states)
 
 
 def _tree_checks(log: _ViolationLog, cells: _Cells, q: int) -> None:
@@ -460,6 +477,7 @@ def verify_tree_invariants(
     params: GameParams,
     states: Optional[Sequence[StrategyVector]],
     cells: Optional[_Cells] = None,
+    walk: Optional[_TreeWalk] = None,
 ) -> list[InvariantViolation]:
     """Check a build_tree instance against the breathing-ball pattern.
 
@@ -485,14 +503,15 @@ def verify_tree_invariants(
     Only this verifier reports tree:structure violations.
     Nothing stronger is asserted; outside the listed sets the dynamics is
     free to do what it likes (and does, near the leaves).  `cells`, the
-    states on the tree's keyed cells (_keyed_cells, with states from
-    _replayed or read back from a trajectory on them), runs the checks
-    once per cell (see _per_cell); with them, states may be None.
-    Without it they run per vertex.
+    states on the closed-form quotient (_tree_units, with states from
+    _replayed or read back from a trajectory on it), runs the checks once
+    per cell (see _per_cell); with them, states may be None.  Without it
+    they run per vertex, on the shape `walk` gives (a _TreeWalk of the
+    instance, shared with check_local_lemmas so the tree is walked once).
     """
     log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3), cells)
     check = partial(_tree_checks, q=instance.structural_params["q"])
-    return _per_cell(states, cells, log, check, partial(_tree_on_vertices, instance, log))
+    return _per_cell(states, cells, log, check, partial(walk or _TreeWalk(instance), log))
 
 
 def _lemma_checks(log: _ViolationLog, cells: _Cells, params: GameParams, r: int) -> None:
@@ -547,6 +566,7 @@ def check_local_lemmas(
     params: GameParams,
     states: Optional[Sequence[StrategyVector]],
     cells: Optional[_Cells] = None,
+    walk: Optional[_TreeWalk] = None,
 ) -> list[InvariantViolation]:
     """Scan a tree trajectory for the four local update laws.
 
@@ -569,10 +589,10 @@ def check_local_lemmas(
     Levels come from the roles and premises from each state's cooperating-
     neighbor counts; verify_tree_invariants reports the tree's structure,
     and with not exactly one root role this scan reports nothing.
-    `cells` is as for verify_tree_invariants.
+    `cells` and `walk` are as for verify_tree_invariants.
     """
     log = _open_log(instance, "tree", states, cells=cells)
     check = partial(_lemma_checks, params=params, r=instance.structural_params["r"])
     # The structure is verify_tree_invariants' to report.
-    vertices = partial(_tree_on_vertices, instance, _ViolationLog())
+    vertices = partial(walk or _TreeWalk(instance), _ViolationLog())
     return _per_cell(states, cells, log, check, vertices)

@@ -24,14 +24,15 @@ import sys
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .analysis import (
     InvariantViolation,
     _Cells,
     _chain_units,
-    _keyed_cells,
     _replayed,
+    _tree_units,
+    _TreeWalk,
     check_local_lemmas,
     replay,
     verify_fcsh_dynamics,
@@ -40,13 +41,15 @@ from .analysis import (
 )
 from .constructions import (
     ConstructedInstance,
-    build_fcsh,
+    build_fcsh,  # the builders are not called here; perfbench/tracing.py wraps their names
     build_hdpd,
     build_tree,
     fcsh_layout,
     fcsh_quotient,
     hdpd_layout,
     hdpd_quotient,
+    tree_layout,
+    tree_quotient,
 )
 from .dynamics import Quotient, TrajectoryBudgetError, trajectory
 from .game import (GameParams, Scenario, StrategyVector, _require_at_least, as_rational,
@@ -114,7 +117,6 @@ class _Family:
     kind: str
     params: tuple[str, ...]  # the structural integers, in the builder's order
     solve: Callable[[GameParams, int, int], Certificate]  # params, period, budget
-    build: Callable[[Mapping[str, int]], ConstructedInstance]  # structural integers
     check: Callable[[GameParams, Mapping[str, int]], Certificate]
     # instance, params, X(0)..X(P) (or None), its cells with their states (or None)
     verify: Callable[..., list[InvariantViolation]]
@@ -123,11 +125,11 @@ class _Family:
     vertices: Callable[[Mapping[str, int]], int]  # n, from the structural integers
     edges: Callable[[Mapping[str, int]], int]  # m, from the structural integers
     roles: Mapping[str, int]  # the number of coordinates of each role kind
-    # From the structural integers alone, or None for trees: the instance
-    # with its closed-form Layout for a graph, and its coarsest equitable
-    # partition refining x0, as the Quotient the chain replays on.
-    layout: Optional[Callable[[Mapping[str, int]], ConstructedInstance]]
-    quotient: Optional[Callable[[Mapping[str, int]], Quotient]]
+    # From the structural integers alone: the instance with its closed-form
+    # Layout for a graph, and the equitable partition refining x0 that it
+    # replays on, as a Quotient.
+    layout: Callable[[Mapping[str, int]], ConstructedInstance]
+    quotient: Callable[[Mapping[str, int]], Quotient]
 
 
 def _tree_vertices(r: int, q: int) -> int:
@@ -140,7 +142,6 @@ _FCSH = _Family(
     kind="fcsh",
     params=("p", "q", "r", "s"),
     solve=lambda params, p, budget: solve_fcsh(params, p, max_candidates=budget),
-    build=lambda sp: build_fcsh(sp["p"], sp["q"], sp["r"], sp["s"]),
     check=lambda params, sp: check_fcsh(params, sp["p"], sp["q"], sp["r"], sp["s"]),
     verify=lambda inst, params, states, cells: verify_fcsh_dynamics(inst, params, states, cells),
     invariants=("fcsh:frozen", "fcsh:chain", "fcsh:reset"),
@@ -158,7 +159,6 @@ _HDPD = _Family(
     kind="hdpd",
     params=("p", "o", "q", "r", "s"),
     solve=lambda params, p, budget: solve_hdpd(params, p, max_candidates=budget),
-    build=lambda sp: build_hdpd(sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
     check=lambda params, sp: check_hdpd(params, sp["p"], sp["o"], sp["q"], sp["r"], sp["s"]),
     verify=lambda inst, params, states, cells: verify_hdpd_dynamics(inst, params, states, cells),
     invariants=("hdpd:chain", "hdpd:frozen", "hdpd:outer", "hdpd:reset"),
@@ -176,10 +176,11 @@ _TREE = _Family(
     kind="tree",
     params=("r", "q"),
     solve=lambda params, bound, budget: solve_tree(params, bound, max_candidates=budget),
-    build=lambda sp: build_tree(sp["r"], sp["q"]),
     check=lambda params, sp: check_tree(params, sp["r"], sp["q"]),
-    verify=lambda inst, params, states, cells: (verify_tree_invariants(inst, params, states, cells)
-                                                + check_local_lemmas(inst, params, states, cells)),
+    # Both verifiers' per-vertex runs share one walk of the tree's shape.
+    verify=lambda inst, params, states, cells: (
+        verify_tree_invariants(inst, params, states, cells, walk := _TreeWalk(inst))
+        + check_local_lemmas(inst, params, states, cells, walk)),
     invariants=(
         "tree:x0",
         "tree:a",
@@ -200,8 +201,8 @@ _TREE = _Family(
     vertices=lambda sp: _tree_vertices(sp["r"], sp["q"]),
     edges=lambda sp: _tree_vertices(sp["r"], sp["q"]) - 1,
     roles={"root": 0, "special": 1, "ordinary": 2},
-    layout=None,
-    quotient=None,
+    layout=lambda sp: tree_layout(sp["r"], sp["q"]),
+    quotient=lambda sp: tree_quotient(sp["r"], sp["q"]),
 )
 _FAMILIES = {family.kind: family for family in (_FCSH, _HDPD, _TREE)}
 
@@ -262,9 +263,7 @@ def _solve(
         family = _HDPD
     cert = family.solve(params, period, max_candidates)
     sp = {key: period if key == "p" else getattr(cert, key) for key in family.params}
-    # A tree has an edge into each of its r^(q-2) >= 2^(q-2) vertices on
-    # level q-1, so q is bounded before r^(q-1) is computed.
-    if tree and sp["q"] - 2 >= MAX_EDGES.bit_length():
+    if _too_tall(family, sp):
         raise SizeBudgetError(f"size budget: a tree with q={sp['q']} has at least "
                               f"2^{sp['q'] - 2} edges, more than MAX_EDGES={MAX_EDGES}")
     edges = family.edges(sp)
@@ -275,6 +274,13 @@ def _solve(
         raise SizeBudgetError(f"size budget: the tree witness {sp} has {edges} "
                               f"edges, more than MAX_TREE_EDGES={MAX_TREE_EDGES}")
     return family, cert, sp
+
+
+def _too_tall(family: _Family, sp: Mapping[str, int]) -> bool:
+    """Whether sp is a tree with more than MAX_EDGES edges by its height
+    alone.  A tree has an edge into each of its r^(q-2) >= 2^(q-2)
+    vertices on level q-1, so q is bounded before r^(q-1) is computed."""
+    return family is _TREE and sp["q"] - 2 >= MAX_EDGES.bit_length()
 
 
 def parse_params(text: str) -> GameParams:
@@ -306,23 +312,26 @@ def parse_periods(text: str) -> list[int]:
     return list(periods)
 
 
-def _canonical(path: str) -> Optional[tuple[_Family, ConstructedInstance]]:
-    """The family and the closed-form instance (fcsh_layout, hdpd_layout)
-    of a canonical clique-chain file: one that holds, byte for byte, what
+def _canonical(
+    path: str, families: Iterable[_Family] = _FAMILIES.values()
+) -> Optional[tuple[_Family, ConstructedInstance]]:
+    """The family and the closed-form instance (its layout) of a canonical
+    file of one of the families: one that holds, byte for byte, what
     witness --out writes for the structural params it declares in its
-    tail.  Those must be exactly one chain family's, integers that its
-    builder accepts, for a witness within MAX_EDGES whose edges alone
-    would fill no more than the file.  None for any other file, among them
-    every tree, which is left once its params are read."""
+    tail.  Those must be exactly one family's, integers that its builder
+    accepts, for a witness within MAX_EDGES (MAX_TREE_EDGES for a tree)
+    whose edges alone would fill no more than the file.  None for any
+    other file."""
     try:
         with open(path, "rb") as handle:
             sp = _declared_params(handle) or {}
-            family = next((family for family in (_FCSH, _HDPD)
+            family = next((family for family in families
                            if sp.keys() == set(family.params)), None)
-            if family is None or min(sp.values()) < 1:
+            if family is None or min(sp.values()) < 1 or _too_tall(family, sp):
                 return None
             edges = family.edges(sp)
-            if edges > MAX_EDGES or edges * MIN_EDGE_BYTES > handle.seek(0, 2):
+            limit = MAX_TREE_EDGES if family is _TREE else MAX_EDGES
+            if edges > limit or edges * MIN_EDGE_BYTES > handle.seek(0, 2):
                 return None
             instance = family.layout(sp)  # ValueError where the builder refuses sp
             return (family, instance) if _holds(handle, instance) else None
@@ -330,15 +339,17 @@ def _canonical(path: str) -> Optional[tuple[_Family, ConstructedInstance]]:
         return None
 
 
-def _load_instance(path: str) -> tuple[_Family, ConstructedInstance, Optional[Quotient]]:
+def _load_instance(
+    path: str, families: Iterable[_Family] = _FAMILIES.values()
+) -> tuple[_Family, ConstructedInstance, Optional[Quotient]]:
     """A stored instance, its family, which every command that reads an
     instance file checks first, and the Quotient to replay it on.  A
-    canonical clique-chain file comes with no Graph: its instance is the
-    closed-form one, replayed on the family's closed-form Quotient.  Any
-    other file, a chain file re-dumped or damaged among them, is parsed
-    and checked in full, and replayed on the whole graph (None)."""
+    canonical file of one of the families comes with no Graph: its
+    instance is the closed-form one, replayed on the family's closed-form
+    Quotient.  Any other file, one re-dumped or damaged among them, is
+    parsed and checked in full, and replayed on the whole graph (None)."""
     _require_regular(path)
-    canonical = _canonical(path)
+    canonical = _canonical(path, families)
     if canonical is not None:
         family, instance = canonical
         return family, instance, family.quotient(instance.structural_params)
@@ -350,12 +361,11 @@ def _cells_of(
     family: _Family, instance: ConstructedInstance, quotient: Optional[Quotient]
 ) -> Optional[_Cells]:
     """The cells, with no states yet, that verify and sweep replay the
-    instance on and verify it on: a tree's keyed cells, a clique chain's
-    units on its closed-form quotient, or None for the whole graph (a
-    damaged tree, a chain file that is not canonical)."""
-    if family is _TREE:
-        return _keyed_cells(instance)
-    return None if quotient is None else _chain_units(instance, quotient)
+    instance on and verify it on: the units of its closed-form quotient,
+    or None for the whole graph (a file that is not canonical)."""
+    if quotient is None:
+        return None
+    return (_tree_units if family is _TREE else _chain_units)(instance, quotient)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -385,10 +395,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
     period = args.min_period if args.tree else args.period
     family, cert, sp = _solve(params, period, args.tree, args.max_candidates)
 
-    # Only a tree's artifacts need its graph; a clique chain's are written
-    # from its closed form, and the summary is closed-form.
+    # The artifacts are written from the closed form, and so is the summary.
     if args.out is not None:
-        instance = (family.layout or family.build)(sp)
+        instance = family.layout(sp)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "instance.json", instance)
@@ -415,12 +424,20 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# simulate recognises canonical clique-chain files only: it parses a tree
+# file, canonical or not, and steps it on the whole graph.  perfbench's
+# self-test (test_span_self_times_sum_to_each_op_wall_time) reads the
+# Graph build, the parse and the step calls of its tree pipeline from tree
+# simulate alone; once it reads spans of the closed forms, pass every family.
+_SIMULATE_CANONICAL = (_FCSH, _HDPD)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     if (args.instance is None) == (args.graph is None):
         raise ValueError("give exactly one of --instance or --graph")
     if args.instance is not None:
-        _, instance, cells = _load_instance(args.instance)
+        _, instance, cells = _load_instance(args.instance, _SIMULATE_CANONICAL)
         graph, x0 = instance.graph, instance.x0
     else:
         if args.x0 is None:
@@ -500,24 +517,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
-    """One sweep entry: solve, build, simulate, verify.  A clique chain is
-    laid out with no Graph, as witness --out writes it, and a tree is
-    built; each is stepped on the cells _cells_of picks, and its states
-    are verified on them.  Module level so a process pool can pickle it."""
+    """One sweep entry: solve, lay out, simulate, verify.  The witness is
+    laid out with no Graph, as witness --out writes it, stepped on the
+    cells _cells_of picks, and its states are verified on them.  Module
+    level so a process pool can pickle it."""
     params, period, tree, max_candidates = task
     family, _, sp = _solve(params, period, tree, max_candidates)
-    instance = (family.layout or family.build)(sp)
-    cells = _cells_of(family, instance, family.quotient and family.quotient(sp))
+    instance = family.layout(sp)
+    cells = _cells_of(family, instance, family.quotient(sp))
     budget = max(64, 4 * instance.predicted_period + 16)
     report = trajectory(instance.graph, params, instance.x0, max_steps=budget,
-                        cells=None if cells is None else cells.quotient)
+                        cells=cells.quotient)
     # state_at folds times past the report into its cycle, so these are
     # exactly X(0) .. X(P) without simulating again.
     states = [report.state_at(t) for t in range(instance.predicted_period + 1)]
-    if cells is not None:  # read back at the cells' first vertices, not checked again
-        first = cells.quotient.first
-        cells = cells._replace(states=[bytes(map(state.bits.__getitem__, first))
-                                       for state in states])
+    first = cells.quotient.first  # read back at the cells' first vertices, not checked again
+    cells = cells._replace(states=[bytes(map(state.bits.__getitem__, first))
+                                   for state in states])
     lines, cert_problems = _verify_instance(family, instance, params, states, cells)
     row: dict[str, Any] = {"requested": period, "kind": instance.kind}
     row.update(instance.structural_params)

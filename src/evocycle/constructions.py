@@ -17,15 +17,17 @@ Each builder returns a ConstructedInstance bundling the graph, the initial
 state, a role for every vertex, the structural integers, and the period the
 instance is designed to realize. Vertex layouts are deterministic and
 documented per builder, so equal inputs give byte-identical instances.
-The clique chains are also written down from their structural integers
-alone (fcsh_layout, hdpd_layout): edges and roles as a few runs each, and
-their replay cells (fcsh_quotient, hdpd_quotient).
+Every family is written down from its structural integers alone
+(fcsh_layout, hdpd_layout, tree_layout): each vertex's later neighbours
+as a few ranges and the roles as runs, which is what the builders build
+their Graph from; and so are its replay cells (fcsh_quotient,
+hdpd_quotient, tree_quotient).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .dynamics import Quotient
@@ -43,6 +45,8 @@ __all__ = [
     "build_fcsh",
     "build_hdpd",
     "build_tree",
+    "tree_layout",
+    "tree_quotient",
 ]
 
 
@@ -66,13 +70,13 @@ RoleRun = tuple[str, tuple[int, ...], Optional[range]]
 
 @dataclass(frozen=True)
 class Layout:
-    """The graph of a clique-chain witness in closed form, with its roles:
-    its vertex count; for every vertex with a neighbour above it those
-    neighbours in ascending order, written as a few ranges from the
-    structural integers; and the roles of all vertices in order, as runs.
-    It is what build_fcsh and build_hdpd build their Graph from, and what
-    serialize writes a file or a DOT text from; later_neighbors is called
-    like Graph's method of that name."""
+    """The graph of a witness in closed form, with its roles: its vertex
+    count; for every vertex with a neighbour above it those neighbours in
+    ascending order, written as a few ranges from the structural integers;
+    and the roles of all vertices in order, as runs.  It is what the
+    builders build their Graph from, and what serialize writes a file or a
+    DOT text from; later_neighbors is called like Graph's method of that
+    name."""
 
     n: int
     later_neighbors: Callable[[], Iterator[tuple[int, Iterable[int]]]]
@@ -84,8 +88,9 @@ class ConstructedInstance:
     """A built witness: graph, initial state, roles, and the target period.
 
     graph is a Graph, or for an instance taken from its structural
-    integers alone (fcsh_layout, hdpd_layout) their Layout, which has the
-    vertex count and the sorted neighbours but no adjacency to step on.
+    integers alone (fcsh_layout, hdpd_layout, tree_layout) their Layout,
+    which has the vertex count and the sorted neighbours but no adjacency
+    to step on.
     roles holds one Role per vertex of a Graph, and is None for a Layout,
     whose role_runs give them; role_runs, roles_at and role_tuple read
     either.
@@ -142,7 +147,6 @@ def _built(instance: ConstructedInstance) -> ConstructedInstance:
     edges, and its role runs by the tuple of their roles."""
     layout = instance.graph
     graph = Graph(layout.n, ((v, w) for v, later in layout.later_neighbors() for w in later))
-    assert graph.is_connected
     return replace(instance, graph=graph, roles=instance.role_tuple())
 
 
@@ -303,7 +307,7 @@ def _quotient(cell_of: list[int], first: Iterable[int],
 
 
 def fcsh_quotient(p: int, q: int, r: int, s: int) -> Quotient:
-    """Quotient.of(build_fcsh(p, q, r, s).graph, cells) for the cells K_n
+    """The quotient of build_fcsh(p, q, r, s).graph by the cells K_n
     and K_-n by |n|, g, h, S1, the S2 vertex a feeler touches, the other
     S2 vertices, and f, split by x0 (on which they are constant), written
     from the integers and numbered in order of first vertex as there."""
@@ -347,7 +351,7 @@ def fcsh_quotient(p: int, q: int, r: int, s: int) -> Quotient:
 
 
 def hdpd_quotient(p: int, o: int, q: int, r: int, s: int) -> Quotient:
-    """Quotient.of(build_hdpd(p, o, q, r, s).graph, cells) for the cells
+    """The quotient of build_hdpd(p, o, q, r, s).graph by the cells
     K_1 .. K_(p+1), g_R, g_D, g_C, H, I and J, split by x0 (on which they
     are constant), written from the integers and numbered in order of
     first vertex as there."""
@@ -377,6 +381,63 @@ def hdpd_quotient(p: int, o: int, q: int, r: int, s: int) -> Quotient:
     return _quotient(cell_of, first, links)
 
 
+def _tree_levels(r: int, q: int) -> list[int]:
+    """The first vertex of each level 0 .. q of build_tree(r, q), then n."""
+    _require_at_least(2, r=r)
+    _require_at_least(5, q=q)
+    start = [0, 1]
+    for level in range(2, q + 1):  # level l - 1 >= 1 holds r^(l-2) vertices
+        start.append(start[-1] + r ** (level - 2))
+    start.append(start[q] + r ** (q - 1) - r ** 3)  # r leaves per non-special on q - 1
+    return start
+
+
+def tree_layout(r: int, q: int) -> ConstructedInstance:
+    """The instance of build_tree(r, q) with its Layout for a graph.
+
+    Levels are numbered breadth first, so every parent's children are one
+    range: on levels 1 .. q-2 the r children of the vertex at offset u in
+    its level start r*u into the next level.  On level q-1 the specials,
+    every r^(q-4)-th vertex from offset 0, have no children, so each other
+    vertex's children start r times the number of non-specials before it
+    into level q.  From level 3 on, a vertex at offset u is special when
+    r^(l-3) divides u, and else ordinary with branch u // r^(l-3); a leaf
+    on level q takes its parent's branch.
+    """
+    start = _tree_levels(r, q)
+    n = start[q + 1]
+    spacing = r ** (q - 4)  # of the specials on level q-1
+
+    def later_neighbors() -> Iterator[tuple[int, Iterable[int]]]:
+        yield 0, range(1, 2)
+        for level in range(1, q - 1):
+            below = range(start[level + 1], start[level + 2], r)
+            for v, child in zip(range(start[level], start[level + 1]), below):
+                yield v, range(child, child + r)
+        child = start[q]
+        for u in range(start[q] - start[q - 1]):
+            if u % spacing:
+                yield start[q - 1] + u, range(child, child + r)
+                child += r
+
+    def role_runs() -> Iterator[RoleRun]:
+        # Consecutive equal roles are one tuple, yielded once per vertex.
+        yield "root", (), None
+        for level in range(1, 4):
+            yield from repeat(("special", (level,), None), r ** (level - 1))
+        for level in range(4, q):
+            special, block = ("special", (level,), None), r ** (level - 3)
+            for branch in range(r * r):
+                yield special
+                yield from repeat(("ordinary", (level, branch), None), block - 1)
+        for branch in range(r * r):
+            yield from repeat(("ordinary", (q, branch), None), r * (spacing - 1))
+
+    x0 = _bits(n, [range(start[q - 1])])  # levels 0 .. q-2
+    return ConstructedInstance("tree", Layout(n, later_neighbors, role_runs), x0, None,
+                               {"r": r, "q": q}, 2 * (q - 3))
+
+
 def build_tree(r: int, q: int) -> ConstructedInstance:
     """Rooted r-ary tree whose cooperating ball shrinks and regrows.
 
@@ -397,46 +458,62 @@ def build_tree(r: int, q: int) -> ConstructedInstance:
 
     Layout: breadth first; children are created in parent order, so child
     indices are consecutive per parent and increase with depth.
+    tree_layout writes it down.
 
     Initial state: levels 0..q-2 cooperate, deeper levels defect.
     Designed minimal period: 2(q - 3). Requires r >= 2 and q >= 5.
     """
-    _require_at_least(2, r=r)
-    _require_at_least(5, q=q)
+    return _built(tree_layout(r, q))
 
-    roles: list[Role] = [Role("root")]
-    levels: list[int] = [0]
-    special: list[bool] = [False]
-    branch: list[int] = [-1]
-    edges: list[tuple[int, int]] = []
 
-    def add_child(par: int, level: int, is_special: bool) -> int:
-        v = len(levels)
-        levels.append(level)
-        special.append(is_special)
-        # the r*r level-3 vertices are created consecutively from v = r + 2
-        branch.append(v - (r + 2) if level == 3 else branch[par])
-        roles.append(Role("special", (level,)) if is_special
-                     else Role("ordinary", (level, branch[v])))
-        edges.append((par, v))
-        return v
+def tree_quotient(r: int, q: int) -> Quotient:
+    """The quotient of build_tree(r, q).graph by the cells keyed by (role
+    kind, level, attach level), on which x0 is constant, written from the
+    integers and numbered in order of first vertex.
 
-    frontier = [add_child(0, 1, True)]  # the root's only child
-    for level in range(2, q):
-        next_frontier: list[int] = []
-        for par in frontier:
-            for child_pos in range(r):
-                # levels 2 and 3 are fully designated; deeper designated
-                # vertices are the first children of designated parents
-                is_special = level <= 3 or (special[par] and child_pos == 0)
-                next_frontier.append(add_child(par, level, is_special))
-        frontier = next_frontier
-    for par in frontier:
-        if not special[par]:  # designated level-(q-1) vertices stay leaves
-            for _ in range(r):
-                add_child(par, q, False)
+    The cells are the root, one special cell per level 1 .. q-1, and the
+    ordinary cells (l, j) of the vertices on level l below the special on
+    level j, for 3 <= j <= q-2 and j < l <= q.  Each level lists its
+    special first and then its ordinary cells by j descending, as their
+    first vertices come.  Every cell but the root has one link to its
+    parent cell; a special on level l has r links to the next special for
+    l <= 2, and else 1 and r-1 to (l+1, l); an ordinary cell has r to the
+    cell below it.
+    """
+    start = _tree_levels(r, q)
+    ids: dict[tuple[int, int], int] = {}  # (level, j), with j = 0 for the root and specials
+    first: list[int] = []
+    cell_of: list[int] = []
 
-    graph = Graph(len(levels), edges)
-    assert graph.is_connected and graph.edge_count == graph.n - 1
-    x0 = StrategyVector(bytes(level <= q - 2 for level in levels))
-    return ConstructedInstance("tree", graph, x0, tuple(roles), {"r": r, "q": q}, 2 * (q - 3))
+    def cell(key: tuple[int, int], vertex: int) -> int:
+        ids[key] = len(first)
+        first.append(vertex)
+        return ids[key]
+
+    for level in range(q + 1):
+        # One branch's offsets on the level, from level 4 on: the special,
+        # then the ordinary cells (level, j) for j = level - e at offsets
+        # r^(e-1) .. r^e - 1; on level q, r leaves for each such parent.
+        block = [] if level == q else [cell((level, 0), start[level])]
+        for e in range(1, min(level, q - 1) - 2):
+            if level < q:
+                k = cell((level, level - e), start[level] + r ** (e - 1))
+                block += [k] * (r ** e - r ** (e - 1))
+            else:  # below the (r^(e-1) - 1)-th non-special on level q-1
+                k = cell((q, q - 1 - e), start[q] + r * (r ** (e - 1) - 1))
+                block += [k] * (r ** (e + 1) - r ** e)
+        cell_of += block * (r * r if level > 3 else start[level + 1] - start[level])
+    links: list[dict[int, int]] = [{} for _ in first]
+
+    def link(parent: tuple[int, int], child: tuple[int, int], count: int) -> None:
+        links[ids[parent]][ids[child]] = count
+        links[ids[child]][ids[parent]] = 1
+
+    for level in range(q - 1):  # the specials' children
+        link((level, 0), (level + 1, 0), r if level in (1, 2) else 1)
+        if level >= 3:
+            link((level, 0), (level + 1, level), r - 1)
+    for level, j in ids:
+        if j and level < q:
+            link((level, j), (level + 1, j), r)
+    return _quotient(cell_of, first, links)

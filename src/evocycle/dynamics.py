@@ -7,8 +7,8 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby, islice
-from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .game import (
     GameParams,
@@ -159,7 +159,7 @@ class Quotient:
     turns the cell bits back into the state of every vertex.
     """
 
-    __slots__ = ("cell_of", "first", "links", "linked", "degree")
+    __slots__ = ("cell_of", "first", "links", "linked", "degree", "_ranks")
 
     def __init__(
         self,
@@ -172,35 +172,8 @@ class Quotient:
         self.links = links  # per cell: the (cell l, neighbors in l) pairs
         self.linked = tuple(tuple(l for l, _ in pairs) for pairs in links)  # the cells l alone
         self.degree = tuple(sum(count for _, count in pairs) for pairs in links)
-
-    @classmethod
-    def of(cls, graph: Graph, cell_of: Sequence[Hashable]) -> Optional["Quotient"]:
-        """The quotient by the partition that puts vertex v in the cell
-        named cell_of[v], or None when that partition is not equitable.
-
-        One pass over the sorted adjacency compares each vertex's sorted
-        list of neighbor cells with the first one seen in its cell.
-        """
-        if len(cell_of) != graph.n:
-            raise ValueError(f"{len(cell_of)} cell keys for a graph with n={graph.n}")
-        ids: dict[Hashable, int] = {}
-        cells = [ids.setdefault(key, len(ids)) for key in cell_of]
-        seen: list[Optional[list[int]]] = [None] * len(ids)
-        first = [0] * len(ids)
-        neighbors = graph.neighbors
-        for v, k in enumerate(cells):
-            around = sorted(map(cells.__getitem__, neighbors(v)))
-            known = seen[k]
-            if known is None:
-                seen[k] = around
-                first[k] = v
-            elif around != known:
-                return None
-        links = tuple(
-            tuple((l, sum(1 for _ in run)) for l, run in groupby(around))
-            for around in seen
-        )
-        return cls(cells, tuple(first), links)
+        # Owned by step: the params it last ran with and their rank table.
+        self._ranks: tuple[Optional[GameParams], dict] = (None, {})
 
     def lift(self, bits: bytes) -> StrategyVector:
         """The state in which every vertex plays its cell's bit."""
@@ -211,12 +184,21 @@ class Quotient:
         return [sum(count for l, count in pairs if bits[l]) for pairs in self.links]
 
     def step(self, params: GameParams, bits: bytes) -> bytes:
-        """One synchronous update, by the rule of `step`, on the cell bits."""
-        utility = [
-            _utility(params, own, coop, degree)
-            for own, coop, degree in zip(bits, self.cooperators(bits), self.degree)
-        ]
-        masks = _top_masks(range(len(bits)), self.linked, bits, utility)
+        """One synchronous update, by the rule of `step`, on the cell bits.
+        Utilities are compared as ranks from one table per params, kept
+        across calls and rebuilt, as `step` rebuilds its own, when a key
+        is new."""
+        keys = list(zip(bits, self.cooperators(bits), self.degree))
+        held, table = self._ranks
+        if held != params:
+            table = {}
+        try:
+            rank = list(map(table.__getitem__, keys))
+        except KeyError:
+            table = _rank_table(params, {*table, *keys})
+            rank = list(map(table.__getitem__, keys))
+        self._ranks = (params, table)
+        masks = _top_masks(range(len(bits)), self.linked, bits, rank)
         return bytes(own ^ (mask == 2 >> own) for own, mask in zip(bits, masks))
 
 

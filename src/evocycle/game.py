@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -148,11 +147,10 @@ class Graph:
 
     Validated at construction: no loops, no multi-edges, and every vertex
     has at least one neighbor (mean utility averages over a nonempty
-    neighborhood). Connectivity is reported via is_connected but not
-    required.
+    neighborhood). Connectivity is not required.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_connected", "_step_counts")
+    __slots__ = ("_adj", "_edge_count", "_step_counts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 1:
@@ -175,7 +173,6 @@ class Graph:
                 raise ValueError(f"duplicate edge {(v, w)}")
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._edge_count = sum(map(len, adj)) // 2
-        self._connected: bool | None = None
         # Owned by dynamics.step: (bits, params, coop, table) of the last
         # state it returned, the cooperating-neighbor counts and the utility
         # rank of every key seen, in a list so that a call takes them with
@@ -209,23 +206,6 @@ class Graph:
             later = nbrs[bisect_right(nbrs, v):]
             if later:
                 yield v, later
-
-    @property
-    def is_connected(self) -> bool:
-        if self._connected is None:
-            reached = bytearray(self.n)
-            reached[0] = 1
-            queue = deque([0])
-            total = 1
-            while queue:
-                v = queue.popleft()
-                for w in self._adj[v]:
-                    if not reached[w]:
-                        reached[w] = 1
-                        total += 1
-                        queue.append(w)
-            self._connected = total == self.n
-        return self._connected
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -4,9 +4,9 @@ trajectory reports; CSV for cooperator counts; DOT for state snapshots.
 JSON always has the layout of dumps(), sorted keys and two-space indent,
 so writing, reading, and writing again is byte-identical.  write_json
 emits an instance in that layout straight from its graph and roles, and
-the graph may be a Graph or a clique chain's closed-form Layout: either
-gives each vertex's sorted later neighbours and the instance its roles as
-runs, which is all one emitter reads.  Its text is made a vertex's edges
+the graph may be a Graph or a witness's closed-form Layout: either gives
+each vertex's sorted later neighbours and the instance its roles as runs,
+which is all one emitter reads.  Its text is made a vertex's edges
 or a run of roles or of node lines at a time, and write_json and
 write_dot write it in blocks (_blocks), never holding the whole of it.
 A file in the JSON layout can be recognised without parsing it: its
@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import fields
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from stat import S_ISREG
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Optional
@@ -177,21 +177,21 @@ def _edge_runs(graph: Graph | Layout, head: str, tail: str, sep: str) -> Iterato
 
 # The node line of a defector and of a cooperator, after its number.
 _NODE_TAILS = (' [fillcolor="white"];\n', ' [fillcolor="black", fontcolor="white"];\n')
-# The most node lines one DOT chunk holds.
-_NODE_RUN = 1 << 12
+# The most node lines, or copies of one role's text, that one chunk holds.
+_RUN = 1 << 12
 
 
 def _dot_chunks(graph: Graph | Layout, state: StrategyVector | None) -> Iterator[str]:
     """The text of graph_to_dot(graph, state), chunk by chunk: the node
     lines a run of vertices with one strategy at a time, at most
-    _NODE_RUN of them, and then the edge lines a vertex at a time."""
+    _RUN of them, and then the edge lines a vertex at a time."""
     yield "graph G {\n  node [shape=circle, style=filled];\n"
     n = graph.n
     bits = bytes(n) if state is None else state.bits
     v = 0
     while v < n:
         bit = bits[v]
-        stop = min(n, v + _NODE_RUN)
+        stop = min(n, v + _RUN)
         end = bits.find(b"\x00" if bit else b"\x01", v, stop)
         end = stop if end < 0 else end
         tail = _NODE_TAILS[bit]
@@ -224,17 +224,37 @@ def _array(items: Iterable[str], indent: str) -> Iterator[str]:
     yield "\n" + indent + "]"
 
 
+def _same_types(run: RoleRun, held: RoleRun) -> bool:
+    """Whether two equal runs write the same text: their kinds and
+    coordinates have the same types (True == 1, but they are written
+    apart)."""
+    return [type(run[0]), *map(type, run[1])] == [type(held[0]), *map(type, held[1])]
+
+
 def _role_text(runs: Iterable[RoleRun]) -> Iterator[str]:
-    """The roles array's elements, one str.join per run of roles."""
+    """The roles array's elements: one str.join per run of roles, and one
+    text for each stretch of consecutive equal runs, repeated."""
     kind_text: dict[str, str] = {}
-    for kind, fixed, last in runs:
-        text = kind_text.get(kind) or kind_text.setdefault(kind, _ENCODER.encode(kind))
-        head = "    [\n      " + ",\n      ".join([text, *map(str, fixed)])
-        if last is None:
-            yield head + "\n    ]"
-        else:
-            head += ",\n      "
-            yield head + ("\n    ],\n" + head).join(map(str, last)) + "\n    ]"
+    held: Optional[RoleRun] = None
+    count = 0
+    for run in chain(runs, (None,)):  # None ends the last stretch
+        if run is held or run == held and _same_types(run, held):
+            count += 1
+            continue
+        if count:
+            kind, fixed, last = held
+            name = kind_text.get(kind) or kind_text.setdefault(kind, _ENCODER.encode(kind))
+            head = "    [\n      " + ",\n      ".join([name, *map(str, fixed)])
+            if last is None:
+                text = head + "\n    ]"
+            else:
+                head += ",\n      "
+                text = head + ("\n    ],\n" + head).join(map(str, last)) + "\n    ]"
+            while count > _RUN:  # a chunk holds at most _RUN copies
+                yield ",\n".join(repeat(text, _RUN))
+                count -= _RUN
+            yield ",\n".join(repeat(text, count)) if count > 1 else text
+        held, count = run, 1
 
 
 def _instance_chunks(instance: ConstructedInstance) -> Iterator[str]:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -25,8 +26,9 @@ from evocycle import (
 )
 from evocycle import analysis, cli, dynamics
 from evocycle.analysis import MAX_VIOLATION_RECORDS, InvariantViolation
-from evocycle.constructions import Role, fcsh_quotient
+from evocycle.constructions import Role, fcsh_quotient, tree_layout, tree_quotient
 from evocycle.serialize import write_json
+from genutil import build, reference_tree
 from reference import params_to_pairs, ref_lt, ref_neighbors, ref_utility
 
 WORKED_HD = GameParams(1, "0.45", "1.24", 0)
@@ -548,11 +550,15 @@ class TestTreeVerifiersAgainstOracles:
 
     @pytest.mark.parametrize("r,q", [(2, 5), (2, 6), (2, 9), (2, 12), (3, 5), (3, 7)])
     def test_clean_builds_take_the_cell_path(self, monkeypatch, r, q):
-        instance = build_tree(r, q)
-        states = replay(instance, TREE_HD)
-        keyed = cli._cells_of(cli._TREE, instance, None)
+        states = replay(build_tree(r, q), TREE_HD)
+        instance = tree_layout(r, q)
+        keyed = cli._cells_of(cli._TREE, instance, tree_quotient(r, q))
         quotient = keyed.quotient
         assert len(quotient.first) == (q * q - 3 * q + 4) // 2
+        # Each cell carries the key of its first vertex.
+        keys = reference_tree(r, q)[1]
+        assert list(zip(keyed.kind, keyed.level, keyed.attach)) == [
+            keys[v] for v in quotient.first]
         # The replay on cells alone lifts to the whole-graph states, and
         # those read back at the cells' first vertices give its states.
         cells = analysis._replayed(keyed, instance.x0, TREE_HD, instance.predicted_period)
@@ -579,11 +585,11 @@ class TestTreeVerifiersAgainstOracles:
         instance = tamper_tree(rng, build_tree(*size), damage)
         states = replay(instance, params)
 
-        def refuse(instance):
-            raise AssertionError("keyed cells were built")
+        def refuse(*args):
+            raise AssertionError("cells were made")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "_keyed_cells", refuse)
+            patch.setattr(dynamics.Quotient, "__init__", refuse)
             assert_matches_oracles(instance, params, states)
 
     def test_fallback_memory_stays_below_the_build(self, rng):
@@ -656,76 +662,109 @@ class TestVerifyReplaysTreesOnCells:
         write_json(path, tamper_tree(rng, build_tree(*size), damage))
         on_cells = verify_file(path, params, fmt)
         with pytest.MonkeyPatch.context() as patch:
-            # No cells: every state is stepped on the whole graph and every
-            # check runs per vertex.
-            patch.setattr(cli, "_cells_of", lambda *args: None)
+            # Not canonical: the file is parsed, every state is stepped on
+            # the whole graph and every check runs per vertex.
+            patch.setattr(cli, "_canonical", lambda *args: None)
             whole_graph = verify_file(path, params, fmt)
         assert on_cells == whole_graph
 
     @pytest.mark.parametrize("size", [(2, 9), (3, 7)])
-    def test_damaged_tree_verify_builds_the_keyed_cells_once(self, tmp_path, monkeypatch,
-                                                             size):
-        # The last x0 character flipped: the keyed partition is not
-        # equitable, so the replay takes the whole graph and both verifiers
-        # run per vertex, neither building the cells again.
+    def test_damaged_tree_verify_walks_its_shape_once(self, tmp_path, monkeypatch, size):
+        # The last x0 character flipped: the file is not canonical, so the
+        # replay takes the whole graph and both verifiers run per vertex,
+        # on one walk of the tree's shape.
         instance = build_tree(*size)
         path = tmp_path / "instance.json"
         write_json(path, flip_x0(instance, instance.graph.n - 1))
         expected = verify_file(path, "1,0.6,2,0", "text")
-        _, builds = count_steps_and_builds(monkeypatch)
+        _, quotients, walks = count_steps_quotients_and_walks(monkeypatch)
         printed = verify_file(path, "1,0.6,2,0", "text")
         assert printed == expected and printed[0] == 1
         assert printed[1].splitlines()[-1].startswith("FAIL")
-        assert builds == [1]
+        assert (quotients, walks) == ([], [1])
 
     def test_clean_tree_verify_takes_no_whole_graph_step(self, tmp_path, monkeypatch):
         path = tmp_path / "instance.json"
         write_json(path, build_tree(2, 7))
-        steps, builds = count_steps_and_builds(monkeypatch)
+        steps, quotients, walks = count_steps_quotients_and_walks(monkeypatch)
         assert verify_file(path, "1,0.6,2,0", "text")[0] == 0
-        assert (steps, builds) == ([], [1])
+        assert (steps, quotients, walks) == ([], [1], [])
         # simulate --instance still steps trees on the whole graph.
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["simulate", "--params", "1,0.6,2,0", "--instance", str(path)]) == 0
         assert len(steps) > 0
-        assert builds == [1]
+        assert quotients == [1]
 
-    def test_tree_sweep_row_steps_on_the_keyed_cells(self, monkeypatch):
-        steps, builds = count_steps_and_builds(monkeypatch)
+    def test_clean_tree_verify_with_a_finding_walks_the_built_graph_once(self, tmp_path,
+                                                                         monkeypatch):
+        # Payoffs the witness is not certified for: the cells find
+        # something, and both verifiers rerun per vertex on one Graph,
+        # built from the layout, printing what the parsed file prints.
+        path = tmp_path / "instance.json"
+        write_json(path, build_tree(2, 7))
+        monkeypatch.setattr(cli, "_canonical", lambda *args: None)
+        parsed = verify_file(path, "1,0.05,1.3,0", "text")
+        monkeypatch.undo()
+        _, quotients, walks = count_steps_quotients_and_walks(monkeypatch)
+        assert verify_file(path, "1,0.05,1.3,0", "text") == parsed
+        assert parsed[0] == 1
+        assert (quotients, walks) == ([1], [1])
+
+    def test_tree_sweep_row_steps_on_the_closed_form_cells(self, monkeypatch):
+        steps, quotients, walks = count_steps_quotients_and_walks(monkeypatch)
+        made = []
+        monkeypatch.setattr(Graph, "__init__", lambda *args: made.append(args))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(["sweep", "--params", "1,0.6,2,0", "--tree", "--periods", "8"]) == 0
         assert out.getvalue().splitlines()[1] == "8,tree,120,,,7,2,,0,8,0,True"
-        assert (steps, builds) == ([], [1])
+        assert (steps, quotients, walks, made) == ([], [1], [], [])
 
     @pytest.mark.parametrize("params,periods", [
         ("1,0.6,2,0", "2..12"), ("1,2/5,2,0", "4,7,9"),
         ("1,0.05,1.3,0", "5,7")])  # period 7: r=7, q=7, n=136,915
-    def test_tree_sweep_equals_the_whole_graph_path(self, params, periods):
-        def sweep(fmt):
+    def test_tree_sweep_equals_the_whole_graph_path(self, tmp_path, monkeypatch, params,
+                                                    periods):
+        def run(*argv):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                code = cli.main(["sweep", "--params", params, "--tree", "--periods", periods,
-                                 "--jobs", "1", "--format", fmt])
+                code = cli.main(list(argv))
             return code, out.getvalue()
 
-        on_cells = [sweep(fmt) for fmt in ("csv", "json")]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_cells_of", lambda *args: None)
-            whole_graph = [sweep(fmt) for fmt in ("csv", "json")]
-        assert on_cells == whole_graph
-        assert on_cells[0][0] == 0
+        rows = [run("sweep", "--params", params, "--tree", "--periods", periods,
+                    "--jobs", "1", "--format", fmt) for fmt in ("csv", "json")]
+        assert rows[0] == (0, cli._sweep_csv(json.loads(rows[1][1])))
+        # Each row as witness --out, then simulate and verify of the parsed
+        # file on the whole graph, print it.
+        monkeypatch.setattr(cli, "_canonical", lambda *args: None)
+        for row in json.loads(rows[1][1]):
+            out = tmp_path / str(row["requested"])
+            given = ["--params", params, "--instance", str(out / "instance.json"),
+                     "--format", "json"]
+            witness = json.loads(run("witness", "--params", params, "--tree", "--min-period",
+                                     str(row["requested"]), "--out", str(out),
+                                     "--format", "json")[1])
+            simulated = json.loads(run("simulate", *given)[1])
+            verified = json.loads(run("verify", *given)[1])
+            violations = len(verified["violations"]) + len(verified["certificate_violations"])
+            assert row == {
+                "requested": row["requested"], "kind": "tree", **witness["structural_params"],
+                "n": witness["vertices"], "transient": simulated["transient"],
+                "minimal_period": simulated["minimal_period"], "violations": violations,
+                "ok": verified["ok"] and simulated["transient"] == 0
+                and simulated["minimal_period"] == witness["predicted_period"],
+            }
 
 
-def count_steps_and_builds(monkeypatch):
-    """Lists that grow by one per whole-graph step and per keyed-cell build."""
-    steps, builds = [], []
-    step, keyed_cells = dynamics.step, analysis._keyed_cells
+def count_steps_quotients_and_walks(monkeypatch):
+    """Lists that grow by one per whole-graph step, per closed-form tree
+    quotient and per walk of a tree's shape."""
+    steps, quotients, walks = [], [], []
+    step, quotient, walk = dynamics.step, cli.tree_quotient, analysis._tree_shape
     monkeypatch.setattr(dynamics, "step", lambda *args: steps.append(1) or step(*args))
-    for module in (cli, analysis):
-        monkeypatch.setattr(module, "_keyed_cells", lambda instance: (
-            builds.append(1) or keyed_cells(instance)))
-    return steps, builds
+    monkeypatch.setattr(cli, "tree_quotient", lambda *args: quotients.append(1) or quotient(*args))
+    monkeypatch.setattr(analysis, "_tree_shape", lambda *args: walks.append(1) or walk(*args))
+    return steps, quotients, walks
 
 
 # Small clique-chain sizes per family, and payoffs: the golden fcsh and
@@ -751,7 +790,7 @@ class TestChainVerifiersOnCells:
         kind, sizes = case
         family = cli._FAMILIES[kind]
         sp = dict(zip(family.params, sizes))
-        built, laid_out, quotient = family.build(sp), family.layout(sp), family.quotient(sp)
+        built, laid_out, quotient = build(family, sp), family.layout(sp), family.quotient(sp)
         params, verify = cli.parse_params(payoffs), CHAIN_VERIFIERS[kind]
         cells = analysis._replayed(cli._cells_of(family, laid_out, quotient), laid_out.x0,
                                    params, laid_out.predicted_period)

@@ -1,17 +1,20 @@
-"""Canonical clique-chain files are read from their structural integers.
+"""Canonical witness files are read from their structural integers.
 
-A file that holds exactly what witness --out writes for the fcsh or hdpd
-params it declares is simulated, verified and exported on the closed-form
-instance and quotient, with no JSON parse of its edges and no Graph.  Any
-other file takes the parse-and-check path.  A clique-chain sweep row is
-laid out and replayed on the closed forms as well.  Both must print the same
-stdout, stderr and exit code: here every command runs on canonical files
-and on single-byte damages of them, once as is and once with the
-canonical check switched off.
+A file that holds exactly what witness --out writes for the fcsh, hdpd or
+tree params it declares is verified and exported on the closed-form
+instance and quotient, with no JSON parse of its edges and no Graph, and
+so is a clique chain's simulated; simulate parses every tree file.  Any
+other file takes the parse-and-check path.  A sweep row is laid out and
+replayed on the closed forms as well.  Both must print the same
+stdout, stderr and exit code: here every command runs on canonical files,
+on single-byte damages of them and on compact re-dumps, once as is and
+once with the canonical check switched off.
 """
 
 import contextlib
 import io
+import json
+import time
 import tracemalloc
 
 import pytest
@@ -20,10 +23,13 @@ from evocycle import Graph
 from evocycle import analysis, cli, dynamics
 from evocycle.cli import _canonical, main
 
-# Certified params and period per family (the golden witnesses), and
-# payoffs the witness is not certified for: random ones and tied ones.
-WITNESS = {"fcsh": ("1,1/2,4/5,0", "3"), "hdpd": ("1,0.45,1.24,0", "4")}
-OTHER_PAYOFFS = ("2,-1,3,0", "1,1/3,3/2,1/3", "1,0,1,0")
+# Certified params and period per family (the golden clique chains, and
+# r=2, q=7 for the tree), and payoffs the witness is not certified for:
+# random ones, tied ones and, for the tree, HD ones its lemmas fail on.
+WITNESS = {"fcsh": ("1,1/2,4/5,0", ["--period", "3"]),
+           "hdpd": ("1,0.45,1.24,0", ["--period", "4"]),
+           "tree": ("1,0.6,2,0", ["--tree", "--min-period", "8"])}
+OTHER_PAYOFFS = ("2,-1,3,0", "1,1/3,3/2,1/3", "1,0,1,0", "1,0.05,1.3,0")
 
 
 def quiet(argv):
@@ -34,9 +40,8 @@ def quiet(argv):
 
 
 def witness(directory, kind):
-    params, period = WITNESS[kind]
-    assert quiet(["witness", "--params", params, "--period", period,
-                  "--out", str(directory)])[0] == 0
+    params, select = WITNESS[kind]
+    assert quiet(["witness", "--params", params, *select, "--out", str(directory)])[0] == 0
     return directory / "instance.json"
 
 
@@ -70,11 +75,13 @@ def damaged(data, how):
         return data + b" "
     if how == "newline":
         return data + b"\n"
+    if how == "compact":  # the same JSON value, dumped without whitespace
+        return json.dumps(json.loads(data), separators=(",", ":")).encode()
     raise ValueError(how)
 
 
 DAMAGES = ("clean", "edge-digit", "dropped-byte", "x0-flip", "role-coordinate",
-           "structural-param", "space", "newline")
+           "structural-param", "space", "newline", "compact")
 
 
 def commands(path, params, out_dir):
@@ -108,14 +115,14 @@ def test_canonical_and_parsed_paths_print_the_same(tmp_path, monkeypatch, kind, 
     assert (_canonical(str(path)) is not None) == (how == "clean")
     params = WITNESS[kind][0] if payoffs == "certified" else payoffs
     fast = outputs(path, params, tmp_path / "fast")
-    monkeypatch.setattr(cli, "_canonical", lambda path: None)
+    monkeypatch.setattr(cli, "_canonical", lambda *args: None)
     assert outputs(path, params, tmp_path / "parsed") == fast
 
 
 @pytest.mark.parametrize("kind", sorted(WITNESS))
 def test_damages_change_one_byte_or_append_one(tmp_path, kind):
     data = witness(tmp_path, kind).read_bytes()
-    for how in DAMAGES[1:]:
+    for how in DAMAGES[1:-1]:
         other = damaged(data, how)
         assert other != data
         if len(other) == len(data):
@@ -143,35 +150,49 @@ def test_canonical_commands_build_no_graph(tmp_path, monkeypatch, kind):
     params = WITNESS[kind][0]
     for argv in commands(path, params, tmp_path / "sim"):
         assert quiet(argv)[0] in (0, 3)
-    assert made == []
+    # simulate parses a tree file into a Graph, canonical or not.
+    assert len(made) == (5 if kind == "tree" else 0)
+    made.clear()
     # A file that is not canonical is parsed into a Graph, as it always was.
     path.write_bytes(path.read_bytes() + b"\n")
     assert quiet(["verify", "--params", params, "--instance", str(path)])[0] == 0
     assert len(made) == 1
 
 
+def test_canonical_tree_witness_verify_and_export_construct_no_graph(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Graph was constructed")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    path = witness(tmp_path, "tree")
+    params = WITNESS["tree"][0]
+    for fmt in ("text", "json"):
+        assert quiet(["verify", "--params", params, "--instance", str(path),
+                      "--format", fmt])[0] == 0
+    assert quiet(["export-dot", "--instance", str(path)])[0] == 0
+    assert quiet(["export-dot", "--instance", str(path),
+                  "--out", str(tmp_path / "export.dot")])[0] == 0
+    assert (tmp_path / "export.dot").read_bytes() == (tmp_path / "instance.dot").read_bytes()
+
+
 @pytest.mark.parametrize("kind", sorted(WITNESS))
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_chain_sweep_builds_no_graph_and_takes_no_step(monkeypatch, kind, fmt):
+def test_sweep_builds_no_graph_and_takes_no_step(monkeypatch, kind, fmt):
     made, steps = count_graphs(monkeypatch), []
     for module in (dynamics, analysis):
         monkeypatch.setattr(module, "step", lambda *args: steps.append(args))
-    params, period = WITNESS[kind]
-    code, out, _ = quiet(["sweep", "--params", params, "--periods", f"2..{period}",
-                          "--jobs", "1", "--format", fmt])
+    params, select = WITNESS[kind]
+    code, out, _ = quiet(["sweep", "--params", params, "--periods", f"2..{select[-1]}",
+                          "--jobs", "1", "--format", fmt, *select[:-2]])
     assert code == 0 and out  # exit 0: every row reached its period and verified
     assert made == [] and steps == []
 
 
-def test_a_tree_file_is_left_after_its_params(tmp_path, monkeypatch):
-    assert quiet(["witness", "--params", "1,0.6,2,0", "--tree", "--min-period", "8",
-                  "--out", str(tmp_path)])[0] == 0
-    compared = []
-    monkeypatch.setattr(cli, "_holds", lambda *args: compared.append(1))
-    assert _canonical(str(tmp_path / "instance.json")) is None
-    assert quiet(["verify", "--params", "1,0.6,2,0",
-                  "--instance", str(tmp_path / "instance.json")])[0] == 0
-    assert compared == []
+def test_simulate_alone_parses_a_canonical_tree_file(tmp_path):
+    path = str(witness(tmp_path, "tree"))
+    family, instance = _canonical(path)
+    assert family is cli._TREE and instance.roles is None
+    assert _canonical(path, cli._SIMULATE_CANONICAL) is None
 
 
 @pytest.mark.parametrize("params,reason", [
@@ -179,6 +200,10 @@ def test_a_tree_file_is_left_after_its_params(tmp_path, monkeypatch):
     ('"o": 1,\n    "p": 2,\n    "q": 90000000,\n    "r": 1,\n    "s": 1', "over MAX_EDGES"),
     ('"o": 0,\n    "p": 2,\n    "q": 1,\n    "r": 1,\n    "s": 1', "o = 0"),
     ('"p": 2,\n    "q": 1,\n    "r": 1', "no family's params"),
+    ('"q": 20,\n    "r": 2', "a tree larger than the file"),
+    ('"q": 22,\n    "r": 2', "a tree over MAX_TREE_EDGES"),
+    ('"q": 25,\n    "r": 2', "a tree too tall for MAX_EDGES"),
+    ('"q": 100000000000000000,\n    "r": 2', "a tree too tall to count"),
 ])
 def test_declared_params_are_checked_before_any_layout(tmp_path, monkeypatch, params, reason):
     # A small file that declares a huge witness is not laid out to be
@@ -187,11 +212,26 @@ def test_declared_params_are_checked_before_any_layout(tmp_path, monkeypatch, pa
     path.write_text('{\n  "graph": {},\n  "structural_params": {\n    ' + params
                     + '\n  },\n  "x0": "01"\n}\n')
     laid_out = []
-    monkeypatch.setattr(cli, "hdpd_layout", lambda *args: laid_out.append(args))
-    monkeypatch.setattr(cli, "fcsh_layout", lambda *args: laid_out.append(args))
+    for name in ("fcsh_layout", "hdpd_layout", "tree_layout"):
+        monkeypatch.setattr(cli, name, lambda *args: laid_out.append(args))
     assert _canonical(str(path)) is None, reason
     assert laid_out == []
     assert quiet(["verify", "--params", "1,0.45,1.24,0", "--instance", str(path)])[0] == 2
+
+
+def test_a_declared_tree_height_is_bounded_before_its_power(tmp_path, monkeypatch):
+    # r^(q-1) with q = 10^17 would not finish; the tail is refused first,
+    # and the parse path refuses the file.
+    path = tmp_path / "instance.json"
+    path.write_text('{\n  "graph": {},\n  "structural_params": {\n    "q": 100000000000000000,'
+                    '\n    "r": 2\n  },\n  "x0": "01"\n}\n' + " " * 400)
+    argv = ["verify", "--params", "1,0.6,2,0", "--instance", str(path)]
+    start = time.perf_counter()
+    fast = quiet(argv)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(cli, "_canonical", lambda *args: None)
+    assert quiet(argv) == fast
+    assert fast[0] == 2 and fast[2].startswith("error: ")
 
 
 def test_params_the_builder_refuses_are_not_canonical(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ import evocycle.cli
 import evocycle.constructions
 from evocycle.cli import main
 from evocycle.serialize import instance_to_dict
+from genutil import build
 
 HD = "1,0.45,1.24,0"
 TREE_HD = "1,0.6,2,0"
@@ -234,7 +235,7 @@ class TestWitnessPipeline:
     def test_family_vertex_count_matches_builder(self, family, sizes):
         # The closed forms of n and m, which witness prints without a build.
         sp = dict(zip(family.params, sizes))
-        instance = family.build(sp)
+        instance = build(family, sp)
         assert instance.structural_params == sp
         assert family.vertices(sp) == instance.graph.n
         assert family.edges(sp) == instance.graph.edge_count

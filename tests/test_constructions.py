@@ -4,6 +4,7 @@ import pytest
 
 from evocycle import build_fcsh, build_hdpd, build_tree
 from evocycle.serialize import dumps, instance_to_dict
+from genutil import is_connected
 
 
 class TestFcsh:
@@ -20,7 +21,7 @@ class TestFcsh:
         instance = build_fcsh(2, 1, 1, 1)
         assert instance.graph.n == 8
         assert instance.graph.edge_count == 9
-        assert instance.graph.is_connected
+        assert is_connected(instance.graph)
 
     def test_role_multiplicities(self):
         instance = build_fcsh(5, 3, 2, 4)
@@ -127,7 +128,7 @@ class TestTree:
         assert instance.graph.n == 338
         assert instance.x0.count_cooperators() == 41
         assert instance.graph.edge_count == instance.graph.n - 1
-        assert instance.graph.is_connected
+        assert is_connected(instance.graph)
         assert instance.predicted_period == 6
 
     def test_role_multiplicities(self):

@@ -15,7 +15,8 @@ from evocycle import (
     mean_utility,
     normalize_params,
 )
-from genutil import random_connected_graph, random_scenario_params, random_state, relabel
+from genutil import (is_connected, random_connected_graph, random_scenario_params, random_state,
+                     relabel)
 
 
 class TestAsRational:
@@ -153,8 +154,8 @@ class TestGraph:
         assert graph.degree(1) == 2
 
     def test_connectivity(self):
-        assert Graph(3, [(0, 1), (1, 2)]).is_connected
-        assert not Graph(4, [(0, 1), (2, 3)]).is_connected
+        assert is_connected(Graph(3, [(0, 1), (1, 2)]))
+        assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
     def test_relabel_preserves_structure(self, rng):
         for _ in range(20):

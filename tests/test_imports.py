@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/evocycle/*.py"), *ROOT.glob("tests/*.py")])
 
 # Imported only so that perfbench can patch them by name.
-HOOKS = {("src/evocycle/cli.py", "instance_to_dict"), ("src/evocycle/analysis.py", "step")}
+HOOKS = {("src/evocycle/cli.py", "instance_to_dict"), ("src/evocycle/analysis.py", "step"),
+         ("src/evocycle/cli.py", "build_fcsh"), ("src/evocycle/cli.py", "build_hdpd"),
+         ("src/evocycle/cli.py", "build_tree")}
 
 
 def imported(tree):

@@ -9,7 +9,10 @@ the x0 colouring.  Trajectories and replays on a quotient must equal
 those on the whole graph and the oracle in tests/reference.py, on the
 closed form and on a start's own split of its cells, tampered files
 included, and every canonical witness must actually take the quotient,
-so that the fast path cannot be lost unseen.
+so that the fast path cannot be lost unseen.  One step of
+Quotient.step, which ranks utilities from a table it keeps, must lift to
+the whole-graph step on chain and tree quotients under changing and tied
+payoffs.
 """
 
 import contextlib
@@ -31,16 +34,17 @@ from evocycle import (
     GameParams,
     Graph,
     NonGenericParamsWarning,
-    Quotient,
     StrategyVector,
     TrajectoryBudgetError,
     build_fcsh,
     build_hdpd,
+    step,
     trajectory,
 )
 from evocycle.analysis import replay
 from evocycle.cli import _FAMILIES, _solve, main, parse_params
-from genutil import canonical, colour_refinement, random_admissible_params, random_state
+from genutil import (build, canonical, colour_refinement, quotient_of, random_admissible_params,
+                     random_state)
 from reference import params_to_pairs, ref_step
 
 FCSH_GRID = [build_fcsh(*sizes) for sizes in product((2, 3, 4), (1, 3), (1, 2), (1, 3))]
@@ -68,7 +72,7 @@ def test_family_cells_are_equitable_and_constant_on_x0(instance):
     assert colour_refinement(instance.graph, cells) == cells
     bit = {}
     assert all(bit.setdefault(c, b) == b for c, b in zip(cells, instance.x0.bits))
-    assert Quotient.of(instance.graph, cell_of) is not None
+    assert quotient_of(instance.graph, cell_of) is not None
 
 
 def certified_witnesses():
@@ -81,7 +85,7 @@ def certified_witnesses():
 
 @pytest.mark.parametrize("family,sp", certified_witnesses())
 def test_family_cells_are_the_coarsest_equitable_refinement(family, sp):
-    instance = family.build(sp)
+    instance = build(family, sp)
     cells = canonical(family.quotient(sp).cell_of)
     assert cells == colour_refinement(instance.graph, instance.x0.bits)
     extra = 6 if family.kind == "fcsh" else 7
@@ -90,16 +94,16 @@ def test_family_cells_are_the_coarsest_equitable_refinement(family, sp):
 
 def test_cell_keys_must_cover_the_graph():
     graph = Graph(3, [(0, 1), (1, 2)])
-    assert Quotient.of(graph, [0, 1, 0]) is not None
+    assert quotient_of(graph, [0, 1, 0]) is not None
     for keys in ([0, 1], [0, 1, 0, 1]):
         with pytest.raises(ValueError, match=f"{len(keys)} cell keys for a graph with n=3"):
-            Quotient.of(graph, keys)
+            quotient_of(graph, keys)
 
 
 def test_more_than_256_cells():
     # hdpd p=250 has p + 7 = 257 cells, more than one byte can number.
     instance = build_hdpd(250, 1, 1, 1, 1)
-    quotient = Quotient.of(instance.graph, closed_form(instance).cell_of)
+    quotient = quotient_of(instance.graph, closed_form(instance).cell_of)
     assert quotient is not None and len(quotient.links) == 257
     params = parse_params("1,-9/20,27/20,0")
     fast = trajectory(instance.graph, params, instance.x0, cells=quotient)
@@ -139,8 +143,8 @@ class TestFastPathGuard:
     @pytest.mark.parametrize("kind", ["fcsh", "hdpd"])
     def test_golden_witnesses_take_the_quotient(self, tmp_path, monkeypatch, kind):
         params, path = witness_file(tmp_path, kind)
-        instance = _FAMILIES[kind].build(json.loads(path.read_text())["structural_params"])
-        assert Quotient.of(instance.graph, closed_form(instance).cell_of) is not None
+        instance = build(_FAMILIES[kind], json.loads(path.read_text())["structural_params"])
+        assert quotient_of(instance.graph, closed_form(instance).cell_of) is not None
         calls = count_steps(monkeypatch)
         for command in ("simulate", "verify"):
             assert quiet([command, "--params", params, "--instance", str(path)])[0] == 0
@@ -167,7 +171,7 @@ class TestFastPathGuard:
         split = canonical(zip(cells, start.bits))
         assert split != canonical(cells)
         assert colour_refinement(instance.graph, split) == split
-        quotient = Quotient.of(instance.graph, split)
+        quotient = quotient_of(instance.graph, split)
         moved = replace(instance, x0=start)
         for text in GOLDEN.values():
             params = parse_params(text[0])
@@ -219,7 +223,7 @@ class TestDifferential:
         # The split of the cells by a random start is rarely equitable, and
         # the run must then take the whole graph; x0's split always is.
         x0 = instance.x0 if rng is None else random_state(rng, graph.n)
-        quotient = Quotient.of(graph, list(zip(cells, x0.bits)))
+        quotient = quotient_of(graph, list(zip(cells, x0.bits)))
         assert rng is not None or quotient is not None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonGenericParamsWarning)
@@ -235,6 +239,35 @@ class TestDifferential:
             for before, after in zip(states, following):
                 assert ref_step(graph.n, edges, list(before.bits), pairs) == after
         assert replay(instance, params, closed_form(instance)) == replay(instance, params)
+
+
+QUOTIENT_SIZES = st.one_of(
+    st.tuples(st.just("fcsh"), st.tuples(st.integers(2, 4), st.integers(1, 3),
+                                         st.integers(1, 2), st.integers(1, 3))),
+    st.tuples(st.just("hdpd"), st.tuples(st.integers(2, 5), st.integers(1, 3),
+                                         st.integers(1, 2), st.integers(1, 2), st.integers(1, 3))),
+    st.tuples(st.just("tree"), st.tuples(st.integers(2, 3), st.integers(5, 7))),
+)
+# Tied quadruples, on which the keep-on-tie rule decides.
+TIED_PAYOFFS = st.sampled_from(["1,0,1,0", "1,1/2,1,0", "2,0,1,0", "1,-1/2,3/2,-1/2"]).map(
+    parse_params)
+
+
+@given(QUOTIENT_SIZES, st.lists(GRID_PAYOFFS | SCENARIO_PAYOFFS | TIED_PAYOFFS,
+                                min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_quotient_step_lifts_to_the_whole_graph_step(case, payoffs, rng):
+    # Quotient.step compares ranks from a table it keeps per params; one
+    # quotient stepped under several params, and the same params again,
+    # must lift each step to the one the whole graph takes.
+    kind, sizes = case
+    family = _FAMILIES[kind]
+    sp = dict(zip(family.params, sizes))
+    graph, quotient = build(family, sp).graph, family.quotient(sp)
+    for params in payoffs + payoffs[:1]:
+        bits = bytes(rng.randrange(2) for _ in quotient.first)
+        state = quotient.lift(bits)
+        assert quotient.lift(quotient.step(params, bits)) == step(graph, params, state)
 
 
 def tampered(data, how):
@@ -274,10 +307,10 @@ def test_tampered_files_give_the_full_path_bytes(tmp_path, monkeypatch, kind, ho
     full = [quiet(argv) for argv in commands]
     load = evocycle.cli._load_instance
 
-    def split(path):
-        family, instance, _ = load(path)
+    def split(path, *families):
+        family, instance, _ = load(path, *families)
         cells = zip(closed_form(instance).cell_of, instance.x0.bits)
-        return family, instance, Quotient.of(instance.graph, list(cells))
+        return family, instance, quotient_of(instance.graph, list(cells))
 
     monkeypatch.setattr(evocycle.cli, "_load_instance", split)
     assert [quiet(argv) for argv in commands] == full

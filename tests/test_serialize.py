@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,12 @@ from evocycle import (
     check_tree,
     trajectory,
 )
-from evocycle.constructions import fcsh_layout, hdpd_layout
+from evocycle.constructions import Role, fcsh_layout, hdpd_layout, tree_layout
 from evocycle.serialize import (
     _BLOCK,
+    _RUN,
     _holds,
+    _role_text,
     counts_to_csv,
     certificate_to_dict,
     dumps,
@@ -141,7 +144,8 @@ BLOCK_INSTANCES = st.one_of(
     st.tuples(st.integers(2, 6), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
               st.integers(1, 4))
     .map(lambda a: (build_hdpd(*a), hdpd_layout(*a))),
-    st.builds(build_tree, st.integers(2, 3), st.integers(5, 8)).map(lambda t: (t, t)),
+    st.tuples(st.integers(2, 3), st.integers(5, 8)).map(lambda a: (build_tree(*a),
+                                                                   tree_layout(*a))),
 )
 
 
@@ -164,8 +168,9 @@ class TestBlockWriter:
             with open(directory / "instance.json", "rb") as handle:
                 assert _holds(handle, instance)
 
-    @pytest.mark.parametrize("instance", [fcsh_layout(3, 5, 4, 6), build_tree(2, 9)],
-                             ids=["fcsh", "tree"])
+    @pytest.mark.parametrize("instance", [fcsh_layout(3, 5, 4, 6), build_tree(2, 9),
+                                          tree_layout(2, 9)],
+                             ids=["fcsh", "tree", "tree-layout"])
     def test_holds_refuses_one_byte_changed_added_or_dropped(self, tmp_path, instance):
         path = tmp_path / "instance.json"
         write_json(path, instance)
@@ -182,6 +187,37 @@ class TestBlockWriter:
         assert not holds(data[:-1])
         for at in (0, _BLOCK - 1, _BLOCK, _BLOCK + 1, len(data) - 1):
             assert not holds(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]), at
+
+
+class TestRoleText:
+    RUNS = [("ordinary", (4, 1), None), ("ordinary", (4, 1), None), ("ordinary", (4, True), None),
+            ("ordinary", (4, 1), None), ("K", (1,), range(1, 3)), ("K", (1,), range(1, 3)),
+            ("special", (True,), None), ("special", (1,), None), ("special", (1,), None)]
+
+    def test_one_text_per_stretch_of_equal_runs(self):
+        alone = [next(_role_text([run])) for run in self.RUNS]
+        assert "True" in alone[2] and "True" not in alone[0]
+        texts = list(_role_text(self.RUNS))
+        # Equal runs share a text, but True and 1 are written apart.
+        assert len(texts) == 6
+        assert ",\n".join(texts) == ",\n".join(alone)
+
+    def test_a_long_stretch_is_written_in_bounded_chunks(self):
+        run = ("ordinary", (9, 3), None)
+        texts = list(_role_text([run] * (2 * _RUN + 1)))
+        assert [text.count("ordinary") for text in texts] == [_RUN, _RUN, 1]
+        assert ",\n".join(texts) == ",\n".join([next(_role_text([run]))] * (2 * _RUN + 1))
+
+    def test_an_instance_writes_true_and_1_apart(self, tmp_path):
+        instance = build_tree(2, 5)
+        roles = list(instance.roles)
+        roles[-2:] = [Role("ordinary", (5, True)), Role("ordinary", (5, 1))]
+        odd = replace(instance, roles=tuple(roles))
+        write_json(tmp_path / "instance.json", odd)
+        assert (tmp_path / "instance.json").read_text(encoding="utf-8").endswith(
+            '      5,\n      True\n    ],\n    [\n      "ordinary",\n      5,\n      1\n    ]\n'
+            '  ],\n  "structural_params": {\n    "q": 5,\n    "r": 2\n  },\n  "x0": "'
+            + instance.x0.to_string() + '"\n}\n')
 
 
 class TestSnapshots:

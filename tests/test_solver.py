@@ -15,7 +15,6 @@ import evocycle.solver
 from evocycle import (
     CertificateFailure,
     GameParams,
-    Quotient,
     ScenarioError,
     SearchBudgetError,
     build_fcsh,
@@ -36,7 +35,7 @@ from evocycle.solver import (
     hdpd_q_bounds,
     hdpd_slopes,
 )
-from genutil import scenario_params
+from genutil import quotient_of, scenario_params
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKED_HD = GameParams(1, "0.45", "1.24", 0)
@@ -520,7 +519,7 @@ def test_fcsh_picks_meet_the_margins_and_replay_to_period_p(params, p):
     assert check_fcsh(params, p, cert.q, cert.r, cert.s) == cert
     instance = build_fcsh(p, cert.q, cert.r, cert.s)
     # the replay below takes the quotient of the build by the closed-form cells
-    quotient = Quotient.of(instance.graph, _FAMILIES["fcsh"].quotient(sp).cell_of)
+    quotient = quotient_of(instance.graph, _FAMILIES["fcsh"].quotient(sp).cell_of)
     assert quotient is not None
     report = trajectory(instance.graph, params, instance.x0, cells=quotient)
     assert (report.transient, report.minimal_period) == (0, p)
