@@ -9,16 +9,17 @@ exceptions.
 
 The verifiers take cells only from their caller, with the states on
 them: the command line picks them once per instance, the cells of its
-family's closed-form quotient, and either replays on them alone
-(_replayed) or reads a trajectory on them back at their first vertices.
-On cells each check is decided once per cell.  A tree's cells are keyed
-by (role kind, level, attach level), on which x0 is constant: all members
-of a cell share every fact a check reads (their bit, level, attach level
-and degree, their linked cells and cooperating-neighbor count).  A clique
-chain's cell members share their role kind and the clique coordinate the
-checks read.  When the run on cells logs nothing the answer is []; on
-any finding, and always without cells, the same code runs on one cell
-per vertex, on the states lifted if need be and on a Graph built from a
+family's closed-form quotient, and takes their states from the one cell
+replay, Quotient.states: X(0) .. X(P) as stepped (verify), or the cycle
+found on the cell bits folded up to P (sweep).  On cells each check is
+decided once per cell.  A tree's cells are keyed by (role kind, level,
+attach level), on which x0 is constant: all members of a cell share
+every fact a check reads (their bit, level, attach level and degree,
+their linked cells and cooperating-neighbor count).  A clique chain's
+cell members share their role kind and the clique coordinate the checks
+read.  When the run on cells logs nothing the answer is []; on any
+finding, and always without cells, the same code runs on one cell per
+vertex, on the states lifted if need be and on a Graph built from a
 Layout, and reports per vertex in vertex order.
 """
 
@@ -99,11 +100,11 @@ def replay(
 
     The states come from the source `trajectory` draws on: with a
     Quotient for `cells` (x0 constant on its cells, else ValueError) the
-    steps are taken on it, and the instance's graph may be a Layout;
-    without, on the whole graph.  The states are the same.
+    steps are taken on it, each state lifted once, and the instance's
+    graph may be a Layout; without, on the whole graph.  Same states.
     """
-    states = _states(instance.graph, params, instance.x0, cells)
-    return list(islice(states, instance.predicted_period + 1))
+    states, lift = _states(instance.graph, params, instance.x0, cells)
+    return list(map(lift, islice(states, instance.predicted_period + 1)))
 
 
 def _open_log(
@@ -122,6 +123,8 @@ def _open_log(
     """
     if instance.kind != kind:
         raise ValueError(f"expected kind {kind!r}, got kind={instance.kind!r}")
+    if states is None and cells is None:
+        raise ValueError("need the states, or the cells with their states")
     count = len(cells.states if states is None else states)
     if period is None:
         if count < 2:
@@ -203,18 +206,6 @@ def _per_cell(
     return log.records
 
 
-def _replayed(cells: _Cells, x0: StrategyVector, params: GameParams, period: int) -> _Cells:
-    """The cells with states X(0) .. X(period), stepped by Quotient.step
-    from x0's bits on the quotient's first vertices."""
-    quotient = cells.quotient
-    bits = bytes(map(x0.bits.__getitem__, quotient.first))
-    states = [bits]
-    for _ in range(period):
-        bits = quotient.step(params, bits)
-        states.append(bits)
-    return cells._replace(states=states)
-
-
 def _chain_units(
     instance: ConstructedInstance, quotient: Optional[Quotient], states: Sequence[bytes] = ()
 ) -> _Cells:
@@ -274,9 +265,9 @@ def verify_fcsh_dynamics(
     and X(p) returns to X(0).
 
     `cells`, the states on the closed-form quotient (_chain_units, with
-    states from _replayed or read back from a trajectory on it), runs the
-    checks once per cell; with them, states may be None.  Without it they
-    run per vertex.  The records are the per-vertex ones either way.
+    states from Quotient.states), runs the checks once per cell; with
+    them, states may be None.  Without it they run per vertex.  The
+    records are the per-vertex ones either way.
     """
     log = _open_log(instance, "fcsh", states, lambda sp: sp["p"], cells)
     return _per_cell(states, cells, log, _fcsh_checks, partial(_chain_units, instance, None))
@@ -504,10 +495,10 @@ def verify_tree_invariants(
     Nothing stronger is asserted; outside the listed sets the dynamics is
     free to do what it likes (and does, near the leaves).  `cells`, the
     states on the closed-form quotient (_tree_units, with states from
-    _replayed or read back from a trajectory on it), runs the checks once
-    per cell (see _per_cell); with them, states may be None.  Without it
-    they run per vertex, on the shape `walk` gives (a _TreeWalk of the
-    instance, shared with check_local_lemmas so the tree is walked once).
+    Quotient.states), runs the checks once per cell (see _per_cell); with
+    them, states may be None.  Without it they run per vertex, on the
+    shape `walk` gives (a _TreeWalk of the instance, shared with
+    check_local_lemmas so the tree is walked once).
     """
     log = _open_log(instance, "tree", states, lambda sp: 2 * (sp["q"] - 3), cells)
     check = partial(_tree_checks, q=instance.structural_params["q"])

@@ -30,7 +30,6 @@ from .analysis import (
     InvariantViolation,
     _Cells,
     _chain_units,
-    _replayed,
     _tree_units,
     _TreeWalk,
     check_local_lemmas,
@@ -51,7 +50,7 @@ from .constructions import (
     tree_layout,
     tree_quotient,
 )
-from .dynamics import Quotient, TrajectoryBudgetError, trajectory
+from .dynamics import Quotient, TrajectoryBudgetError, _cycle, trajectory
 from .game import (GameParams, Scenario, StrategyVector, _require_at_least, as_rational,
                    classify_scenario)
 from .serialize import (
@@ -248,8 +247,7 @@ def _solve(
 ) -> tuple[_Family, Certificate, dict[str, int]]:
     """Shared by witness and sweep; with tree, period is a lower bound.
     Returns the family, the certificate and its structural integers, once
-    the witness is known to have at most MAX_EDGES edges (MAX_TREE_EDGES
-    for a tree)."""
+    _oversized finds the witness small enough."""
     if tree:
         family = _TREE
     elif period == 1:
@@ -263,24 +261,27 @@ def _solve(
         family = _HDPD
     cert = family.solve(params, period, max_candidates)
     sp = {key: period if key == "p" else getattr(cert, key) for key in family.params}
-    if _too_tall(family, sp):
-        raise SizeBudgetError(f"size budget: a tree with q={sp['q']} has at least "
-                              f"2^{sp['q'] - 2} edges, more than MAX_EDGES={MAX_EDGES}")
-    edges = family.edges(sp)
-    if edges > MAX_EDGES:
-        raise SizeBudgetError(f"size budget: the {family.kind} witness {sp} has "
-                              f"{edges} edges, more than MAX_EDGES={MAX_EDGES}")
-    if tree and edges > MAX_TREE_EDGES:
-        raise SizeBudgetError(f"size budget: the tree witness {sp} has {edges} "
-                              f"edges, more than MAX_TREE_EDGES={MAX_TREE_EDGES}")
+    oversized = _oversized(family, sp)
+    if oversized:
+        raise SizeBudgetError(f"size budget: {oversized}")
     return family, cert, sp
 
 
-def _too_tall(family: _Family, sp: Mapping[str, int]) -> bool:
-    """Whether sp is a tree with more than MAX_EDGES edges by its height
-    alone.  A tree has an edge into each of its r^(q-2) >= 2^(q-2)
-    vertices on level q-1, so q is bounded before r^(q-1) is computed."""
-    return family is _TREE and sp["q"] - 2 >= MAX_EDGES.bit_length()
+def _oversized(family: _Family, sp: Mapping[str, int]) -> str:
+    """Why the witness of sp is too large to lay out, or "" when it has
+    at most MAX_EDGES edges (MAX_TREE_EDGES for a tree).  A tree has an
+    edge into each of its r^(q-2) >= 2^(q-2) vertices on level q-1, so
+    q is bounded before r^(q-1) is computed."""
+    if family is _TREE and sp["q"] - 2 >= MAX_EDGES.bit_length():
+        return (f"a tree with q={sp['q']} has at least 2^{sp['q'] - 2} edges, "
+                f"more than MAX_EDGES={MAX_EDGES}")
+    edges = family.edges(sp)
+    if edges > MAX_EDGES:
+        return f"the {family.kind} witness {sp} has {edges} edges, more than MAX_EDGES={MAX_EDGES}"
+    if family is _TREE and edges > MAX_TREE_EDGES:
+        return (f"the tree witness {sp} has {edges} edges, "
+                f"more than MAX_TREE_EDGES={MAX_TREE_EDGES}")
+    return ""
 
 
 def parse_params(text: str) -> GameParams:
@@ -319,19 +320,15 @@ def _canonical(
     file of one of the families: one that holds, byte for byte, what
     witness --out writes for the structural params it declares in its
     tail.  Those must be exactly one family's, integers that its builder
-    accepts, for a witness within MAX_EDGES (MAX_TREE_EDGES for a tree)
-    whose edges alone would fill no more than the file.  None for any
-    other file."""
+    accepts, for a witness that _oversized lets through and whose edges
+    alone would fill no more than the file.  None for any other file."""
     try:
         with open(path, "rb") as handle:
             sp = _declared_params(handle) or {}
             family = next((family for family in families
                            if sp.keys() == set(family.params)), None)
-            if family is None or min(sp.values()) < 1 or _too_tall(family, sp):
-                return None
-            edges = family.edges(sp)
-            limit = MAX_TREE_EDGES if family is _TREE else MAX_EDGES
-            if edges > limit or edges * MIN_EDGE_BYTES > handle.seek(0, 2):
+            if (family is None or min(sp.values()) < 1 or _oversized(family, sp)
+                    or family.edges(sp) * MIN_EDGE_BYTES > handle.seek(0, 2)):
                 return None
             instance = family.layout(sp)  # ValueError where the builder refuses sp
             return (family, instance) if _holds(handle, instance) else None
@@ -491,9 +488,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cells = _cells_of(family, instance, quotient)
     if cells is None:
         states = replay(instance, params)
-    else:  # replayed on the cells alone, and lifted only if they find something
-        cells = _replayed(cells, instance.x0, params, instance.predicted_period)
-        states = None
+    else:  # X(0) .. X(P) on the cells alone, lifted only if they find something
+        steps = zip(range(instance.predicted_period + 1), quotient.states(params, instance.x0))
+        cells, states = cells._replace(states=[bits for _, bits in steps]), None
     lines, cert_problems = _verify_instance(family, instance, params, states, cells)
     ok = not lines and not cert_problems
     families = family.invariants + ("certificate",)
@@ -517,36 +514,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
-    """One sweep entry: solve, lay out, simulate, verify.  The witness is
-    laid out with no Graph, as witness --out writes it, stepped on the
-    cells _cells_of picks, and its states are verified on them.  Module
+    """One sweep entry: solve, quotient, cell replay, cell verify.  The
+    witness is laid out with no Graph, as witness --out writes it, its
+    transient and period are found on the bits of the cells _cells_of
+    picks, and X(0) .. X(P) are verified on those bits alone.  Module
     level so a process pool can pickle it."""
     params, period, tree, max_candidates = task
     family, _, sp = _solve(params, period, tree, max_candidates)
     instance = family.layout(sp)
-    cells = _cells_of(family, instance, family.quotient(sp))
+    quotient = family.quotient(sp)
     budget = max(64, 4 * instance.predicted_period + 16)
-    report = trajectory(instance.graph, params, instance.x0, max_steps=budget,
-                        cells=cells.quotient)
-    # state_at folds times past the report into its cycle, so these are
-    # exactly X(0) .. X(P) without simulating again.
-    states = [report.state_at(t) for t in range(instance.predicted_period + 1)]
-    first = cells.quotient.first  # read back at the cells' first vertices, not checked again
-    cells = cells._replace(states=[bytes(map(state.bits.__getitem__, first))
-                                   for state in states])
-    lines, cert_problems = _verify_instance(family, instance, params, states, cells)
-    row: dict[str, Any] = {"requested": period, "kind": instance.kind}
-    row.update(instance.structural_params)
-    row["n"] = instance.graph.n
-    row["transient"] = report.transient
-    row["minimal_period"] = report.minimal_period
-    row["violations"] = len(lines) + len(cert_problems)
-    row["ok"] = (
-        report.transient == 0
-        and report.minimal_period == instance.predicted_period
-        and row["violations"] == 0
-    )
-    return row
+    seen, transient = _cycle(quotient.states(params, instance.x0), budget, quotient.lift)
+    minimal = len(seen) - transient
+    # Times past the revisit fold into the cycle, as state_at folds them,
+    # so these are exactly X(0) .. X(P) without stepping again.
+    states = [seen[t if t < transient else transient + (t - transient) % minimal]
+              for t in range(instance.predicted_period + 1)]
+    cells = _cells_of(family, instance, quotient)._replace(states=states)
+    lines, cert_problems = _verify_instance(family, instance, params, None, cells)
+    violations = len(lines) + len(cert_problems)
+    return {"requested": period, "kind": instance.kind, **instance.structural_params,
+            "n": instance.graph.n, "transient": transient, "minimal_period": minimal,
+            "violations": violations,
+            "ok": transient == 0 and minimal == instance.predicted_period and violations == 0}
 
 
 _SWEEP_COLUMNS = ("requested", "kind", "n", "p", "o", "q", "r", "s",

@@ -8,7 +8,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .game import (
     GameParams,
@@ -45,6 +45,9 @@ class TrajectoryBudgetError(RuntimeError):
     def __init__(self, message: str, states: tuple[StrategyVector, ...]) -> None:
         super().__init__(message)
         self.states = states
+
+    def __reduce__(self) -> tuple:  # pickled whole, so a pool worker can raise it
+        return type(self), (*self.args, self.states)
 
 
 def _rank_table(
@@ -201,6 +204,15 @@ class Quotient:
         masks = _top_masks(range(len(bits)), self.linked, bits, rank)
         return bytes(own ^ (mask == 2 >> own) for own, mask in zip(bits, masks))
 
+    def states(self, params: GameParams, x0: StrategyVector) -> Iterator[bytes]:
+        """X(0), X(1), ... on the cells, one bit per cell: x0's bits at the
+        first vertices, then `step` repeated.  The one loop that steps a
+        Quotient; the states are x0's when x0 is constant on the cells."""
+        bits = bytes(map(x0.bits.__getitem__, self.first))
+        while True:
+            yield bits
+            bits = self.step(params, bits)
+
 
 @dataclass(frozen=True)
 class TrajectoryReport:
@@ -236,33 +248,47 @@ def _minimal_period(cycle: Sequence[StrategyVector]) -> int:
     return next(d for d in range(1, n + 1) if n % d == 0 and cycle[d:] == cycle[: n - d])
 
 
+def _stepped(graph: Graph, params: GameParams, x0: StrategyVector) -> Iterator[StrategyVector]:
+    """X(0), X(1), ... from x0 by `step` on the whole graph, looked up in
+    the module globals so that a wrapper patched over the name sees every
+    step."""
+    state = x0
+    while True:
+        yield state
+        state = step(graph, params, state)
+
+
 def _states(
-    graph: Graph,
-    params: GameParams,
-    x0: StrategyVector,
-    cells: Optional[Quotient],
-) -> Iterator[StrategyVector]:
-    """X(0), X(1), ... from x0: on the Quotient given as cells, else by
-    `step` on the whole graph, looked up in the module globals so that a
-    wrapper patched over the name sees every step.  A Quotient must cover
-    the graph's n vertices and lift x0's bits on its first vertices back
-    to x0, else ValueError: states stepped on it would not be x0's."""
+    graph: Graph, params: GameParams, x0: StrategyVector, cells: Optional[Quotient]
+) -> tuple[Iterator[Any], Callable[[Any], StrategyVector]]:
+    """X(0), X(1), ... from x0, and what makes a StrategyVector of one:
+    on the Quotient given as cells, its cell states and Quotient.lift;
+    else the whole graph's states as they are.  A Quotient must cover the
+    graph's n vertices and x0 be constant on its cells, else ValueError:
+    states stepped on it would not be x0's."""
     if cells is None:
-        state = x0
-        while True:
-            yield state
-            state = step(graph, params, state)
+        return _stepped(graph, params, x0), lambda state: state
     if len(cells.cell_of) != graph.n:
         raise ValueError(f"a quotient of {len(cells.cell_of)} vertices "
                          f"for a graph with n={graph.n}")
-    bits = bytes(map(x0.bits.__getitem__, cells.first))
-    state = cells.lift(bits)
-    if state != x0:
+    if bytes(map(x0.bits.__getitem__, map(cells.first.__getitem__, cells.cell_of))) != x0.bits:
         raise ValueError("x0 is not constant on the cells of the quotient")
-    while True:
-        yield state
-        bits = cells.step(params, bits)
-        state = cells.lift(bits)
+    return cells.states(params, x0), cells.lift
+
+
+def _cycle(
+    states: Iterator[Any], max_steps: int, lift: Callable[[Any], StrategyVector]
+) -> tuple[tuple[Any, ...], int]:
+    """The states X(0) .. X(T - 1) before the first revisit X(T), and the
+    time of the state X(T) revisits, when T <= max_steps.  Else
+    TrajectoryBudgetError with every state seen, lifted."""
+    seen: dict[Any, int] = {}  # each state's first time, in order of first visit
+    for t, state in enumerate(islice(states, max_steps + 1)):
+        transient = seen.setdefault(state, t)
+        if transient < t:
+            return tuple(seen), transient
+    raise TrajectoryBudgetError(f"no revisited state within {max_steps} steps",
+                                tuple(map(lift, seen)))
 
 
 def trajectory(
@@ -280,9 +306,9 @@ def trajectory(
 
     With a Quotient of the graph for `cells` (an equitable partition of
     its n vertices on whose cells x0 is constant), the dynamics runs on
-    it, one bit per cell, and its states are lifted; nothing of the graph
-    is read but its vertex count n.  The report is the one the whole
-    graph gives.  Without `cells` it runs on the whole graph.
+    it, one bit per cell, finds the revisit on the cell bits and lifts
+    only the states it reports, reading nothing of the graph but n.  The
+    report is the one the whole graph gives, which runs without `cells`.
 
     Raises ValueError when the Quotient does not cover n vertices or x0
     is not constant on its cells, and TrajectoryBudgetError when
@@ -298,12 +324,8 @@ def trajectory(
             NonGenericParamsWarning,
             stacklevel=2,
         )
-    # Each state's first time, in order of first visit.
-    seen: dict[StrategyVector, int] = {}
-    for t, state in enumerate(islice(_states(graph, params, x0, cells), max_steps + 1)):
-        transient = seen.setdefault(state, t)
-        if transient < t:
-            states = tuple(seen)
-            counts = tuple(s.count_cooperators() for s in states)
-            return TrajectoryReport(x0, transient, t - transient, states, counts)
-    raise TrajectoryBudgetError(f"no revisited state within {max_steps} steps", tuple(seen))
+    states, lift = _states(graph, params, x0, cells)
+    seen, transient = _cycle(states, max_steps, lift)
+    states = tuple(map(lift, seen))
+    counts = tuple(s.count_cooperators() for s in states)
+    return TrajectoryReport(x0, transient, len(seen) - transient, states, counts)

@@ -64,6 +64,11 @@ class CertificateFailure(SolverError):
         self.violated = [name for name, value in self.residuals.items() if value <= 0]
         super().__init__(f"{message}: violated {', '.join(self.violated)}")
 
+    def __reduce__(self) -> tuple:
+        # Rebuilt as it is, not by __init__, whose message args holds with
+        # the violated names added; so a pool worker can raise it.
+        return Exception.__new__, (type(self), *self.args), self.__dict__
+
 
 class SearchBudgetError(SolverError):
     """The candidate budget ran out before a certified tuple appeared."""

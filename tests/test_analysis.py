@@ -3,6 +3,7 @@ import io
 import json
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,13 @@ class TestKindDispatch:
             verify_hdpd_dynamics(hdpd, WORKED_HD, hdpd_states[1:] + hdpd_states[:1])
         with pytest.raises(ValueError):
             verify_tree_invariants(tree, TREE_HD, tree_states + tree_states[1:2])
+
+    def test_verifiers_need_states_or_cells(self):
+        hdpd, fcsh, tree = build_hdpd(2, 3, 1, 1, 4), build_fcsh(2, 1, 13, 4), build_tree(2, 5)
+        for verify, instance in ((verify_fcsh_dynamics, fcsh), (verify_hdpd_dynamics, hdpd),
+                                 (verify_tree_invariants, tree), (check_local_lemmas, tree)):
+            with pytest.raises(ValueError, match="need the states, or the cells"):
+                verify(instance, WORKED_HD, None)
 
     @pytest.mark.parametrize("s,flipped,message", [
         (2, False, "a quotient of 52 vertices for a graph with n=64"),
@@ -561,7 +569,8 @@ class TestTreeVerifiersAgainstOracles:
             keys[v] for v in quotient.first]
         # The replay on cells alone lifts to the whole-graph states, and
         # those read back at the cells' first vertices give its states.
-        cells = analysis._replayed(keyed, instance.x0, TREE_HD, instance.predicted_period)
+        replayed = quotient.states(TREE_HD, instance.x0)
+        cells = keyed._replace(states=list(islice(replayed, instance.predicted_period + 1)))
         assert list(map(quotient.lift, cells.states)) == states
         assert [bytes(map(state.bits.__getitem__, quotient.first))
                 for state in states] == cells.states
@@ -720,18 +729,22 @@ class TestVerifyReplaysTreesOnCells:
         assert out.getvalue().splitlines()[1] == "8,tree,120,,,7,2,,0,8,0,True"
         assert (steps, quotients, walks, made) == ([], [1], [], [])
 
-    @pytest.mark.parametrize("params,periods", [
-        ("1,0.6,2,0", "2..12"), ("1,2/5,2,0", "4,7,9"),
-        ("1,0.05,1.3,0", "5,7")])  # period 7: r=7, q=7, n=136,915
-    def test_tree_sweep_equals_the_whole_graph_path(self, tmp_path, monkeypatch, params,
-                                                    periods):
+    @pytest.mark.parametrize("params,tree,periods", [
+        ("1,0.6,2,0", True, "2..12"), ("1,2/5,2,0", True, "4,7,9"),
+        ("1,0.05,1.3,0", True, "5,7"),  # period 7: r=7, q=7, n=136,915
+        ("1,9/20,31/25,0", False, "2..8"), ("1,-9/20,27/20,0", False, "2..6"),  # HD, PD
+        ("1,2/5,9/10,1/2", False, "2..4"), ("1,1/2,4/5,0", False, "2..6"),  # SH, FC
+    ])
+    def test_sweep_equals_the_whole_graph_path(self, tmp_path, monkeypatch, params, tree,
+                                               periods):
         def run(*argv):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli.main(list(argv))
             return code, out.getvalue()
 
-        rows = [run("sweep", "--params", params, "--tree", "--periods", periods,
+        family = ["--tree"] if tree else []
+        rows = [run("sweep", "--params", params, *family, "--periods", periods,
                     "--jobs", "1", "--format", fmt) for fmt in ("csv", "json")]
         assert rows[0] == (0, cli._sweep_csv(json.loads(rows[1][1])))
         # Each row as witness --out, then simulate and verify of the parsed
@@ -741,14 +754,16 @@ class TestVerifyReplaysTreesOnCells:
             out = tmp_path / str(row["requested"])
             given = ["--params", params, "--instance", str(out / "instance.json"),
                      "--format", "json"]
-            witness = json.loads(run("witness", "--params", params, "--tree", "--min-period",
+            period = ["--tree", "--min-period"] if tree else ["--period"]
+            witness = json.loads(run("witness", "--params", params, *period,
                                      str(row["requested"]), "--out", str(out),
                                      "--format", "json")[1])
             simulated = json.loads(run("simulate", *given)[1])
             verified = json.loads(run("verify", *given)[1])
             violations = len(verified["violations"]) + len(verified["certificate_violations"])
             assert row == {
-                "requested": row["requested"], "kind": "tree", **witness["structural_params"],
+                "requested": row["requested"], "kind": witness["kind"],
+                **witness["structural_params"],
                 "n": witness["vertices"], "transient": simulated["transient"],
                 "minimal_period": simulated["minimal_period"], "violations": violations,
                 "ok": verified["ok"] and simulated["transient"] == 0
@@ -792,12 +807,13 @@ class TestChainVerifiersOnCells:
         sp = dict(zip(family.params, sizes))
         built, laid_out, quotient = build(family, sp), family.layout(sp), family.quotient(sp)
         params, verify = cli.parse_params(payoffs), CHAIN_VERIFIERS[kind]
-        cells = analysis._replayed(cli._cells_of(family, laid_out, quotient), laid_out.x0,
-                                   params, laid_out.predicted_period)
+        replayed = quotient.states(params, laid_out.x0)
+        cells = cli._cells_of(family, laid_out, quotient)._replace(
+            states=list(islice(replayed, laid_out.predicted_period + 1)))
         states = list(map(quotient.lift, cells.states))
         assert states == replay(built, params)
-        # A sweep row reads its trajectory's lifted states back at the
-        # cells' first vertices.
+        # The cell states are the whole-graph states read at the cells'
+        # first vertices.
         assert [bytes(map(state.bits.__getitem__, quotient.first))
                 for state in states] == cells.states
         cell_of, n = quotient.cell_of, built.graph.n
@@ -845,3 +861,17 @@ class TestChainVerifiersOnCells:
         assert code == 0 and out.endswith("OK\n")
         # The replay is never lifted and no check runs per vertex.
         assert lifts == [] and per_vertex == [False]
+
+
+@pytest.mark.parametrize("params,tree,period", [
+    ("1,9/20,31/25,0", False, 8), ("1,-9/20,27/20,0", False, 6),  # HD, PD
+    ("1,2/5,9/10,1/2", False, 6), ("1,1/2,4/5,0", False, 5),  # SH, FC
+    ("1,3/5,2,0", True, 10)])
+def test_clean_sweep_rows_lift_nothing(monkeypatch, params, tree, period):
+    # A row finds its cycle on the cell bits and verifies those bits: a
+    # clean one turns no cell state into a state of every vertex.
+    lifted = []
+    monkeypatch.setattr(dynamics.Quotient, "lift", lambda *args: lifted.append(args))
+    row = cli._sweep_row((cli.parse_params(params), period, tree, 10**6))
+    assert row["ok"] and row["violations"] == 0
+    assert lifted == []

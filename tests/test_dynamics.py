@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 import threading
@@ -195,6 +196,10 @@ class TestTrajectory:
             trajectory(graph, params, x0, max_steps=2)
         assert len(excinfo.value.states) == 3  # X(0), X(1), X(2)
         assert excinfo.value.states[0] == x0
+        # A process-pool worker, a sweep row among them, hands it back pickled.
+        again = pickle.loads(pickle.dumps(excinfo.value))
+        assert type(again) is TrajectoryBudgetError
+        assert (str(again), again.states) == (str(excinfo.value), excinfo.value.states)
 
     def test_non_generic_params_warn(self):
         graph = Graph(2, [(0, 1)])

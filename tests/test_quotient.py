@@ -241,6 +241,22 @@ class TestDifferential:
         assert replay(instance, params, closed_form(instance)) == replay(instance, params)
 
 
+
+@pytest.mark.parametrize("max_steps", [1, 3, 10_000])
+def test_trajectory_lifts_each_reported_state_once(monkeypatch, max_steps):
+    # The revisit is found on the cell bits, and only the states reported,
+    # by the report or by the budget error, are lifted: each of them once.
+    instance = build_hdpd(5, 3, 2, 1, 3)
+    params = parse_params("1,-9/20,27/20,0")
+    full = run(instance.graph, params, instance.x0, max_steps)
+    lifted, lift = [], evocycle.dynamics.Quotient.lift
+    monkeypatch.setattr(evocycle.dynamics.Quotient, "lift",
+                        lambda *args: lifted.append(lift(*args)) or lifted[-1])
+    fast = run(instance.graph, params, instance.x0, max_steps, closed_form(instance))
+    assert fast == full
+    assert lifted == list(fast if isinstance(fast, tuple) else fast.states)
+
+
 QUOTIENT_SIZES = st.one_of(
     st.tuples(st.just("fcsh"), st.tuples(st.integers(2, 4), st.integers(1, 3),
                                          st.integers(1, 2), st.integers(1, 3))),

@@ -1,5 +1,6 @@
 import logging
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,6 +67,12 @@ class TestFcshSolver:
         }
         # the surviving inequality is reported with its positive slack
         assert excinfo.value.residuals["gadget_inner"] == Fraction(7, 20)
+        # A process-pool worker, a sweep row among them, hands it back pickled.
+        failure = excinfo.value
+        again = pickle.loads(pickle.dumps(failure))
+        assert type(again) is CertificateFailure
+        assert (str(again), again.residuals, again.violated) == (
+            str(failure), failure.residuals, failure.violated)
 
     def test_rejects_wrong_scenario(self):
         with pytest.raises(ScenarioError):
