@@ -8,16 +8,17 @@ tampered instances or uncertified parameters produce records, never
 exceptions.
 
 The verifiers take cells only from their caller, with the states on
-them: the command line picks them once per instance, the cells of its
-family's closed-form quotient, and takes their states from the one cell
-replay, Quotient.states: X(0) .. X(P) as stepped (verify), or the cycle
-found on the cell bits folded up to P (sweep).  On cells each check is
-decided once per cell.  A tree's cells are keyed by (role kind, level,
-attach level), on which x0 is constant: all members of a cell share
-every fact a check reads (their bit, level, attach level and degree,
-their linked cells and cooperating-neighbor count).  A clique chain's
-cell members share their role kind and the clique coordinate the checks
-read.  When the run on cells logs nothing the answer is []; on any
+them: the command line makes them (_Cells.of) from its family's
+closed-form quotient, whose keys say what each cell is, and takes their
+states from the one cell replay, Quotient.states: X(0) .. X(P) as
+stepped (verify), or the cycle found on the cell bits folded up to P
+(sweep).  On cells each check is decided once per cell.  A tree's cells
+are keyed by (role kind, level, attach level), on which x0 is constant:
+all members of a cell share every fact a check reads (their bit, level,
+attach level and degree, their linked cells and cooperating-neighbor
+count).  A clique chain's cells are keyed by role kind and the clique
+coordinate the checks read, |n| (fcsh) or n (hdpd).  When the run on
+cells logs nothing the answer is []; on any
 finding, and always without cells, the same code runs on one cell per
 vertex, on the states lifted if need be and on a Graph built from a
 Layout, and reports per vertex in vertex order.
@@ -170,15 +171,20 @@ class _Cells(NamedTuple):
     """A witness on the cells of a partition: per cell its role kind, level
     and attach level, per state one bit per cell.  For a tree the quotient
     gives each cell's linked cells, its degree and its cooperating-neighbor
-    counts.  For a clique chain the level is the clique index n of a role
-    "K" (n, .), 0 for other kinds, attach is empty, and the quotient is
-    the closed-form one the states lift through, or None on vertices."""
+    counts.  For a clique chain the level is the clique index of a role
+    "K", 0 for other kinds, and the quotient is the closed-form one the
+    states lift through, or None on vertices."""
 
     quotient: Optional[Quotient | _Vertices]
-    kind: list[str]
-    level: list[int]
-    attach: list[int]
+    kind: Sequence[str]
+    level: Sequence[int]
+    attach: Sequence[int]
     states: list[bytes]
+
+    @classmethod
+    def of(cls, quotient: Quotient, states: list[bytes]) -> _Cells:
+        """The states on a closed-form quotient's cells, their facts its keys."""
+        return cls(quotient, *zip(*quotient.keys), states)
 
 
 def _per_cell(
@@ -206,16 +212,12 @@ def _per_cell(
     return log.records
 
 
-def _chain_units(
-    instance: ConstructedInstance, quotient: Optional[Quotient], states: Sequence[bytes] = ()
-) -> _Cells:
-    """A clique chain with the states on the cells of quotient, or on its
-    vertices when that is None: each unit takes the role of its first
-    vertex."""
-    vertices = range(len(instance.x0)) if quotient is None else quotient.first
-    roles = instance.roles_at(vertices)
+def _chain_units(instance: ConstructedInstance, states: list[bytes]) -> _Cells:
+    """A clique chain with the states on its vertices, each a unit with
+    its own role."""
+    roles = instance.role_tuple()
     clique = [role.index[0] if role.kind == "K" else 0 for role in roles]
-    return _Cells(quotient, [role.kind for role in roles], clique, [], list(states))
+    return _Cells(None, [role.kind for role in roles], clique, [], states)
 
 
 def _clique_groups(
@@ -264,13 +266,13 @@ def verify_fcsh_dynamics(
     outward, cliques at distance <= t cooperating and the rest defecting;
     and X(p) returns to X(0).
 
-    `cells`, the states on the closed-form quotient (_chain_units, with
+    `cells`, the states on the closed-form quotient (_Cells.of, with
     states from Quotient.states), runs the checks once per cell; with
     them, states may be None.  Without it they run per vertex.  The
     records are the per-vertex ones either way.
     """
     log = _open_log(instance, "fcsh", states, lambda sp: sp["p"], cells)
-    return _per_cell(states, cells, log, _fcsh_checks, partial(_chain_units, instance, None))
+    return _per_cell(states, cells, log, _fcsh_checks, partial(_chain_units, instance))
 
 
 def _hdpd_checks(log: _ViolationLog, cells: _Cells) -> None:
@@ -310,7 +312,7 @@ def verify_hdpd_dynamics(
     for verify_fcsh_dynamics.
     """
     log = _open_log(instance, "hdpd", states, lambda sp: sp["p"], cells)
-    return _per_cell(states, cells, log, _hdpd_checks, partial(_chain_units, instance, None))
+    return _per_cell(states, cells, log, _hdpd_checks, partial(_chain_units, instance))
 
 
 def _tree_shape(
@@ -364,25 +366,6 @@ def _tree_shape(
                 detail=f"role level {level[v]} but distance {depth[v]} from root",
             )
     return level, attach
-
-
-def _tree_units(instance: ConstructedInstance, quotient: Quotient) -> _Cells:
-    """A tree on the cells of its closed-form quotient, with no states yet:
-    each cell takes the role kind and level of its first vertex, and an
-    ordinary cell the attach level that its parent cell, the one linked
-    cell a level up, passes down.  The cells are numbered level by level,
-    so every parent comes before its children."""
-    roles = instance.roles_at(quotient.first)
-    kind = [role.kind for role in roles]
-    level = [role.index[0] if role.index else 0 for role in roles]
-    attach: list[int] = []
-    for k, around in enumerate(quotient.linked):
-        if kind[k] != "ordinary":
-            attach.append(-1)
-            continue
-        parent = next(l for l in around if level[l] == level[k] - 1)
-        attach.append(level[parent] if kind[parent] == "special" else attach[parent])
-    return _Cells(quotient, kind, level, attach, [])
 
 
 class _TreeWalk:
@@ -494,7 +477,7 @@ def verify_tree_invariants(
     Only this verifier reports tree:structure violations.
     Nothing stronger is asserted; outside the listed sets the dynamics is
     free to do what it likes (and does, near the leaves).  `cells`, the
-    states on the closed-form quotient (_tree_units, with states from
+    states on the closed-form quotient (_Cells.of, with states from
     Quotient.states), runs the checks once per cell (see _per_cell); with
     them, states may be None.  Without it they run per vertex, on the
     shape `walk` gives (a _TreeWalk of the instance, shared with

@@ -21,6 +21,7 @@ import gc
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -29,8 +30,6 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 from .analysis import (
     InvariantViolation,
     _Cells,
-    _chain_units,
-    _tree_units,
     _TreeWalk,
     check_local_lemmas,
     replay,
@@ -354,17 +353,6 @@ def _load_instance(
     return _family_of(instance), instance, None
 
 
-def _cells_of(
-    family: _Family, instance: ConstructedInstance, quotient: Optional[Quotient]
-) -> Optional[_Cells]:
-    """The cells, with no states yet, that verify and sweep replay the
-    instance on and verify it on: the units of its closed-form quotient,
-    or None for the whole graph (a file that is not canonical)."""
-    if quotient is None:
-        return None
-    return (_tree_units if family is _TREE else _chain_units)(instance, quotient)
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     scenario = classify_scenario(params)
@@ -485,12 +473,11 @@ def _verify_instance(
 def cmd_verify(args: argparse.Namespace) -> int:
     params = parse_params(args.params)
     family, instance, quotient = _load_instance(args.instance)
-    cells = _cells_of(family, instance, quotient)
-    if cells is None:
-        states = replay(instance, params)
+    if quotient is None:  # not canonical: the whole graph
+        states, cells = replay(instance, params), None
     else:  # X(0) .. X(P) on the cells alone, lifted only if they find something
         steps = zip(range(instance.predicted_period + 1), quotient.states(params, instance.x0))
-        cells, states = cells._replace(states=[bits for _, bits in steps]), None
+        states, cells = None, _Cells.of(quotient, [bits for _, bits in steps])
     lines, cert_problems = _verify_instance(family, instance, params, states, cells)
     ok = not lines and not cert_problems
     families = family.invariants + ("certificate",)
@@ -516,9 +503,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
     """One sweep entry: solve, quotient, cell replay, cell verify.  The
     witness is laid out with no Graph, as witness --out writes it, its
-    transient and period are found on the bits of the cells _cells_of
-    picks, and X(0) .. X(P) are verified on those bits alone.  Module
-    level so a process pool can pickle it."""
+    transient and period are found on the bits of its closed-form cells,
+    and X(0) .. X(P) are verified on those bits alone.  Module level so a
+    process pool can pickle it."""
     params, period, tree, max_candidates = task
     family, _, sp = _solve(params, period, tree, max_candidates)
     instance = family.layout(sp)
@@ -530,11 +517,11 @@ def _sweep_row(task: tuple[GameParams, int, bool, int]) -> dict[str, Any]:
     # so these are exactly X(0) .. X(P) without stepping again.
     states = [seen[t if t < transient else transient + (t - transient) % minimal]
               for t in range(instance.predicted_period + 1)]
-    cells = _cells_of(family, instance, quotient)._replace(states=states)
-    lines, cert_problems = _verify_instance(family, instance, params, None, cells)
+    lines, cert_problems = _verify_instance(family, instance, params, None,
+                                            _Cells.of(quotient, states))
     violations = len(lines) + len(cert_problems)
     return {"requested": period, "kind": instance.kind, **instance.structural_params,
-            "n": instance.graph.n, "transient": transient, "minimal_period": minimal,
+            "n": family.vertices(sp), "transient": transient, "minimal_period": minimal,
             "violations": violations,
             "ok": transient == 0 and minimal == instance.predicted_period and violations == 0}
 
@@ -665,7 +652,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # one line each, with no source path or line
+            warnings.showwarning = lambda message, *_: print("warning:", message, file=sys.stderr)
+            return args.func(args)
     except (SearchBudgetError, SizeBudgetError, TrajectoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -92,8 +92,7 @@ class ConstructedInstance:
     which has the vertex count and the sorted neighbours but no adjacency
     to step on.
     roles holds one Role per vertex of a Graph, and is None for a Layout,
-    whose role_runs give them; role_runs, roles_at and role_tuple read
-    either.
+    whose role_runs give them; role_runs and role_tuple read either.
     """
 
     kind: str
@@ -110,28 +109,15 @@ class ConstructedInstance:
             return self.graph.role_runs()
         return ((role.kind, role.index, None) for role in self.roles)
 
-    def roles_at(self, vertices: Iterable[int]) -> list[Role]:
-        """The roles of the vertices, given in ascending order; a Layout's
-        are read off its runs, and only those asked for are made."""
-        if self.roles is not None:
-            return [self.roles[v] for v in vertices]
-        found: list[Role] = []
-        wanted = iter(vertices)
-        v = next(wanted, None)
-        start = 0
-        for kind, fixed, last in self.graph.role_runs():
-            stop = start + (1 if last is None else len(last))
-            while v is not None and v < stop:
-                found.append(Role(kind, fixed if last is None else (*fixed, last[v - start])))
-                v = next(wanted, None)
-            start = stop
-        return found
-
     def role_tuple(self) -> tuple[Role, ...]:
         """The role of every vertex, expanded from a Layout's runs."""
         if self.roles is not None:
             return self.roles
-        return tuple(self.roles_at(range(self.graph.n)))
+        found: list[Role] = []
+        for kind, fixed, last in self.graph.role_runs():
+            found += ([Role(kind, fixed)] if last is None
+                      else (Role(kind, (*fixed, i)) for i in last))
+        return tuple(found)
 
 
 def _bits(n: int, cooperators: Iterable[range]) -> StrategyVector:
@@ -298,19 +284,23 @@ def build_hdpd(p: int, o: int, q: int, r: int, s: int) -> ConstructedInstance:
     return _built(hdpd_layout(p, o, q, r, s))
 
 
-def _quotient(cell_of: list[int], first: Iterable[int],
-              links: Iterable[Mapping[int, int]]) -> Quotient:
-    """The Quotient with these cells, first members and, per cell, its
-    neighbour count in every other cell (a count of 0 is no link)."""
+def _quotient(cell_of: list[int], first: Iterable[int], links: Iterable[Mapping[int, int]],
+              keys: Iterable[tuple[str, int, int]]) -> Quotient:
+    """The Quotient with these cells, first members, per cell its neighbour
+    count in every other cell (a count of 0 is no link), and per cell the
+    (role kind, level, attach level) of its members."""
     return Quotient(cell_of, tuple(first), tuple(
-        tuple(sorted((l, count) for l, count in cell.items() if count)) for cell in links))
+        tuple(sorted((l, count) for l, count in cell.items() if count)) for cell in links),
+        tuple(keys))
 
 
 def fcsh_quotient(p: int, q: int, r: int, s: int) -> Quotient:
     """The quotient of build_fcsh(p, q, r, s).graph by the cells K_n
     and K_-n by |n|, g, h, S1, the S2 vertex a feeler touches, the other
     S2 vertices, and f, split by x0 (on which they are constant), written
-    from the integers and numbered in order of first vertex as there."""
+    from the integers and numbered in order of first vertex as there.
+    Their keys are ("K", |n|, -1), then the role kind of each gadget cell
+    ("g", "H", "I", "J", "J", "F") at level 0, with no attach level."""
     _require_at_least(1, p=p, q=q, r=r, s=s)
     _require_period(p)
     chain_end = (2 * p - 1) * q
@@ -347,14 +337,17 @@ def fcsh_quotient(p: int, q: int, r: int, s: int) -> Quotient:
         *([{side_1: s}] if rest is not None else []),  # the other S2 vertices
         {clique(0): 1, **{clique(a): 2 for a in range(1, p)}, feeler_side: 1},  # f
     ]
-    return _quotient(cell_of, first, links)
+    keys = [("K", a, -1) for a in range(p - 1, -1, -1)]
+    keys += [(kind, 0, -1) for kind in "gHIJ" + "J" * (s > 1) + "F"]
+    return _quotient(cell_of, first, links, keys)
 
 
 def hdpd_quotient(p: int, o: int, q: int, r: int, s: int) -> Quotient:
     """The quotient of build_hdpd(p, o, q, r, s).graph by the cells
     K_1 .. K_(p+1), g_R, g_D, g_C, H, I and J, split by x0 (on which they
     are constant), written from the integers and numbered in order of
-    first vertex as there."""
+    first vertex as there.  Their keys are ("K", n, -1), then the role
+    kind of each other cell at level 0, with no attach level."""
     _require_at_least(1, p=p, o=o, q=q, r=r, s=s)
     _require_period(p)
     g_r, g_d, g_c, h, i, j = range(p + 1, p + 7)
@@ -378,7 +371,9 @@ def hdpd_quotient(p: int, o: int, q: int, r: int, s: int) -> Quotient:
         {g_d: 1},  # I
         {g_d: 1, g_c: 1},  # J
     ]
-    return _quotient(cell_of, first, links)
+    keys = [("K", n, -1) for n in range(1, p + 2)]
+    keys += [(kind, 0, -1) for kind in ("g_R", "g_D", "g_C", "H", "I", "J")]
+    return _quotient(cell_of, first, links, keys)
 
 
 def _tree_levels(r: int, q: int) -> list[int]:
@@ -469,7 +464,8 @@ def build_tree(r: int, q: int) -> ConstructedInstance:
 def tree_quotient(r: int, q: int) -> Quotient:
     """The quotient of build_tree(r, q).graph by the cells keyed by (role
     kind, level, attach level), on which x0 is constant, written from the
-    integers and numbered in order of first vertex.
+    integers and numbered in order of first vertex.  Those keys are the
+    cells' keys: ("root", 0, -1), ("special", l, -1) and ("ordinary", l, j).
 
     The cells are the root, one special cell per level 1 .. q-1, and the
     ordinary cells (l, j) of the vertices on level l below the special on
@@ -516,4 +512,5 @@ def tree_quotient(r: int, q: int) -> Quotient:
     for level, j in ids:
         if j and level < q:
             link((level, j), (level + 1, j), r)
-    return _quotient(cell_of, first, links)
+    keys = [("ordinary", l, j) if j else ("special" if l else "root", l, -1) for l, j in ids]
+    return _quotient(cell_of, first, links, keys)

@@ -7,7 +7,6 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .game import (
@@ -159,20 +158,23 @@ class Quotient:
     (utility, strategy) pairs in their closed neighborhoods, so they make
     one decision: a synchronous update maps a state constant on cells to
     another one.  `step` makes that update on one bit per cell, and `lift`
-    turns the cell bits back into the state of every vertex.
+    turns the cell bits back into the state of every vertex.  `keys` gives
+    each cell's (role kind, level, attach level), the one source of them.
     """
 
-    __slots__ = ("cell_of", "first", "links", "linked", "degree", "_ranks")
+    __slots__ = ("cell_of", "first", "links", "keys", "linked", "degree", "_ranks")
 
     def __init__(
         self,
         cell_of: list[int],
         first: tuple[int, ...],
         links: tuple[tuple[tuple[int, int], ...], ...],
+        keys: tuple[tuple[str, int, int], ...],
     ) -> None:
         self.cell_of = cell_of  # the cell of every vertex
         self.first = first  # one vertex of every cell
         self.links = links  # per cell: the (cell l, neighbors in l) pairs
+        self.keys = keys  # per cell: what it is
         self.linked = tuple(tuple(l for l, _ in pairs) for pairs in links)  # the cells l alone
         self.degree = tuple(sum(count for _, count in pairs) for pairs in links)
         # Owned by step: the params it last ran with and their rank table.
@@ -283,7 +285,7 @@ def _cycle(
     time of the state X(T) revisits, when T <= max_steps.  Else
     TrajectoryBudgetError with every state seen, lifted."""
     seen: dict[Any, int] = {}  # each state's first time, in order of first visit
-    for t, state in enumerate(islice(states, max_steps + 1)):
+    for t, state in zip(range(max_steps + 1), states):
         transient = seen.setdefault(state, t)
         if transient < t:
             return tuple(seen), transient

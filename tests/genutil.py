@@ -129,10 +129,10 @@ def build(family, sp):
 
 def quotient_of(graph, cell_of):
     """The Quotient by the partition that puts vertex v in the cell named
-    cell_of[v], cells numbered in order of first vertex, or None when that
-    partition is not equitable: one pass over the sorted adjacency compares
-    each vertex's sorted list of neighbour cells with the first one seen in
-    its cell."""
+    cell_of[v], cells numbered in order of first vertex and keyed by those
+    names, or None when that partition is not equitable: one pass over the
+    sorted adjacency compares each vertex's sorted list of neighbour cells
+    with the first one seen in its cell."""
     if len(cell_of) != graph.n:
         raise ValueError(f"{len(cell_of)} cell keys for a graph with n={graph.n}")
     cells = canonical(cell_of)
@@ -146,7 +146,7 @@ def quotient_of(graph, cell_of):
             return None
     links = tuple(tuple((l, sum(1 for _ in run)) for l, run in groupby(seen[k]))
                   for k in range(len(first)))
-    return Quotient(cells, tuple(first), links)
+    return Quotient(cells, tuple(first), links, tuple(cell_of[v] for v in first))
 
 
 def reference_tree(r, q):

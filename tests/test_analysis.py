@@ -560,7 +560,7 @@ class TestTreeVerifiersAgainstOracles:
     def test_clean_builds_take_the_cell_path(self, monkeypatch, r, q):
         states = replay(build_tree(r, q), TREE_HD)
         instance = tree_layout(r, q)
-        keyed = cli._cells_of(cli._TREE, instance, tree_quotient(r, q))
+        keyed = analysis._Cells.of(tree_quotient(r, q), [])
         quotient = keyed.quotient
         assert len(quotient.first) == (q * q - 3 * q + 4) // 2
         # Each cell carries the key of its first vertex.
@@ -808,8 +808,8 @@ class TestChainVerifiersOnCells:
         built, laid_out, quotient = build(family, sp), family.layout(sp), family.quotient(sp)
         params, verify = cli.parse_params(payoffs), CHAIN_VERIFIERS[kind]
         replayed = quotient.states(params, laid_out.x0)
-        cells = cli._cells_of(family, laid_out, quotient)._replace(
-            states=list(islice(replayed, laid_out.predicted_period + 1)))
+        cells = analysis._Cells.of(
+            quotient, list(islice(replayed, laid_out.predicted_period + 1)))
         states = list(map(quotient.lift, cells.states))
         assert states == replay(built, params)
         # The cell states are the whole-graph states read at the cells'
@@ -851,12 +851,14 @@ class TestChainVerifiersOnCells:
             assert cli.main(["witness", "--params", payoffs, "--period", period,
                              "--out", str(tmp_path)]) == 0
         lifts, per_vertex = [], []
-        lift, chain_units = dynamics.Quotient.lift, analysis._chain_units
+        lift, chain_units, of = dynamics.Quotient.lift, analysis._chain_units, analysis._Cells.of
         monkeypatch.setattr(dynamics.Quotient, "lift",
                             lambda self, bits: lifts.append(1) or lift(self, bits))
-        for module in (cli, analysis):
-            monkeypatch.setattr(module, "_chain_units", lambda instance, quotient, *states: (
-                per_vertex.append(quotient is None) or chain_units(instance, quotient, *states)))
+        # Every set of units made, on the cells (False) or per vertex (True).
+        monkeypatch.setattr(analysis._Cells, "of", staticmethod(
+            lambda quotient, states: per_vertex.append(False) or of(quotient, states)))
+        monkeypatch.setattr(analysis, "_chain_units", lambda instance, states: (
+            per_vertex.append(True) or chain_units(instance, states)))
         code, out = verify_file(tmp_path / "instance.json", payoffs, "text")
         assert code == 0 and out.endswith("OK\n")
         # The replay is never lifted and no check runs per vertex.
@@ -875,3 +877,18 @@ def test_clean_sweep_rows_lift_nothing(monkeypatch, params, tree, period):
     row = cli._sweep_row((cli.parse_params(params), period, tree, 10**6))
     assert row["ok"] and row["violations"] == 0
     assert lifted == []
+
+
+@pytest.mark.parametrize("params,tree,period", [
+    ("1,9/20,31/25,0", False, 8), ("1,2/5,9/10,1/2", False, 6), ("1,3/5,2,0", True, 10)])
+def test_clean_sweep_rows_read_no_roles(monkeypatch, params, tree, period):
+    # A row's cells take what they are from the closed-form quotient's
+    # keys: the layout's role runs are never read.
+    def refuse():
+        raise AssertionError("the role runs were read")
+
+    for name in ("fcsh_layout", "hdpd_layout", "tree_layout"):
+        monkeypatch.setattr(cli, name, lambda *sizes, layout=getattr(cli, name): replace(
+            instance := layout(*sizes), graph=replace(instance.graph, role_runs=refuse)))
+    row = cli._sweep_row((cli.parse_params(params), period, tree, 10**6))
+    assert row["ok"] and row["violations"] == 0

@@ -522,6 +522,26 @@ class TestSimulate:
         assert code == 3
         assert "2 steps" in err
 
+    def test_budget_beyond_the_machine_word_is_accepted(self, tmp_path, capsys):
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+        argv = ("simulate", "--params", "1,0.45,1.24,0", "--graph", str(graph_file),
+                "--x0", "CDC")
+        default = run_cli(capsys, *argv)
+        assert default[0] == 0
+        assert run_cli(capsys, *argv, "--max-steps", "100000000000000000000") == default
+
+    def test_tied_payoffs_warn_in_one_line(self, tmp_path, capsys):
+        # The warning names the payoffs alone, with no source path or line.
+        graph_file = tmp_path / "graph.json"
+        graph_file.write_text('{"n": 2, "edges": [[0, 1]]}')
+        for _ in range(2):  # and again on the next call in the same process
+            code, out, err = run_cli(capsys, "simulate", "--params", "1,1,1,1",
+                                     "--graph", str(graph_file), "--x0", "CD")
+            assert (code, out) == (0, "transient=0 period=1\n")
+            assert err == ("warning: payoff quadruple (a=1, b=1, c=1, d=1) "
+                           "has tied payoffs\n")
+
     def test_csv_format(self, tmp_path, capsys):
         graph_file = tmp_path / "graph.json"
         graph_file.write_text('{"n": 2, "edges": [[0, 1]]}')

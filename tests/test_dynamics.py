@@ -241,6 +241,14 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
             trajectory(graph, PD, x0, max_steps=0)
 
+    @pytest.mark.parametrize("max_steps", [2**63 - 1, 2**63, 10**20])
+    def test_any_budget_past_the_machine_word(self, max_steps):
+        # A budget is a bound on updates, not a count to allocate: one
+        # beyond sys.maxsize stops at the revisit like any other.
+        graph = Graph(2, [(0, 1)])
+        x0 = StrategyVector.from_string("10")
+        assert trajectory(graph, PD, x0, max_steps=max_steps) == trajectory(graph, PD, x0)
+
     def test_state_must_fit_graph(self):
         graph = Graph(2, [(0, 1)])
         with pytest.raises(ValueError, match="state has 3 entries, graph has 2"):

@@ -10,7 +10,8 @@ refinement, in tests/genutil.py) with quotient_of's link tables on it (up
 to the numbering of the cells), and the JSON and DOT texts.  A tree is
 held to the per-vertex builder in tests/genutil.py instead, and its
 quotient to the partition keyed by (role kind, level, attach level, x0
-bit) that it records, with the numbering exact.
+bit) that it records, with the numbering exact.  Every member of a
+closed-form cell must have that cell's key.
 """
 
 import pytest
@@ -79,13 +80,32 @@ def test_closed_form_equals_the_build(tmp_path_factory, case):
     assert graph_to_dot(laid_out.graph, laid_out.x0) == graph_to_dot(graph, built.x0)
 
 
+@settings(max_examples=40)
+@given(st.one_of(SIZES, st.tuples(st.just(None), st.tuples(st.integers(2, 3),
+                                                          st.integers(5, 8)))))
+def test_every_cell_member_has_its_cells_key(case):
+    # Each closed form keys its cells by what their members are: a chain
+    # vertex by its role kind and clique |n| (fcsh) or n (hdpd), a tree
+    # vertex by its (role kind, level, attach level).
+    family, sizes = case
+    if family is None:
+        quotient, keys = tree_quotient(*sizes), reference_tree(*sizes)[1]
+    else:
+        sp = dict(zip(family.params, sizes))
+        quotient = family.quotient(sp)
+        keys = [(role.kind, abs(role.index[0]) if role.kind == "K" else 0, -1)
+                for role in build(family, sp).roles]
+    assert len(quotient.keys) == len(quotient.first)
+    assert [quotient.keys[k] for k in quotient.cell_of] == keys
+
+
 def test_relabelling_check_catches_a_wrong_link():
     quotient = hdpd_quotient(3, 2, 1, 1, 2)
     links = list(quotient.links)
     links[-1] = tuple((l, count + 1) for l, count in links[-1])
     with pytest.raises(AssertionError):
-        assert_same_up_to_relabelling(Quotient(quotient.cell_of, quotient.first, tuple(links)),
-                                      quotient)
+        assert_same_up_to_relabelling(
+            Quotient(quotient.cell_of, quotient.first, tuple(links), quotient.keys), quotient)
 
 
 @pytest.mark.parametrize("closed_form,sizes", [

@@ -34,6 +34,7 @@ from evocycle import (
     GameParams,
     Graph,
     NonGenericParamsWarning,
+    Quotient,
     StrategyVector,
     TrajectoryBudgetError,
     build_fcsh,
@@ -326,7 +327,13 @@ def test_tampered_files_give_the_full_path_bytes(tmp_path, monkeypatch, kind, ho
     def split(path, *families):
         family, instance, _ = load(path, *families)
         cells = zip(closed_form(instance).cell_of, instance.x0.bits)
-        return family, instance, quotient_of(instance.graph, list(cells))
+        quotient = quotient_of(instance.graph, list(cells))
+        if quotient is None:
+            return family, instance, None
+        # Each cell is keyed by the role of its first vertex.
+        keys = tuple((role.kind, role.index[0] if role.kind == "K" else 0, -1)
+                     for role in map(instance.roles.__getitem__, quotient.first))
+        return family, instance, Quotient(quotient.cell_of, quotient.first, quotient.links, keys)
 
     monkeypatch.setattr(evocycle.cli, "_load_instance", split)
     assert [quiet(argv) for argv in commands] == full
