@@ -183,7 +183,10 @@ class _Cells(NamedTuple):
 
     @classmethod
     def of(cls, quotient: Quotient, states: list[bytes]) -> _Cells:
-        """The states on a closed-form quotient's cells, their facts its keys."""
+        """The states on a closed-form quotient's cells, their facts its keys.
+        A quotient without keys, found by refinement, is refused."""
+        if quotient.keys is None:
+            raise ValueError("the quotient has no cell keys to check roles on")
         return cls(quotient, *zip(*quotient.keys), states)
 
 

@@ -106,24 +106,53 @@ def step(graph: Graph, params: GameParams, state: StrategyVector) -> StrategyVec
     adopts the strategy of the unique best performer; if both strategies
     attain the maximum, it keeps its own.
 
-    The graph keeps the cooperating-neighbor counts of the state this
-    function last returned on it, and a table of utility ranks by key.
-    Called again with that very state (and equal params), it reuses both
-    and updates the counts only around the vertices that flip; called with
-    any other state, it first counts from scratch.
+    The graph keeps what it learnt of the state this function last
+    returned on it.  Given any other state, step refines the state's two
+    classes to their coarsest equitable partition (refine.refine), steps
+    one bit per cell by Quotient.step and lifts the result.  The state so
+    made is constant on the same cells, which stay equitable, so a call
+    given the state it last returned steps on them again.  Where the
+    refinement gives up, on a graph with little symmetry, every vertex is
+    decided on its own from its cooperating-neighbor counts, which the
+    graph keeps with a table of utility ranks by key; a call given the
+    state it last returned then updates the counts only around the
+    vertices that flip.
     """
     _check_state(graph, state)
     bits = state.bits
     adj = graph._adj
-    # pop() hands the counts to this call alone, so no other call, whether
-    # concurrent or after an interrupted one, sees a half-updated list.
+    # pop() hands the carried state to this call alone, so no other call,
+    # whether concurrent or after an interrupted one, sees it half updated.
     try:
-        held_bits, held_params, coop, table = graph._step_counts.pop()
+        held_bits, held_params, carried = graph._step_counts.pop()
     except IndexError:
         held_bits = held_params = None
-    if held_bits is not bits or held_params != params:
+    if held_bits is not bits:
+        # Imported here, so that a cold import of the package does not
+        # compile the refinement, which only whole-graph steps use.
+        from .refine import refine
+
+        carried = refine(adj, bits)
+    if isinstance(carried, Quotient):
+        cell_bits = carried.step(params, bytes(map(bits.__getitem__, carried.first)))
+        result = carried.lift(cell_bits)
+    else:
+        coop, table = carried or (None, {})
+        new, carried = _vertex_step(adj, params, bits, coop, table if held_params == params else {})
+        result = StrategyVector(new)
+    graph._step_counts[:] = ((result.bits, params, carried),)
+    return result
+
+
+def _vertex_step(
+    adj: Sequence[Sequence[int]], params: GameParams, bits: bytes,
+    coop: Optional[list[int]], table: dict,
+) -> tuple[bytearray, tuple[list[int], dict]]:
+    """One update of every vertex on its own, and the cooperating-neighbor
+    counts and rank table of the result: coop, when given, are bits'
+    counts and become the result's in place; else they are counted."""
+    if coop is None:
         coop = [sum(map(bits.__getitem__, nbrs)) for nbrs in adj]
-        table = {}
     # Every rank one call reads comes from one table, so ranks compare
     # exactly like utilities; a key not in it rebuilds it.
     try:
@@ -144,9 +173,7 @@ def step(graph: Graph, params: GameParams, state: StrategyVector) -> StrategyVec
             delta = -1 if own else 1
             for w in adj[v]:
                 coop[w] += delta
-    result = StrategyVector(new)
-    graph._step_counts[:] = ((result.bits, params, coop, table),)
-    return result
+    return new, (coop, table)
 
 
 class Quotient:
@@ -159,19 +186,20 @@ class Quotient:
     one decision: a synchronous update maps a state constant on cells to
     another one.  `step` makes that update on one bit per cell, and `lift`
     turns the cell bits back into the state of every vertex.  `keys` gives
-    each cell's (role kind, level, attach level), the one source of them.
+    each cell's (role kind, level, attach level), the one source of them;
+    a partition found by `refine.refine` has none.
     """
 
     __slots__ = ("cell_of", "first", "links", "keys", "linked", "degree", "_ranks")
 
     def __init__(
         self,
-        cell_of: list[int],
+        cell_of: Sequence[int],
         first: tuple[int, ...],
         links: tuple[tuple[tuple[int, int], ...], ...],
-        keys: tuple[tuple[str, int, int], ...],
+        keys: Optional[tuple[tuple[str, int, int], ...]],
     ) -> None:
-        self.cell_of = cell_of  # the cell of every vertex
+        self.cell_of = cell_of  # the cell of every vertex: a list, or bytes
         self.first = first  # one vertex of every cell
         self.links = links  # per cell: the (cell l, neighbors in l) pairs
         self.keys = keys  # per cell: what it is
@@ -182,6 +210,8 @@ class Quotient:
 
     def lift(self, bits: bytes) -> StrategyVector:
         """The state in which every vertex plays its cell's bit."""
+        if isinstance(self.cell_of, bytes):  # at most 256 cells: one C pass
+            return StrategyVector(self.cell_of.translate(bits.ljust(256, b"\0")))
         return StrategyVector(bytes(map(bits.__getitem__, self.cell_of)))
 
     def cooperators(self, bits: bytes) -> list[int]:

@@ -173,10 +173,13 @@ class Graph:
                 raise ValueError(f"duplicate edge {(v, w)}")
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._edge_count = sum(map(len, adj)) // 2
-        # Owned by dynamics.step: (bits, params, coop, table) of the last
-        # state it returned, the cooperating-neighbor counts and the utility
-        # rank of every key seen, in a list so that a call takes them with
-        # one atomic pop.
+        # Owned by dynamics.step: (bits, params, carried) for the last state
+        # it returned.  carried is the Quotient it steps on: the coarsest
+        # equitable partition of the state it was first given, on whose
+        # cells every later state is constant.  Where that refinement gave
+        # up, carried is (cooperating-neighbor counts, utility rank of
+        # every key seen).  In a list, so that a call takes it with one
+        # atomic pop.
         self._step_counts: list[tuple] = []
 
     @property

@@ -1,8 +1,13 @@
 """Seeded random generators and partition helpers shared across the test modules."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, groupby
 
+import pytest
+
+import evocycle.refine
 from evocycle import GameParams, Graph, Quotient, StrategyVector, build_fcsh, build_hdpd, build_tree
 from evocycle.constructions import ConstructedInstance, Role
 
@@ -38,6 +43,24 @@ def relabel(graph, perm):
     if sorted(perm) != list(range(graph.n)):
         raise ValueError("perm is not a permutation of the vertices")
     return Graph(graph.n, ((perm[i], perm[j]) for i, j in graph.edges()))
+
+
+def permuted(state, perm):
+    """The state of relabel(graph, perm): vertex perm[v] plays v's strategy."""
+    bits = bytearray(len(state))
+    for v, bit in enumerate(state.bits):
+        bits[perm[v]] = bit
+    return StrategyVector(bits)
+
+
+@contextmanager
+def vertex_steps():
+    """Within, the refinement of dynamics.step always gives up, so that
+    every step decides every vertex on its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evocycle.refine, "_BUDGET_FLOOR", 0)
+        patch.setattr(evocycle.refine, "_BUDGET_SHARE", sys.maxsize)
+        yield
 
 
 def random_rationals(rng, count, max_den=12, lo=-3, hi=3):

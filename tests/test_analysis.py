@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import tracemalloc
@@ -604,8 +605,12 @@ class TestTreeVerifiersAgainstOracles:
     def test_fallback_memory_stays_below_the_build(self, rng):
         # The per-vertex run reads the graph's own adjacency: a copy of
         # the discrete partition used to take more than the build.  One
-        # flipped x0 vertex leaves the keyed partition not equitable.
+        # flipped x0 vertex leaves the keyed partition not equitable.  A
+        # full collection first empties the interpreter's free lists, so
+        # that both peaks count every object made, whatever earlier tests
+        # left behind in those lists.
         def traced_peak(run):
+            gc.collect()
             tracemalloc.start()
             try:
                 return run(), tracemalloc.get_traced_memory()[1]

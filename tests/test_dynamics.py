@@ -1,9 +1,12 @@
+import contextlib
+import gc
 import pickle
 import random
 import sys
 import threading
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +18,7 @@ from evocycle import (
     GameParams,
     Graph,
     NonGenericParamsWarning,
+    Quotient,
     StrategyVector,
     TrajectoryBudgetError,
     argmax_strategies,
@@ -26,11 +30,15 @@ from evocycle import (
     trajectory,
 )
 from evocycle.analysis import replay
+from evocycle.refine import refine
 from genutil import (
+    canonical,
+    colour_refinement,
     random_admissible_params,
     random_connected_graph,
     random_state,
     relabel,
+    vertex_steps,
 )
 from reference import (
     params_to_pairs,
@@ -287,9 +295,91 @@ def assert_is_one_step(graph, params, before, after):
     assert list(after.bits) == expected
 
 
+def symmetric_graphs():
+    """Cycles, complete bipartite graphs and small trees, n <= 60, each with
+    a start that keeps much of its symmetry."""
+    cases = [pytest.param(Graph(n, [(v, (v + 1) % n) for v in range(n)]),
+                          StrategyVector(v % 4 < 2 for v in range(n)), id=f"C{n}")
+             for n in (3, 8, 31, 60)]
+    cases += [pytest.param(Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)]),
+                           StrategyVector(v < a for v in range(a + b)), id=f"K{a},{b}")
+              for a, b in ((1, 5), (3, 4), (6, 6))]
+    cases.append(pytest.param(Graph(31, [((v - 1) // 2, v) for v in range(1, 31)]),
+                              StrategyVector(v < 7 for v in range(31)), id="binary-31"))
+    cases += [pytest.param(instance.graph, instance.x0, id=f"tree{instance.structural_params}")
+              for instance in (build_tree(2, 5), build_tree(2, 6))]
+    return cases
+
+
+SYMMETRIC = symmetric_graphs()
+
+
+def carried(graph):
+    """What step carries on the graph for the state it last returned."""
+    return graph._step_counts[0][2]
+
+
+class TestRefinement:
+    """refine against colour refinement in tests/genutil.py, written
+    independently of the package: the coarsest equitable partition that
+    refines the state's two classes."""
+
+    @given(small_games())
+    def test_coarsest_equitable_partition_of_the_state(self, game):
+        graph, _, state = game
+        quotient = refine(graph._adj, state.bits)
+        assert quotient.keys is None
+        cell_of = list(quotient.cell_of)
+        assert canonical(cell_of) == canonical(colour_refinement(graph, state.bits))
+        # It refines the state and is equitable, with the links it claims.
+        assert quotient.lift(bytes(map(state.bits.__getitem__, quotient.first))) == state
+        for v in range(graph.n):
+            k = cell_of[v]
+            assert cell_of[quotient.first[k]] == k
+            around = Counter(cell_of[w] for w in graph.neighbors(v))
+            assert sorted(around.items()) == list(quotient.links[k])
+
+    @pytest.mark.parametrize("graph,start", SYMMETRIC)
+    def test_symmetric_graphs(self, graph, start, rng):
+        for state in (start, StrategyVector.uniform(graph.n, 1), random_state(rng, graph.n)):
+            quotient = refine(graph._adj, state.bits)
+            assert canonical(quotient.cell_of) == canonical(colour_refinement(graph, state.bits))
+        # One cooperator on a cycle: the cells are the distances from it.
+        if all(graph.degree(v) == 2 for v in range(graph.n)):
+            one = StrategyVector([1] + [0] * (graph.n - 1))
+            assert len(refine(graph._adj, one.bits).first) == graph.n // 2 + 1
+
+    def test_gives_up_past_the_budget(self, monkeypatch):
+        graph = Graph(200, [(v, (v + 1) % 200) for v in range(200)])
+        one = StrategyVector([1] + [0] * 199)  # 101 cells, past the floor of 64
+        assert refine(graph._adj, one.bits) is None
+        monkeypatch.setattr("evocycle.refine._BUDGET_FLOOR", 101)
+        assert len(refine(graph._adj, one.bits).first) == 101
+
+
 class TestCarriedCounts:
-    """step reuses the counts of the state it last returned on a graph; every
-    state it so produces must equal a from-scratch update and the oracle."""
+    """step carries what it learnt of the state it last returned on a
+    graph: the cells of its refinement or, where that gives up, every
+    vertex's counts.  Every state it so produces, on either path, must
+    equal a from-scratch update and the oracle."""
+
+    @pytest.fixture(autouse=True, params=["cells", "vertices"])
+    def path(self, request):
+        self.path = request.param
+        with vertex_steps() if self.path == "vertices" else contextlib.nullcontext():
+            yield
+
+    @pytest.mark.parametrize("graph,start", SYMMETRIC)
+    def test_symmetric_graphs_take_their_path(self, graph, start, rng):
+        # The budget has a floor: small symmetric graphs step on cells.
+        params = random_admissible_params(rng)
+        pairs, edges = params_to_pairs(params), list(graph.edges())
+        for state in (start, random_state(rng, graph.n)):
+            for _ in range(6):
+                after = step(graph, params, state)
+                assert isinstance(carried(graph), Quotient) == (self.path == "cells")
+                assert list(after.bits) == ref_step(graph.n, edges, list(state.bits), pairs)
+                state = after
 
     @given(small_games(), st.integers(0, 8))
     def test_chains_of_steps(self, game, steps):
@@ -333,11 +423,16 @@ class TestCarriedCounts:
     def test_threads_stepping_one_graph(self, rng):
         # Thread 0 advances a chain on a shared graph; the others step its
         # latest state too, so several calls often pass the state that the
-        # graph's counts describe at once.  Each call takes the counts with
-        # one atomic pop, so every result stays exact.
+        # graph carries at once.  Each call takes what the graph carries
+        # with one atomic pop, so every result stays exact.  The states
+        # repeat every 10 vertices, so that the cells stay few.
         graph = Graph(200, [(v, (v + 1) % 200) for v in range(200)])
         params = GameParams(1, "0.45", "1.24", 0)
-        latest = [random_state(rng, graph.n)]
+
+        def periodic_state(rng):
+            return StrategyVector(random_state(rng, 10).bits * 20)
+
+        latest = [periodic_state(rng)]
         failures = []
 
         def walk(seed):
@@ -350,7 +445,7 @@ class TestCarriedCounts:
                     if step(twin, params, StrategyVector(bytearray(state.bits))) != after:
                         failures.append(f"thread {seed}: wrong state")
                     if seed == 0:
-                        latest[0] = random_state(local, graph.n) if after == state else after
+                        latest[0] = periodic_state(local) if after == state else after
             except Exception as exc:  # a broken hand-off can also raise
                 failures.append(f"thread {seed}: {exc!r}")
 
@@ -386,15 +481,21 @@ class TestCarriedCounts:
 
     @pytest.mark.parametrize("r,q", [(2, 14), (3, 9)])
     def test_carried_state_memory_per_vertex(self, r, q):
-        # The graph carries the counts and the last state; one carried step
-        # allocates a few lists of n entries.  A list of n key tuples, or a
-        # set of vertices, would break these bounds.
+        # The first step refines the state, or counts every vertex, and
+        # the graph then carries the cells or the counts and the last
+        # state; a step allocates a few lists of n entries.  A list of n
+        # key tuples, a set of vertices, or the refinement's cells holding
+        # a new int object per vertex would break these bounds.  A full
+        # collection first empties the interpreter's free lists, so that
+        # the peaks count every object made.
         instance = build_tree(r, q)
         graph, n = instance.graph, instance.graph.n
         params = GameParams(1, "3/5", 2, 0)
+        gc.collect()
         tracemalloc.start()
         try:
             x1 = step(graph, params, instance.x0)
+            first = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             step(graph, params, x1)
@@ -403,6 +504,7 @@ class TestCarriedCounts:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert first < 64 * n
         assert peak < 64 * n
         assert held < 24 * n
 

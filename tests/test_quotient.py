@@ -39,13 +39,15 @@ from evocycle import (
     TrajectoryBudgetError,
     build_fcsh,
     build_hdpd,
+    build_tree,
     step,
     trajectory,
 )
-from evocycle.analysis import replay
+from evocycle.analysis import _Cells, replay
 from evocycle.cli import _FAMILIES, _solve, main, parse_params
-from genutil import (build, canonical, colour_refinement, quotient_of, random_admissible_params,
-                     random_state)
+from evocycle.refine import refine
+from genutil import (build, canonical, colour_refinement, permuted, quotient_of,
+                     random_admissible_params, random_state, relabel, vertex_steps)
 from reference import params_to_pairs, ref_step
 
 FCSH_GRID = [build_fcsh(*sizes) for sizes in product((2, 3, 4), (1, 3), (1, 2), (1, 3))]
@@ -284,7 +286,41 @@ def test_quotient_step_lifts_to_the_whole_graph_step(case, payoffs, rng):
     for params in payoffs + payoffs[:1]:
         bits = bytes(rng.randrange(2) for _ in quotient.first)
         state = quotient.lift(bits)
-        assert quotient.lift(quotient.step(params, bits)) == step(graph, params, state)
+        with vertex_steps():
+            assert quotient.lift(quotient.step(params, bits)) == step(graph, params, state)
+
+
+@given(QUOTIENT_SIZES, st.randoms(use_true_random=False), GRID_PAYOFFS | SCENARIO_PAYOFFS)
+def test_refinement_finds_the_closed_form_cells(case, rng, params):
+    # On a clean build, relabelled or not, step refines x0 to the
+    # closed-form cells (up to numbering), steps on them, and each of its
+    # states is the closed-form replay's, relabelled.
+    kind, sizes = case
+    family = _FAMILIES[kind]
+    sp = dict(zip(family.params, sizes))
+    instance, quotient = build(family, sp), family.quotient(sp)
+    perm = list(range(instance.graph.n))
+    if rng.randrange(2):
+        rng.shuffle(perm)
+    graph = relabel(instance.graph, perm)
+    expected = [0] * len(perm)
+    for v, k in enumerate(quotient.cell_of):
+        expected[perm[v]] = k
+    refined = refine(graph._adj, permuted(instance.x0, perm).bits)
+    assert canonical(refined.cell_of) == canonical(expected)
+    states = replay(instance, params, quotient)
+    state = permuted(states[0], perm)
+    for after in states[1:]:
+        state = step(graph, params, state)
+        assert isinstance(graph._step_counts[0][2], Quotient)
+        assert state == permuted(after, perm)
+
+
+def test_refined_quotients_have_no_keys_to_check():
+    instance = build_tree(2, 6)
+    quotient = refine(instance.graph._adj, instance.x0.bits)
+    with pytest.raises(ValueError, match="no cell keys"):
+        _Cells.of(quotient, [])
 
 
 def tampered(data, how):
