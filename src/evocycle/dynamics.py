@@ -5,19 +5,12 @@ trajectories, and transient/period detection by hashing visited states.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from math import lcm
+from operator import getitem
+from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .game import (
-    GameParams,
-    Graph,
-    StrategyVector,
-    _check_state,
-    _check_vertex,
-    _utility,
-    mean_utility,
-)
+from .game import GameParams, Graph, StrategyVector, _check_state, _check_vertex, mean_utility
 
 __all__ = [
     "NonGenericParamsWarning",
@@ -49,15 +42,17 @@ class TrajectoryBudgetError(RuntimeError):
         return type(self), (*self.args, self.states)
 
 
-def _rank_table(
-    params: GameParams, keys: Iterable[tuple[int, int, int]]
-) -> dict[tuple[int, int, int], int]:
-    """Every (strategy, cooperators, degree) key mapped to the dense rank of
-    its exact utility among those of all the keys, so equal utilities share
-    a rank and ranks order like utilities."""
-    utility = {key: _utility(params, *key) for key in keys}
-    levels = sorted(set(utility.values()))
-    return {key: bisect_left(levels, u) for key, u in utility.items()}
+def _score_coefficients(params: GameParams, degrees: Collection[int]) -> dict[int, tuple]:
+    """Per degree deg, a defector's and a cooperator's (slope, intercept):
+    with k of deg neighbors cooperating, the integer slope * k + intercept
+    is m * L times the utility (game._utility), m the lcm of the payoffs'
+    denominators and L that of the degrees, so the scores of one params
+    and degree set order and tie exactly like the utilities."""
+    m = lcm(*(x.denominator for x in params.as_tuple()))
+    a, b, c, d = (x.numerator * (m // x.denominator) for x in params.as_tuple())
+    scale = lcm(*degrees)
+    return {deg: ((w * (c - d), w * deg * d), (w * (a - b), w * deg * b))
+            for deg in degrees for w in (scale // deg,)}
 
 
 def _top_masks(
@@ -74,11 +69,12 @@ def _top_masks(
         mask = 1 << bits[v]
         for w in adj[v]:
             s = score[w]
-            if s > best:
-                best = s
-                mask = 1 << bits[w]
-            elif s == best:
-                mask |= 1 << bits[w]
+            if s >= best:  # one comparison for a neighbor below the best
+                if s > best:
+                    best = s
+                    mask = 1 << bits[w]
+                else:
+                    mask |= 1 << bits[w]
         masks.append(mask)
     return masks
 
@@ -114,9 +110,10 @@ def step(graph: Graph, params: GameParams, state: StrategyVector) -> StrategyVec
     given the state it last returned steps on them again.  Where the
     refinement gives up, on a graph with little symmetry, every vertex is
     decided on its own from its cooperating-neighbor counts, which the
-    graph keeps with a table of utility ranks by key; a call given the
-    state it last returned then updates the counts only around the
-    vertices that flip.
+    graph keeps with the integer score of every key met so far; a call
+    given the state it last returned then updates the counts only around
+    the vertices that flip.  Either way utilities are compared as exact
+    integers on one scale per params (_score_coefficients).
     """
     _check_state(graph, state)
     bits = state.bits
@@ -134,11 +131,10 @@ def step(graph: Graph, params: GameParams, state: StrategyVector) -> StrategyVec
 
         carried = refine(adj, bits)
     if isinstance(carried, Quotient):
-        cell_bits = carried.step(params, bytes(map(bits.__getitem__, carried.first)))
-        result = carried.lift(cell_bits)
+        result = carried.lift(carried.step(params, bytes(map(bits.__getitem__, carried.first))))
     else:
-        coop, table = carried or (None, {})
-        new, carried = _vertex_step(adj, params, bits, coop, table if held_params == params else {})
+        coop, scores = carried or (None, {})
+        new, carried = _vertex_step(adj, params, bits, coop, scores if held_params == params else {})
         result = StrategyVector(new)
     graph._step_counts[:] = ((result.bits, params, carried),)
     return result
@@ -146,34 +142,37 @@ def step(graph: Graph, params: GameParams, state: StrategyVector) -> StrategyVec
 
 def _vertex_step(
     adj: Sequence[Sequence[int]], params: GameParams, bits: bytes,
-    coop: Optional[list[int]], table: dict,
+    coop: Optional[list[int]], scores: dict,
 ) -> tuple[bytearray, tuple[list[int], dict]]:
     """One update of every vertex on its own, and the cooperating-neighbor
-    counts and rank table of the result: coop, when given, are bits'
-    counts and become the result's in place; else they are counted."""
+    counts and scores of the result: coop, when given, are bits' counts
+    and become the result's in place; else they are counted.  scores maps
+    every (strategy, cooperators, degree) key met under params to its
+    score on the scale of the graph's degrees, and grows in place."""
     if coop is None:
         coop = [sum(map(bits.__getitem__, nbrs)) for nbrs in adj]
-    # Every rank one call reads comes from one table, so ranks compare
-    # exactly like utilities; a key not in it rebuilds it.
     try:
-        rank = list(map(table.__getitem__, zip(bits, coop, map(len, adj))))
-    except KeyError:
-        table = _rank_table(params, {*table, *zip(bits, coop, map(len, adj))})
-        rank = list(map(table.__getitem__, zip(bits, coop, map(len, adj))))
+        score = list(map(scores.__getitem__, zip(bits, coop, map(len, adj))))
+    except KeyError:  # scores only the keys not met before
+        by_degree = _score_coefficients(params, set(map(len, adj)))
+        for own, k, deg in set(zip(bits, coop, map(len, adj))).difference(scores):
+            slope, base = by_degree[deg][own]
+            scores[own, k, deg] = slope * k + base
+        score = list(map(scores.__getitem__, zip(bits, coop, map(len, adj))))
     # A vertex whose closed neighborhood plays one strategy keeps it.
     mixed = [
         v for v, own, count, nbrs in zip(range(len(adj)), bits, coop, adj)
         if count != (len(nbrs) if own else 0)
     ]
     new = bytearray(bits)
-    for v, mask in zip(mixed, _top_masks(mixed, adj, bits, rank)):
+    for v, mask in zip(mixed, _top_masks(mixed, adj, bits, score)):
         own = bits[v]
         if mask == 2 >> own:
             new[v] = 1 - own
             delta = -1 if own else 1
             for w in adj[v]:
                 coop[w] += delta
-    return new, (coop, table)
+    return new, (coop, scores)
 
 
 class Quotient:
@@ -190,7 +189,7 @@ class Quotient:
     a partition found by `refine.refine` has none.
     """
 
-    __slots__ = ("cell_of", "first", "links", "keys", "linked", "degree", "_ranks")
+    __slots__ = ("cell_of", "first", "links", "keys", "linked", "degree", "_scores")
 
     def __init__(
         self,
@@ -199,20 +198,18 @@ class Quotient:
         links: tuple[tuple[tuple[int, int], ...], ...],
         keys: Optional[tuple[tuple[str, int, int], ...]],
     ) -> None:
-        self.cell_of = cell_of  # the cell of every vertex: a list, or bytes
+        self.cell_of = bytes(cell_of) if len(first) <= 256 else cell_of  # each vertex's cell
         self.first = first  # one vertex of every cell
         self.links = links  # per cell: the (cell l, neighbors in l) pairs
         self.keys = keys  # per cell: what it is
         self.linked = tuple(tuple(l for l, _ in pairs) for pairs in links)  # the cells l alone
         self.degree = tuple(sum(count for _, count in pairs) for pairs in links)
-        # Owned by step: the params it last ran with and their rank table.
-        self._ranks: tuple[Optional[GameParams], dict] = (None, {})
+        # Owned by step: the params it last ran with, and per cell its scoring.
+        self._scores: tuple[Optional[GameParams], tuple] = (None, ())
 
     def lift(self, bits: bytes) -> StrategyVector:
         """The state in which every vertex plays its cell's bit."""
-        if isinstance(self.cell_of, bytes):  # at most 256 cells: one C pass
-            return StrategyVector(self.cell_of.translate(bits.ljust(256, b"\0")))
-        return StrategyVector(bytes(map(bits.__getitem__, self.cell_of)))
+        return StrategyVector(_lifted(self.cell_of, bits))
 
     def cooperators(self, bits: bytes) -> list[int]:
         """Every cell's number of cooperating neighbors, given the cell bits."""
@@ -220,20 +217,16 @@ class Quotient:
 
     def step(self, params: GameParams, bits: bytes) -> bytes:
         """One synchronous update, by the rule of `step`, on the cell bits.
-        Utilities are compared as ranks from one table per params, kept
-        across calls and rebuilt, as `step` rebuilds its own, when a key
-        is new."""
-        keys = list(zip(bits, self.cooperators(bits), self.degree))
-        held, table = self._ranks
+        Utilities are compared as exact integer scores on the scale of the
+        cells' degrees, each cell's coefficients made once per params."""
+        held, coefficients = self._scores
         if held != params:
-            table = {}
-        try:
-            rank = list(map(table.__getitem__, keys))
-        except KeyError:
-            table = _rank_table(params, {*table, *keys})
-            rank = list(map(table.__getitem__, keys))
-        self._ranks = (params, table)
-        masks = _top_masks(range(len(bits)), self.linked, bits, rank)
+            by_degree = _score_coefficients(params, self.degree)
+            coefficients = tuple(map(by_degree.__getitem__, self.degree))
+            self._scores = (params, coefficients)
+        score = [slope * k + base for (slope, base), k
+                 in zip(map(getitem, coefficients, bits), self.cooperators(bits))]
+        masks = _top_masks(range(len(bits)), self.linked, bits, score)
         return bytes(own ^ (mask == 2 >> own) for own, mask in zip(bits, masks))
 
     def states(self, params: GameParams, x0: StrategyVector) -> Iterator[bytes]:
@@ -244,6 +237,13 @@ class Quotient:
         while True:
             yield bits
             bits = self.step(params, bits)
+
+
+def _lifted(cell_of: Sequence[int], bits: bytes) -> bytes:
+    """Every vertex's cell's bit: one C pass for cell_of as bytes (<= 256 cells)."""
+    if isinstance(cell_of, bytes):
+        return cell_of.translate(bits.ljust(256, b"\0"))
+    return bytes(map(bits.__getitem__, cell_of))
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,7 @@ def _states(
     if len(cells.cell_of) != graph.n:
         raise ValueError(f"a quotient of {len(cells.cell_of)} vertices "
                          f"for a graph with n={graph.n}")
-    if bytes(map(x0.bits.__getitem__, map(cells.first.__getitem__, cells.cell_of))) != x0.bits:
+    if _lifted(cells.cell_of, bytes(map(x0.bits.__getitem__, cells.first))) != x0.bits:
         raise ValueError("x0 is not constant on the cells of the quotient")
     return cells.states(params, x0), cells.lift
 

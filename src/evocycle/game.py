@@ -177,9 +177,9 @@ class Graph:
         # it returned.  carried is the Quotient it steps on: the coarsest
         # equitable partition of the state it was first given, on whose
         # cells every later state is constant.  Where that refinement gave
-        # up, carried is (cooperating-neighbor counts, utility rank of
-        # every key seen).  In a list, so that a call takes it with one
-        # atomic pop.
+        # up, carried is (cooperating-neighbor counts, integer score of
+        # every key seen under params).  In a list, so that a call takes
+        # it with one atomic pop.
         self._step_counts: list[tuple] = []
 
     @property

@@ -102,4 +102,4 @@ def refine(adj: Sequence[Sequence[int]], bits: bytes) -> Optional[Quotient]:
     first_of = dict(zip(reversed(cell_of), range(n - 1, -1, -1)))  # each cell's least vertex
     first = tuple(map(first_of.__getitem__, range(len(size))))
     links = tuple(tuple(sorted(Counter(map(cell_of.__getitem__, adj[v])).items())) for v in first)
-    return Quotient(bytes(cell_of) if len(first) <= 256 else cell_of, first, links, None)
+    return Quotient(cell_of, first, links, None)

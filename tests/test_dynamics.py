@@ -9,6 +9,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -462,11 +463,12 @@ class TestCarriedCounts:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
 
-    def test_rank_table_rebuilt_in_mid_trajectory(self):
+    def test_new_key_in_mid_trajectory(self):
         # On the path 0-1-...-6, the utilities under x0 are 0, 4/5, 1 and 2.
         # In x1, vertex 6 cooperates next to a defector: a new key whose
         # utility 3/5 lies strictly between two of them, so the carried call
-        # meets a key its rank table lacks and rebuilds the table.
+        # meets a key it has not scored yet and must score it on the scale
+        # of the keys it scored before.
         graph = Graph(7, [(v, v + 1) for v in range(6)])
         params = GameParams(1, "3/5", 2, 0)
         x0 = StrategyVector.from_string("0011011")
@@ -478,6 +480,31 @@ class TestCarriedCounts:
         x2 = step(graph, params, x1)
         assert_is_one_step(graph, params, x0, x1)
         assert_is_one_step(graph, params, x1, x2)
+
+    def test_stars_with_degrees_past_the_machine_word(self, monkeypatch, rng):
+        # The stars K_{1,k}, k = 1..60, side by side: the lcm of their
+        # degrees, and so the scale of the integer scores, exceeds 2**64.
+        # The budget is lifted so that the cells path keeps its many cells.
+        # Stars share no edge, so the oracle steps each on its own.
+        sizes = range(1, 61)
+        assert lcm(*sizes) > 2 ** 64
+        firsts = [k * (k + 1) // 2 - 1 for k in sizes]  # each centre
+        graph = Graph(firsts[-1] + 61, [(v, v + j) for v, k in zip(firsts, sizes)
+                                        for j in range(1, k + 1)])
+        if self.path == "cells":
+            monkeypatch.setattr("evocycle.refine._BUDGET_FLOOR", graph.n)
+        for params in (random_admissible_params(rng), GameParams(1, "1/2", 1, 0),
+                       GameParams(1, "-1e-300", Fraction(1) + Fraction("1e-300"), 0)):
+            pairs, state = params_to_pairs(params), random_state(rng, graph.n)
+            for _ in range(2):
+                after = step(graph, params, state)
+                assert isinstance(carried(graph), Quotient) == (self.path == "cells")
+                expected = []
+                for v, k in zip(firsts, sizes):
+                    star = [(0, j) for j in range(1, k + 1)]
+                    expected += ref_step(k + 1, star, list(state.bits[v:v + k + 1]), pairs)
+                assert list(after.bits) == expected
+                state = after
 
     @pytest.mark.parametrize("r,q", [(2, 14), (3, 9)])
     def test_carried_state_memory_per_vertex(self, r, q):

@@ -2,10 +2,14 @@
 
 No linter is a dependency, so this reads each module with `ast`: a name
 bound by an import must be read somewhere in the module or listed in its
-`__all__`, and a dotted `import a.b` must be read as the path a.b.
+`__all__`, and a dotted `import a.b` must be read as the path a.b.  A cold
+import of the CLI must also leave out the modules it imports lazily.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +84,15 @@ def test_catches_an_unused_import(tmp_path):
         "print(sys.argv, os.sep)\n"
     )
     assert unused_imports(module) == [("os.path", 2), ("Anything", 5)]
+
+
+def test_cold_import_of_the_cli_leaves_the_lazy_modules_out():
+    # Each is imported where it is first needed: the refinement by
+    # whole-graph step, logging by a solver escalation, the process pool by
+    # a sweep with more than one job.  A cold `import evocycle.cli` pays for
+    # none of them, nor for what they pull in.
+    lazy = ("evocycle.refine", "logging", "concurrent.futures", "multiprocessing")
+    code = f"import sys, evocycle.cli; print([name for name in {lazy!r} if name in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert done.stdout == "[]\n"

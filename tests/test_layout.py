@@ -48,7 +48,7 @@ def assert_same_up_to_relabelling(got, expected):
     assert len(got.cell_of) == len(expected.cell_of)
     to = dict(zip(got.cell_of, expected.cell_of))
     assert len(to) == len(set(to.values())) == len(got.links) == len(expected.links)
-    assert [to[k] for k in got.cell_of] == expected.cell_of
+    assert [to[k] for k in got.cell_of] == list(expected.cell_of)
     assert [got.cell_of[v] for v in got.first] == list(range(len(got.links)))
     assert relabelled(got, to) == [list(pairs) for pairs in expected.links]
 

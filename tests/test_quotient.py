@@ -10,9 +10,10 @@ those on the whole graph and the oracle in tests/reference.py, on the
 closed form and on a start's own split of its cells, tampered files
 included, and every canonical witness must actually take the quotient,
 so that the fast path cannot be lost unseen.  One step of
-Quotient.step, which ranks utilities from a table it keeps, must lift to
-the whole-graph step on chain and tree quotients under changing and tied
-payoffs.
+Quotient.step, which compares utilities as exact integer scores on the
+scale of its cells' degrees, must lift to the whole-graph step on chain
+and tree quotients under changing, tied and finely spaced payoffs, and
+those scores must order and tie every pair of keys as the utilities do.
 """
 
 import contextlib
@@ -45,6 +46,7 @@ from evocycle import (
 )
 from evocycle.analysis import _Cells, replay
 from evocycle.cli import _FAMILIES, _solve, main, parse_params
+from evocycle.game import _utility
 from evocycle.refine import refine
 from genutil import (build, canonical, colour_refinement, permuted, quotient_of,
                      random_admissible_params, random_state, relabel, vertex_steps)
@@ -104,8 +106,12 @@ def test_cell_keys_must_cover_the_graph():
 
 
 def test_more_than_256_cells():
-    # hdpd p=250 has p + 7 = 257 cells, more than one byte can number.
+    # hdpd p=250 has p + 7 = 257 cells, more than one byte can number, so
+    # its cells stay a list; at p=249, 256 cells, they are bytes, which
+    # lift in one bytes.translate.
+    assert isinstance(closed_form(build_hdpd(249, 1, 1, 1, 1)).cell_of, bytes)
     instance = build_hdpd(250, 1, 1, 1, 1)
+    assert isinstance(closed_form(instance).cell_of, list)
     quotient = quotient_of(instance.graph, closed_form(instance).cell_of)
     assert quotient is not None and len(quotient.links) == 257
     params = parse_params("1,-9/20,27/20,0")
@@ -270,13 +276,19 @@ QUOTIENT_SIZES = st.one_of(
 # Tied quadruples, on which the keep-on-tie rule decides.
 TIED_PAYOFFS = st.sampled_from(["1,0,1,0", "1,1/2,1,0", "2,0,1,0", "1,-1/2,3/2,-1/2"]).map(
     parse_params)
+# Payoffs of unlike denominators up to 7, or 1e-300 apart (denominators
+# 10**300).
+FINE_PAYOFFS = st.one_of(
+    st.tuples(*[st.fractions(-2, 2, max_denominator=7)] * 4),
+    st.tuples(*[st.integers(-2, 2).map(lambda k: 1 + k * Fraction("1e-300"))] * 4),
+).map(lambda values: GameParams(*values))
 
 
-@given(QUOTIENT_SIZES, st.lists(GRID_PAYOFFS | SCENARIO_PAYOFFS | TIED_PAYOFFS,
+@given(QUOTIENT_SIZES, st.lists(GRID_PAYOFFS | SCENARIO_PAYOFFS | TIED_PAYOFFS | FINE_PAYOFFS,
                                 min_size=1, max_size=4),
        st.randoms(use_true_random=False))
 def test_quotient_step_lifts_to_the_whole_graph_step(case, payoffs, rng):
-    # Quotient.step compares ranks from a table it keeps per params; one
+    # Quotient.step keeps its cells' score coefficients per params; one
     # quotient stepped under several params, and the same params again,
     # must lift each step to the one the whole graph takes.
     kind, sizes = case
@@ -288,6 +300,30 @@ def test_quotient_step_lifts_to_the_whole_graph_step(case, payoffs, rng):
         state = quotient.lift(bits)
         with vertex_steps():
             assert quotient.lift(quotient.step(params, bits)) == step(graph, params, state)
+
+
+# Degree sets, some with every degree up to 60, whose lcm exceeds 2**64.
+DEGREE_SETS = st.builds(set.union, st.sets(st.integers(1, 64), min_size=1, max_size=6),
+                        st.sampled_from([set(), set(range(1, 61))]))
+
+
+@given(GRID_PAYOFFS | SCENARIO_PAYOFFS | TIED_PAYOFFS | FINE_PAYOFFS, DEGREE_SETS)
+def test_scores_order_and_tie_like_the_utilities(params, degrees):
+    # The integer scores on one scale for the params and the degrees
+    # compare every pair of keys as their exact utilities do, ties
+    # included: sorted by utility, each key's score must exceed the one
+    # before exactly when its utility does, and equal it otherwise.
+    by_degree = evocycle.dynamics._score_coefficients(params, degrees)
+
+    def score(own, k, deg):
+        slope, base = by_degree[deg][own]
+        return slope * k + base
+
+    keys = [(own, k, deg) for deg in degrees for own in (0, 1) for k in range(deg + 1)]
+    scored = sorted((_utility(params, *key), score(*key)) for key in keys)
+    for (utility, score), (next_utility, next_score) in zip(scored, scored[1:]):
+        assert (score < next_score, score == next_score) == (utility < next_utility,
+                                                             utility == next_utility)
 
 
 @given(QUOTIENT_SIZES, st.randoms(use_true_random=False), GRID_PAYOFFS | SCENARIO_PAYOFFS)
